@@ -342,8 +342,35 @@ def _pos_clip(w):
     return np.maximum(w, hi * 1e-14)
 
 
-def _nt_scaling(S, Z):
-    """V with V S V = Z, plus S^{-1}."""
+def _cholesky(X):
+    """Lower Cholesky factor of X > 0, retried once with a trace-scaled jitter."""
+    try:
+        try:
+            return np.linalg.cholesky(X)
+        except np.linalg.LinAlgError:
+            return np.linalg.cholesky(X + (1e-14 * max(1.0, float(np.trace(X).real))) * np.eye(X.shape[0]))
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise NumericError(f"Cholesky factorization failed: {exc}") from exc
+
+
+@dataclass
+class _Scaling:
+    """One block's NT scaling at the current iterate, shared by every
+    direction of the iteration: V with V S V = Z, S^{-1}, V^{1/2} and
+    V^{-1/2}, the eigendecomposition U diag(d) U† of the scaled point
+    V^{1/2} S V^{1/2}, and the Cholesky factors of S and Z."""
+
+    V: np.ndarray
+    Sinv: np.ndarray
+    Vh: np.ndarray
+    Vmh: np.ndarray
+    d: np.ndarray
+    U: np.ndarray
+    LS: np.ndarray
+    LZ: np.ndarray
+
+
+def _nt_scaling(S, Z) -> _Scaling:
     dz, Uz = _eigh(Z)
     dz = _pos_clip(dz)
     Zh = (Uz * np.sqrt(dz)) @ Uz.conj().T
@@ -354,59 +381,54 @@ def _nt_scaling(S, Z):
     ds, Us = _eigh(S)
     ds = _pos_clip(ds)
     Sinv = hermitize((Us / ds) @ Us.conj().T)
-    return V, Sinv
-
-
-def _second_order_term(V, S, dS, dZ):
-    """Mehrotra correction, solved in the scaled space: the Lyapunov equation
-    (U Vsc + Vsc U)/2 = sym(DS DZ) with Vsc = V^{1/2} S V^{1/2}."""
     dv, Uv = _eigh(V)
     dv = _pos_clip(dv)
     Vh = (Uv * np.sqrt(dv)) @ Uv.conj().T
     Vmh = (Uv / np.sqrt(dv)) @ Uv.conj().T
-    DS = Vh @ dS @ Vh
-    DZ = Vmh @ dZ @ Vmh
-    Nmat = hermitize(DS @ DZ + DZ @ DS) * 0.5
     d, U = _eigh(hermitize(Vh @ S @ Vh))
     d = _pos_clip(d)
-    Ntil = U.conj().T @ Nmat @ U
-    Util = 2.0 * Ntil / (d[:, None] + d[None, :])
-    return hermitize(Vh @ (U @ Util @ U.conj().T) @ Vh)
+    return _Scaling(V, Sinv, Vh, Vmh, d, U, _cholesky(S), _cholesky(Z))
 
 
-def _gondzio_target(V, S, Z, dS, dZ, ap, ad, smu, beta_min=0.1, beta_max=10.0):
+def _scaled_product(sc: _Scaling, X, Y):
+    """sym(V^{1/2} X V^{1/2} · V^{-1/2} Y V^{-1/2}), the complementarity
+    product of the primal and dual matrices X, Y in the scaled space."""
+    DS = sc.Vh @ X @ sc.Vh
+    DZ = sc.Vmh @ Y @ sc.Vmh
+    return hermitize(DS @ DZ + DZ @ DS) * 0.5
+
+
+def _pull_back(sc: _Scaling, T):
+    """Right-hand-side term for a scaled-space target T: solve the Lyapunov
+    equation (W Vsc + Vsc W)/2 = T with Vsc = V^{1/2} S V^{1/2} in Vsc's
+    eigenbasis, then map W back by V^{1/2}."""
+    Ttil = sc.U.conj().T @ T @ sc.U
+    Util = 2.0 * Ttil / (sc.d[:, None] + sc.d[None, :])
+    return hermitize(sc.Vh @ (sc.U @ Util @ sc.U.conj().T) @ sc.Vh)
+
+
+def _second_order_term(sc: _Scaling, dS, dZ):
+    """Mehrotra correction: the pulled-back scaled product of the predictor."""
+    return _pull_back(sc, _scaled_product(sc, dS, dZ))
+
+
+def _gondzio_target(sc: _Scaling, S, Z, dS, dZ, ap, ad, smu, beta_min=0.1, beta_max=10.0):
     """Product-space correction herding the tentative complementarity
-    eigenvalues into [beta_min smu, beta_max smu], pulled back to the
-    right-hand-side space through the same Lyapunov solve as the Mehrotra
-    term.  Returns the extra target and the largest outlier magnitude."""
-    dv, Uv = _eigh(V)
-    dv = _pos_clip(dv)
-    Vh = (Uv * np.sqrt(dv)) @ Uv.conj().T
-    Vmh = (Uv / np.sqrt(dv)) @ Uv.conj().T
-    DS = Vh @ (S + ap * dS) @ Vh
-    DZ = Vmh @ (Z + ad * dZ) @ Vmh
-    P = hermitize(DS @ DZ + DZ @ DS) * 0.5
+    eigenvalues into [beta_min smu, beta_max smu], pulled back like the
+    Mehrotra term.  Returns the extra target and the largest outlier
+    magnitude."""
+    P = _scaled_product(sc, S + ap * dS, Z + ad * dZ)
     pe, Pu = _eigh(P)
     lo, hi = beta_min * smu, beta_max * smu
     t = np.where(pe < lo, lo - pe, np.where(pe > hi, hi - pe, 0.0))
     if not np.any(t):
         return np.zeros_like(P), 0.0
-    Tm = (Pu * t) @ Pu.conj().T
-    d, U = _eigh(hermitize(Vh @ S @ Vh))
-    d = _pos_clip(d)
-    Ttil = U.conj().T @ Tm @ U
-    Util = 2.0 * Ttil / (d[:, None] + d[None, :])
-    return hermitize(Vh @ (U @ Util @ U.conj().T) @ Vh), float(np.max(np.abs(t)))
+    return _pull_back(sc, (Pu * t) @ Pu.conj().T), float(np.max(np.abs(t)))
 
 
-def _max_step(X, dX):
-    """Largest t with X + t dX >= 0, for X > 0; inf when dX >= 0."""
-    n = X.shape[0]
+def _max_step(L, dX):
+    """Largest t with X + t dX >= 0 for X = L L† > 0; inf when dX >= 0."""
     try:
-        try:
-            L = np.linalg.cholesky(X)
-        except np.linalg.LinAlgError:
-            L = np.linalg.cholesky(X + (1e-14 * max(1.0, float(np.trace(X).real))) * np.eye(n))
         B = sla.solve_triangular(L, dX, lower=True)
         H = sla.solve_triangular(L, B.conj().T, lower=True).conj().T
         lmin = float(np.linalg.eigvalsh(hermitize(H))[0])
@@ -708,32 +730,32 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
             break
 
         try:
-            Vs, Sinvs = [], []
-            for j in range(nb):
-                V, Sinv = _nt_scaling(S[j], Z[j])
-                Vs.append(V)
-                Sinvs.append(Sinv)
-            M = _assemble_M(comp, Vs)
+            sc = [_nt_scaling(S[j], Z[j]) for j in range(nb)]
+            M = _assemble_M(comp, [s.V for s in sc])
             kkt = _factor_kkt(M, eq)
             if kkt is None:
                 break
 
-            # predictor: pure Newton step toward feasibility and zero product
-            Ga = [hermitize(-Z[j] - Vs[j] @ Rp[j] @ Vs[j]) for j in range(nb)]
-            g = -rd.copy()
-            for j, blk in enumerate(blocks):
-                g += gather_block(comp, blk, Ga[j])
-            dy_a, dl_a = kkt(g, re_)
-            dS_a = [hermitize(Rp[j] + apply_block(blocks[j], dy_a)) for j in range(nb)]
-            # Ga already folds in -V Rp V, so only the linear part of dS may be
-            # scaled back out; using dS itself would double-count Rp and leak
-            # sum_j F*(V Rp V) into the dual residual every step
-            dZ_a = [
-                hermitize(Ga[j] - Vs[j] @ (dS_a[j] - Rp[j]) @ Vs[j]) for j in range(nb)
-            ]
+            def direction(G, tau):
+                """Newton direction for the right-hand-side blocks G on the
+                current factorization, with its damped step lengths.  dZ is
+                rebuilt from G: G already folds in -V Rp V, so only the
+                linear part of dS may be scaled back out; using dS itself
+                would double-count Rp and leak sum_j F*(V Rp V) into the
+                dual residual every step."""
+                g = -rd.copy()
+                for j, blk in enumerate(blocks):
+                    g += gather_block(comp, blk, G[j])
+                dy, dl = kkt(g, re_)
+                dS = [hermitize(Rp[j] + apply_block(blocks[j], dy)) for j in range(nb)]
+                dZ = [hermitize(G[j] - sc[j].V @ (dS[j] - Rp[j]) @ sc[j].V) for j in range(nb)]
+                ap = min(1.0, tau * min((_max_step(sc[j].LS, dS[j]) for j in range(nb)), default=np.inf))
+                ad = min(1.0, tau * min((_max_step(sc[j].LZ, dZ[j]) for j in range(nb)), default=np.inf))
+                return dy, dl, dS, dZ, ap, ad
 
-            ap_a = min(1.0, min((_max_step(S[j], dS_a[j]) for j in range(nb)), default=np.inf))
-            ad_a = min(1.0, min((_max_step(Z[j], dZ_a[j]) for j in range(nb)), default=np.inf))
+            # predictor: pure Newton step toward feasibility and zero product
+            Ga = [hermitize(-Z[j] - sc[j].V @ Rp[j] @ sc[j].V) for j in range(nb)]
+            _, _, dS_a, dZ_a, ap_a, ad_a = direction(Ga, 1.0)
             mu_aff = (
                 sum(
                     float(np.real(np.vdot(Z[j] + ad_a * dZ_a[j], S[j] + ap_a * dS_a[j])))
@@ -758,22 +780,15 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
                 sigma = min(0.99, max(sigma, mu_needed / mu))
 
             # corrector: recenter and absorb the second-order product term
-            Gc = []
-            for j in range(nb):
-                Gam = _second_order_term(Vs[j], S[j], dS_a[j], dZ_a[j])
-                Gc.append(hermitize(sigma * mu * Sinvs[j] - Z[j] - Vs[j] @ Rp[j] @ Vs[j] - Gam))
-            g = -rd.copy()
-            for j, blk in enumerate(blocks):
-                g += gather_block(comp, blk, Gc[j])
-            dy, dl = kkt(g, re_)
-            dS = [hermitize(Rp[j] + apply_block(blocks[j], dy)) for j in range(nb)]
-            dZ = [
-                hermitize(Gc[j] - Vs[j] @ (dS[j] - Rp[j]) @ Vs[j]) for j in range(nb)
+            Gc = [
+                hermitize(
+                    sigma * mu * sc[j].Sinv - Z[j] - sc[j].V @ Rp[j] @ sc[j].V
+                    - _second_order_term(sc[j], dS_a[j], dZ_a[j])
+                )
+                for j in range(nb)
             ]
-
             tau = 0.98 if (relgap < 1e-3 and pinf < 1e-6 and dinf < 1e-6) else 0.95
-            ap = min(1.0, tau * min((_max_step(S[j], dS[j]) for j in range(nb)), default=np.inf))
-            ad = min(1.0, tau * min((_max_step(Z[j], dZ[j]) for j in range(nb)), default=np.inf))
+            dy, dl, dS, dZ, ap, ad = direction(Gc, tau)
 
             # extra centrality correctors: when the step is short, herd the
             # outlier complementarity products back toward sigma*mu and
@@ -800,7 +815,7 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
                 worst = 0.0
                 for j in range(nb):
                     Tj, out = _gondzio_target(
-                        Vs[j], S[j], Z[j], dS[j], dZ[j],
+                        sc[j], S[j], Z[j], dS[j], dZ[j],
                         min(1.0, ap + 0.3), min(1.0, ad + 0.3), smu,
                     )
                     extra.append(Tj)
@@ -810,16 +825,7 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
                 if qbase is None:
                     qbase = _dir_dual_err(dZ, dl)
                 Gg = [hermitize(Gc[j] + extra[j]) for j in range(nb)]
-                g2 = -rd.copy()
-                for j, blk in enumerate(blocks):
-                    g2 += gather_block(comp, blk, Gg[j])
-                dy2, dl2 = kkt(g2, re_)
-                dS2 = [hermitize(Rp[j] + apply_block(blocks[j], dy2)) for j in range(nb)]
-                dZ2 = [
-                    hermitize(Gg[j] - Vs[j] @ (dS2[j] - Rp[j]) @ Vs[j]) for j in range(nb)
-                ]
-                ap2 = min(1.0, tau * min((_max_step(S[j], dS2[j]) for j in range(nb)), default=np.inf))
-                ad2 = min(1.0, tau * min((_max_step(Z[j], dZ2[j]) for j in range(nb)), default=np.inf))
+                dy2, dl2, dS2, dZ2, ap2, ad2 = direction(Gg, tau)
                 if min(ap2, ad2) < min(ap, ad) + 0.02:
                     break
                 if _dir_dual_err(dZ2, dl2) > max(3.0 * qbase, 0.1 * dual_stop * cinf):
@@ -828,18 +834,8 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
 
             if min(ap, ad) < 1e-2 and sigma < 0.9:
                 # stalled: retry the same factorization with a pure centering step
-                for j in range(nb):
-                    Gc[j] = hermitize(0.9 * mu * Sinvs[j] - Z[j] - Vs[j] @ Rp[j] @ Vs[j])
-                g = -rd.copy()
-                for j, blk in enumerate(blocks):
-                    g += gather_block(comp, blk, Gc[j])
-                dy, dl = kkt(g, re_)
-                dS = [hermitize(Rp[j] + apply_block(blocks[j], dy)) for j in range(nb)]
-                dZ = [
-                    hermitize(Gc[j] - Vs[j] @ (dS[j] - Rp[j]) @ Vs[j]) for j in range(nb)
-                ]
-                ap = min(1.0, 0.95 * min((_max_step(S[j], dS[j]) for j in range(nb)), default=np.inf))
-                ad = min(1.0, 0.95 * min((_max_step(Z[j], dZ[j]) for j in range(nb)), default=np.inf))
+                Gc = [hermitize(0.9 * mu * sc[j].Sinv - Z[j] - sc[j].V @ Rp[j] @ sc[j].V) for j in range(nb)]
+                dy, dl, dS, dZ, ap, ad = direction(Gc, 0.95)
         except NumericError:
             break
 

@@ -1,52 +1,28 @@
-"""Schur-complement assembly kernels for the interior-point solver.
+"""Schur-complement assembly kernel for the interior-point solver.
 
 Per iteration the solver forms M[i,k] = sum_j Re tr(F_ji V_j F_jk V_j) where
 each F_ji is a sparse Hermitian coefficient matrix with at most a couple of
-nonzero entries. Expanded entrywise this is a tight scalar loop over index
-arrays, so the default path is numba-compiled; set ENTBOUND_PURE_NUMPY=1 to
-force the vectorized numpy fallback (also used when numba is unavailable).
+nonzero entries. Expanded entrywise, each pair (e, f) of entry slots of a
+block contributes u_e u_f V[c_e, r_f] V[c_f, r_e] to every (i, k) at once, so
+the kernel is a short loop over slot pairs around vectorized numpy gathers.
 
-Entry layout shared by both paths: block j stacks per-coordinate sparse
-representations rows/cols/vals of shape (n_blocks, m, width) with per-entry
-counts cnts (n_blocks, m); vstack holds each block's scaling matrix padded to
-the largest block dimension.
+Entry layout: block j stacks per-coordinate sparse representations
+rows/cols/vals of shape (n_blocks, m, width) with per-entry counts cnts
+(n_blocks, m); vstack holds each block's scaling matrix padded to the largest
+block dimension.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-PURE_NUMPY = os.environ.get("ENTBOUND_PURE_NUMPY", "").strip().lower() in ("1", "true", "yes")
+
+def kernel_name() -> str:
+    return "numpy"
 
 
-def _schur_loops(M, vstack, rows, cols, vals, cnts):
-    nb = vstack.shape[0]
-    m = M.shape[0]
-    for i in range(m):
-        for k in range(i, m):
-            acc = 0.0
-            for j in range(nb):
-                ci = cnts[j, i]
-                ck = cnts[j, k]
-                if ci == 0 or ck == 0:
-                    continue
-                v = vstack[j]
-                s = 0.0 + 0.0j
-                for e in range(ci):
-                    ue = vals[j, i, e]
-                    re_ = rows[j, i, e]
-                    ce = cols[j, i, e]
-                    for f in range(ck):
-                        s += ue * vals[j, k, f] * v[ce, rows[j, k, f]] * v[cols[j, k, f], re_]
-                acc += s.real
-            M[i, k] += acc
-            if k != i:
-                M[k, i] += acc
-
-
-def _schur_gather(M, vstack, rows, cols, vals, cnts):
+def schur_accumulate(M, vstack, rows, cols, vals, cnts) -> None:
+    """Accumulate all blocks' structured Schur contributions into M in place."""
     m = M.shape[0]
     for j in range(vstack.shape[0]):
         width = int(cnts[j].max()) if m else 0
@@ -65,35 +41,10 @@ def _schur_gather(M, vstack, rows, cols, vals, cnts):
                 M += ((ue[:, None] * uf[None, :]) * x1 * x2).real
 
 
-_schur_numba = None
-if not PURE_NUMPY:
-    try:
-        from numba import njit
-
-        _schur_numba = njit(cache=True)(_schur_loops)
-    except ImportError:
-        _schur_numba = None
-
-USING_NUMBA = _schur_numba is not None
-
-
-def kernel_name() -> str:
-    return "numba" if USING_NUMBA else "numpy"
-
-
-def schur_accumulate(M, vstack, rows, cols, vals, cnts) -> None:
-    """Accumulate all blocks' structured Schur contributions into M in place."""
-    if USING_NUMBA:
-        _schur_numba(M, vstack, rows, cols, vals, cnts)
-    else:
-        _schur_gather(M, vstack, rows, cols, vals, cnts)
-
-
 def gather_inner(block_mat, rows, cols, vals, cnts) -> np.ndarray:
     """Per-coordinate inner products Re tr(F_i A) for one block.
 
     rows/cols/vals are that block's (m, width) entry arrays; cnts its counts.
-    Cheap enough that plain numpy gathers are used on both kernel paths.
     """
     if rows.shape[1] == 0:
         return np.zeros(rows.shape[0])
