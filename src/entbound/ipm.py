@@ -831,11 +831,6 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
                 if _dir_dual_err(dZ2, dl2) > max(3.0 * qbase, 0.1 * dual_stop * cinf):
                     break
                 dy, dl, dS, dZ, ap, ad, Gc = dy2, dl2, dS2, dZ2, ap2, ad2, Gg
-
-            if min(ap, ad) < 1e-2 and sigma < 0.9:
-                # stalled: retry the same factorization with a pure centering step
-                Gc = [hermitize(0.9 * mu * sc[j].Sinv - Z[j] - sc[j].V @ Rp[j] @ sc[j].V) for j in range(nb)]
-                dy, dl, dS, dZ, ap, ad = direction(Gc, 0.95)
         except NumericError:
             break
 
