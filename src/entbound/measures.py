@@ -25,7 +25,6 @@ from .linalg import (
     op_norm_arr,
     partial_transpose,
     ptranspose_arr,
-    support_projector,
     trace_norm_arr,
 )
 from .sdp import EqConstraint, LinTerm, PsdConstraint, SdpProblem, SolverConfig, TraceTerm, solve
@@ -129,9 +128,11 @@ def w_dual(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureRe
 
 
 def e_w(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
-    """log2 W from both program forms, cross-checked against each other."""
-    wp = w_primal(rho, config)
+    """log2 W from both program forms, cross-checked against each other.
+    The min form goes first: it has twice the variables, so a state too
+    large for the solver is refused before any solve."""
     wd = w_dual(rho, config)
+    wp = w_primal(rho, config)
     vp = max(1.0, 0.5 * (wp.primal_value + wp.dual_value))
     vd = max(1.0, 0.5 * (wd.primal_value + wd.dual_value))
     if abs(vp - vd) > PRIMAL_DUAL_AGREE_TOL:
