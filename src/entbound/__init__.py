@@ -20,7 +20,6 @@ from .linalg import (
     make_state,
     op_norm,
     partial_transpose,
-    real_embedding,
     negative_projector,
     support_projector,
     trace_norm,

@@ -201,9 +201,3 @@ def negative_projector(m: HermitianMatrix) -> HermitianMatrix:
     if keep.shape[1] == 0:
         return HermitianMatrix(np.zeros_like(m.mat))
     return HermitianMatrix(keep @ keep.conj().T)
-
-
-def real_embedding(m: HermitianMatrix) -> np.ndarray:
-    """Real symmetric [[Re m, -Im m],[Im m, Re m]]; doubles each eigenvalue's multiplicity."""
-    re, im = m.mat.real, m.mat.imag
-    return np.block([[re, -im], [im, re]])

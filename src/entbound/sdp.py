@@ -149,27 +149,6 @@ class SdpProblem:
             raise InvalidDimsError(f"objective coefficient for {name!r} has wrong dim")
         return arr
 
-    def describe(self) -> str:
-        """Plain-text dump of sizes and structure for bug reports."""
-        lines = [f"SdpProblem sense={self.sense} constant={self.constant:g}"]
-        for name, dim, kind in self.variables:
-            lines.append(f"  var {name}: dim {dim} ({kind})")
-        for name, C in self.objective:
-            lines.append(f"  objective += Re tr(C_{name} @ {name}), |C|_F = {np.linalg.norm(C):.4g}")
-        for con in self.constraints:
-            parts = []
-            for t in con.terms:
-                if isinstance(t, LinTerm):
-                    op = f"PT{t.pt_dims}" if t.pt_dims else "id"
-                    parts.append(f"{t.coeff:+g}*{op}({t.var})")
-                else:
-                    parts.append(f"{t.coeff:+g}*tr(P@{t.var})*K")
-            label = con.label or "psd"
-            lines.append(f"  {label}: dim {con.dim}, const|_F={np.linalg.norm(con.const):.4g}, {' '.join(parts)} >= 0")
-        for eq in self.equalities:
-            lines.append(f"  eq {eq.label or ''}: {len(eq.terms)} terms = {eq.rhs:g}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True)
 class SolverConfig:

@@ -15,7 +15,6 @@ from entbound.linalg import (
     op_norm,
     partial_transpose,
     ptranspose_arr,
-    real_embedding,
     support_projector,
     trace_norm,
     trace_norm_arr,
@@ -126,23 +125,6 @@ def test_kron_dims_and_values():
     k = kron(a, b)
     assert k.dim == 4
     assert np.allclose(np.diag(k.mat), [3, 4, 6, 8])
-
-
-@given(st.integers(0, 10**6))
-@settings(max_examples=25, deadline=None)
-def test_real_embedding_doubles_spectrum(seed):
-    mat = random_hermitian(4, seed)
-    emb = real_embedding(HermitianMatrix(mat))
-    assert emb.dtype == np.float64
-    got = np.sort(np.linalg.eigvalsh(emb))
-    want = np.sort(np.repeat(np.linalg.eigvalsh(mat), 2))
-    assert np.max(np.abs(got - want)) < 1e-9
-
-
-def test_real_embedding_preserves_psd():
-    rho = random_state(2, 2, rank=3, seed=13)
-    emb = real_embedding(rho.rho)
-    assert np.linalg.eigvalsh(emb)[0] > -1e-12
 
 
 def test_make_state_validates_trace():
