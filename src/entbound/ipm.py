@@ -3,8 +3,10 @@
 Compiles a modeled problem onto an orthonormal Hermitian coordinate basis
 (one real coordinate per matrix entry degree of freedom), then runs an
 infeasible-start primal-dual path-following method with Nesterov-Todd
-scaling and a Mehrotra predictor-corrector step. Dense, deterministic,
-single-threaded; sized for matrix variables up to ~100 rows total.
+scaling and a Mehrotra predictor-corrector step. Dense and deterministic
+for a fixed BLAS thread count; nothing here limits BLAS threads, so an
+OpenBLAS build runs one per core. Sized for matrix variables up to ~100
+rows total.
 
 When every datum in the problem is real, variables are restricted to real
 symmetric coordinates. The imaginary coordinates decouple exactly in that
