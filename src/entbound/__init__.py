@@ -14,8 +14,6 @@ from .linalg import (
     BipartiteDims,
     BipartiteState,
     HermitianMatrix,
-    Spectrum,
-    hermitian_eig,
     kron,
     make_state,
     op_norm,

@@ -430,9 +430,11 @@ def _gondzio_target(sc: _Scaling, S, Z, dS, dZ, ap, ad, smu, beta_min=0.1, beta_
 
 def _max_step(L, dX):
     """Largest t with X + t dX >= 0 for X = L L† > 0; inf when dX >= 0."""
+    if not np.all(np.isfinite(dX)):
+        raise NumericError("step length computation failed: non-finite direction")
     try:
-        B = sla.solve_triangular(L, dX, lower=True)
-        H = sla.solve_triangular(L, B.conj().T, lower=True).conj().T
+        B = sla.solve_triangular(L, dX, lower=True, check_finite=False)
+        H = sla.solve_triangular(L, B.conj().T, lower=True, check_finite=False).conj().T
         lmin = float(np.linalg.eigvalsh(hermitize(H))[0])
     except (np.linalg.LinAlgError, ValueError) as exc:
         raise NumericError(f"step length computation failed: {exc}") from exc

@@ -6,7 +6,7 @@ All logarithms elsewhere in the package are base 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,14 +111,6 @@ class BipartiteState:
         return self.dims.d_b
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues sorted descending with matching orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray = field(repr=False)
-
-
 def make_state(mat, d_a: int, d_b: int) -> BipartiteState:
     """Wrap a raw array as a validated BipartiteState."""
     return BipartiteState(HermitianMatrix(mat), BipartiteDims(d_a, d_b))
@@ -157,11 +149,6 @@ def eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigendecomposition failed (asymmetry residual {res:.3e}): {exc}") from exc
     order = np.argsort(vals)[::-1]
     return vals[order], vecs[:, order]
-
-
-def hermitian_eig(m: HermitianMatrix) -> Spectrum:
-    vals, vecs = eigh_desc(m.mat)
-    return Spectrum(eigenvalues=vals, eigenvectors=vecs)
 
 
 def trace_norm_arr(mat: np.ndarray) -> float:

@@ -66,31 +66,50 @@ def log_negativity(rho: BipartiteState, config: SolverConfig | None = None) -> M
     )
 
 
-def w_primal(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
-    """max Re tr(rho^PT R) over -I <= R <= I with R^PT >= 0."""
+def _log2_at_least_one(value: float) -> float:
+    return math.log2(max(1.0, value))
+
+
+def _result(sol, witness, log2_of=_log2_at_least_one, dual_value=None) -> MeasureResult:
+    """MeasureResult of one solve; log2_of maps the midpoint of the primal
+    and dual values (dual_value overrides the solver's) to value_log2."""
+    dual = sol.dual_value if dual_value is None else dual_value
+    return MeasureResult(
+        value_log2=log2_of(0.5 * (sol.primal_value + dual)),
+        primal_value=sol.primal_value,
+        dual_value=dual,
+        gap=abs(sol.primal_value - dual),
+        witness=witness,
+        iterations=sol.iterations,
+    )
+
+
+def _full_rank_result(n: int) -> MeasureResult:
+    """e0 and w0 of a full-rank state: R = I is forced and |I^PT| = 1."""
+    return MeasureResult(0.0, 1.0, 1.0, 0.0, HermitianMatrix(_eye(n)), 0)
+
+
+def _w_max_form(rho: BipartiteState) -> SdpProblem:
+    """max Re tr(rho^PT R) over -I <= R <= I with R^PT >= 0; the dual
+    blocks of its first two constraints are the min form's (U, V)."""
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
-    rho_pt = ptranspose_arr(rho.mat, *pt_dims)
-    problem = SdpProblem(
+    return SdpProblem(
         sense="max",
         variables=[("R", n, "hermitian")],
-        objective=[("R", rho_pt)],
+        objective=[("R", ptranspose_arr(rho.mat, *pt_dims))],
         constraints=[
             PsdConstraint(dim=n, const=_eye(n), terms=(LinTerm("R", -1.0),), label="I - R"),
             PsdConstraint(dim=n, const=_eye(n), terms=(LinTerm("R", 1.0),), label="I + R"),
             PsdConstraint(dim=n, terms=(LinTerm("R", 1.0, pt_dims),), label="R pt"),
         ],
     )
-    sol = _solved(problem, config, "w_primal")
-    value = max(1.0, 0.5 * (sol.primal_value + sol.dual_value))
-    return MeasureResult(
-        value_log2=math.log2(value),
-        primal_value=sol.primal_value,
-        dual_value=sol.dual_value,
-        gap=sol.gap,
-        witness=sol.assignments["R"],
-        iterations=sol.iterations,
-    )
+
+
+def w_primal(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
+    """max Re tr(rho^PT R) over -I <= R <= I with R^PT >= 0."""
+    sol = _solved(_w_max_form(rho), config, "w_primal")
+    return _result(sol, sol.assignments["R"])
 
 
 def w_dual(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
@@ -113,42 +132,41 @@ def w_dual(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureRe
         ],
     )
     sol = _solved(problem, config, "w_dual")
-    value = max(1.0, 0.5 * (sol.primal_value + sol.dual_value))
     x = ptranspose_arr(
         sol.assignments["U"].mat - sol.assignments["V"].mat, *pt_dims
     )
-    return MeasureResult(
-        value_log2=math.log2(value),
-        primal_value=sol.primal_value,
-        dual_value=sol.dual_value,
-        gap=sol.gap,
-        witness=HermitianMatrix(x),
-        iterations=sol.iterations,
-    )
+    return _result(sol, HermitianMatrix(x))
+
+
+def _neg_part(mat: np.ndarray) -> float:
+    return max(0.0, -float(np.linalg.eigvalsh(mat)[0]))
 
 
 def e_w(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
-    """log2 W from both program forms, cross-checked against each other.
-    The min form goes first: it has twice the variables, so a state too
-    large for the solver is refused before any solve."""
-    wd = w_dual(rho, config)
-    wp = w_primal(rho, config)
-    vp = max(1.0, 0.5 * (wp.primal_value + wp.dual_value))
-    vd = max(1.0, 0.5 * (wd.primal_value + wd.dual_value))
-    if abs(vp - vd) > PRIMAL_DUAL_AGREE_TOL:
-        raise ConsistencyError(
-            f"W program forms disagree: max-form {vp!r} vs min-form {vd!r} "
-            f"(|diff| {abs(vp - vd):.3e} > {PRIMAL_DUAL_AGREE_TOL})"
-        )
-    value = 0.5 * (vp + vd)
-    return MeasureResult(
-        value_log2=math.log2(value),
-        primal_value=vp,
-        dual_value=vd,
-        gap=abs(vp - vd),
-        witness=wp.witness,
-        iterations=wp.iterations + wd.iterations,
+    """log2 W from one solve of the max form, certified from both sides.
+
+    The lower side is the primal value tr(rho^PT R).  The upper side is
+    the min-form objective tr(U + V) at the dual blocks (U, V) of I - R and
+    I + R, checked here without the solver: with d_U, d_V, d_E the negative
+    parts of the smallest eigenvalues of U, V and (U - V)^PT - rho, every
+    feasible R has tr(rho^PT R) <= tr(U + V) + 2n(d_U + d_V) + n d_E,
+    because |R| <= I and tr R^PT = tr R <= n.  The two sides must agree."""
+    sol = _solved(_w_max_form(rho), config, "e_w")
+    n = rho.dims.total
+    u, v = sol.dual_blocks[0], sol.dual_blocks[1]
+    excess = ptranspose_arr(u - v, rho.dims.d_a, rho.dims.d_b) - rho.mat
+    upper = (
+        float(np.trace(u + v).real)
+        + 2 * n * (_neg_part(u) + _neg_part(v))
+        + n * _neg_part(excess)
     )
+    if abs(upper - sol.primal_value) > PRIMAL_DUAL_AGREE_TOL:
+        raise ConsistencyError(
+            f"W certificate sides disagree: max-form {sol.primal_value!r} vs "
+            f"min-form {upper!r} (|diff| {abs(upper - sol.primal_value):.3e} "
+            f"> {PRIMAL_DUAL_AGREE_TOL})"
+        )
+    return _result(sol, sol.assignments["R"], dual_value=upper)
 
 
 def fidelity_ppt(rho: BipartiteState, k: float, config: SolverConfig | None = None) -> MeasureResult:
@@ -175,15 +193,7 @@ def fidelity_ppt(rho: BipartiteState, k: float, config: SolverConfig | None = No
         ],
     )
     sol = _solved(problem, config, "fidelity_ppt")
-    value = min(1.0, max(1e-300, 0.5 * (sol.primal_value + sol.dual_value)))
-    return MeasureResult(
-        value_log2=math.log2(value),
-        primal_value=sol.primal_value,
-        dual_value=sol.dual_value,
-        gap=sol.gap,
-        witness=sol.assignments["Q"],
-        iterations=sol.iterations,
-    )
+    return _result(sol, sol.assignments["Q"], lambda f: math.log2(min(1.0, max(1e-300, f))))
 
 
 def npt_witness_bound(rho: BipartiteState) -> tuple[float, HermitianMatrix]:
@@ -261,15 +271,7 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
     supp, ker = _support_split(rho)
     eye = _eye(n)
     if supp.shape[1] == n:
-        # full-rank state: R = I is the only feasible point and |I^PT| = 1
-        return MeasureResult(
-            value_log2=0.0,
-            primal_value=1.0,
-            dual_value=1.0,
-            gap=0.0,
-            witness=HermitianMatrix(eye),
-            iterations=0,
-        )
+        return _full_rank_result(n)
     p_supp = hermitize(supp @ supp.conj().T)
     one = np.array([[1.0]], dtype=np.complex128)
     problem = SdpProblem(
@@ -302,15 +304,7 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
     sol = _solved(problem, config, "det_distill_one_copy")
     # mu* is at most 1 (R = I attains it) and at least 1/n (trace bound on
     # the operator norm of R^PT given R >= P).
-    mu = min(1.0, max(0.5 / n, 0.5 * (sol.primal_value + sol.dual_value)))
-    return MeasureResult(
-        value_log2=-math.log2(mu),
-        primal_value=sol.primal_value,
-        dual_value=sol.dual_value,
-        gap=sol.gap,
-        witness=sol.assignments["R"],
-        iterations=sol.iterations,
-    )
+    return _result(sol, sol.assignments["R"], lambda mu: -math.log2(min(1.0, max(0.5 / n, mu))))
 
 
 def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
@@ -326,15 +320,7 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
     supp, ker = _support_split(rho)
     eye = _eye(n)
     if supp.shape[1] == n:
-        # full-rank state: R = t I forced, and |R^PT| <= 1 caps t at 1
-        return MeasureResult(
-            value_log2=0.0,
-            primal_value=1.0,
-            dual_value=1.0,
-            gap=0.0,
-            witness=HermitianMatrix(eye),
-            iterations=0,
-        )
+        return _full_rank_result(n)
     p_supp = hermitize(supp @ supp.conj().T)
     one = np.array([[1.0]], dtype=np.complex128)
     equalities = []
@@ -368,15 +354,7 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
         equalities=equalities,
     )
     sol = _solved(problem, config, "w0")
-    value = max(1.0, 0.5 * (sol.primal_value + sol.dual_value))
-    return MeasureResult(
-        value_log2=math.log2(value),
-        primal_value=sol.primal_value,
-        dual_value=sol.dual_value,
-        gap=sol.gap,
-        witness=sol.assignments["R"],
-        iterations=sol.iterations,
-    )
+    return _result(sol, sol.assignments["R"])
 
 
 def multi_copy(

@@ -9,7 +9,7 @@ compiled form; solve() and check_certificate() are the public entry points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -277,10 +277,3 @@ def check_certificate(
         ok=not failures,
         failures=failures,
     )
-
-
-def with_assignment(solution: SdpSolution, name: str, mat) -> SdpSolution:
-    """Copy of a solution with one assignment replaced (testing aid)."""
-    new = dict(solution.assignments)
-    new[name] = HermitianMatrix(mat)
-    return replace(solution, assignments=new)

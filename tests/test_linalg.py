@@ -8,7 +8,6 @@ from entbound.linalg import (
     BipartiteDims,
     HermitianMatrix,
     eigh_desc,
-    hermitian_eig,
     kron,
     make_state,
     negative_projector,
@@ -95,14 +94,6 @@ def test_eigh_desc_orders_descending():
     assert np.all(np.diff(vals) <= 0)
     recon = (vecs * vals) @ vecs.conj().T
     assert np.max(np.abs(recon - random_hermitian(6, 4))) < 1e-10
-
-
-def test_hermitian_eig_reconstructs():
-    m = HermitianMatrix(random_hermitian(4, 5))
-    spec = hermitian_eig(m)
-    recon = (spec.eigenvectors * spec.eigenvalues) @ spec.eigenvectors.conj().T
-    assert np.max(np.abs(recon - m.mat)) < 1e-10
-    assert np.all(np.diff(spec.eigenvalues) <= 0)
 
 
 def test_support_projector_is_projection_onto_range():

@@ -1,11 +1,14 @@
 """Values and cross-checks for the entanglement measures."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entbound.errors import CapacityError, DomainError
+from entbound import ipm, measures
+from entbound.errors import CapacityError, ConsistencyError, DomainError
 from entbound.linalg import make_state, op_norm_arr, ptranspose_arr, trace_norm_arr
 from entbound.measures import (
     det_distill_one_copy,
@@ -96,8 +99,11 @@ def test_w_dual_matches_primal():
     for i, (d_a, d_b) in enumerate(((2, 2), (2, 3), (3, 3))):
         rho = random_state(d_a, d_b, rank=2, seed=660 + i)
         vp = 2 ** w_primal(rho).value_log2
-        vd = 2 ** w_dual(rho).value_log2
+        wd = w_dual(rho)
+        vd = 2 ** wd.value_log2
         assert abs(vp - vd) <= 1e-7
+        # e_w's min-form side, read off the max-form dual blocks
+        assert abs(e_w(rho).dual_value - wd.dual_value) <= 1e-7
 
 
 def test_w_dual_rho_alpha_feasible_point_bound():
@@ -302,9 +308,43 @@ def test_multi_copy_capacity_limits():
     with pytest.raises(CapacityError):
         multi_copy(log_negativity, rho_alpha(0.3), 3)  # 729 > composite cap
     with pytest.raises(CapacityError):
-        # 81-dim fits the composite cap but the two-variable dual program
-        # exceeds the engine's embedded-dimension cap
-        multi_copy(e_w, rho_alpha(0.3), 2)
+        # 81-dim fits the composite cap but the two-variable min-form
+        # program exceeds the engine's embedded-dimension cap
+        multi_copy(w_dual, rho_alpha(0.3), 2)
+
+
+def test_e_w_refuses_an_oversized_state_before_solving(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("interior-point run reached")
+
+    monkeypatch.setattr(ipm, "run", no_run)
+    with pytest.raises(CapacityError):
+        e_w(random_state(10, 11, rank=1, seed=950))  # 110-dim
+
+
+def test_e_w_solves_once(monkeypatch):
+    calls = []
+    real = measures.solve
+
+    def counted(problem, config=None):
+        calls.append(problem.sense)
+        return real(problem, config)
+
+    monkeypatch.setattr(measures, "solve", counted)
+    e_w(rho_alpha(0.3))
+    assert calls == ["max"]
+
+
+def test_e_w_rejects_a_halved_dual_certificate(monkeypatch):
+    real = measures.solve
+
+    def halved(problem, config=None):
+        sol = real(problem, config)
+        return replace(sol, dual_blocks=tuple(0.5 * z for z in sol.dual_blocks))
+
+    monkeypatch.setattr(measures, "solve", halved)
+    with pytest.raises(ConsistencyError):
+        e_w(rho_alpha(0.5))
 
 
 def test_multi_copy_det_superadditive_on_rho_half():

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from entbound import ipm, kernels
 from entbound.errors import CapacityError, InvalidStateError, NumericError
-from entbound.linalg import ptranspose_arr
+from entbound.linalg import HermitianMatrix, ptranspose_arr
 from entbound.sdp import (
     EqConstraint,
     LinTerm,
@@ -13,7 +15,6 @@ from entbound.sdp import (
     TraceTerm,
     check_certificate,
     solve,
-    with_assignment,
 )
 from entbound.states import max_entangled
 
@@ -190,7 +191,8 @@ def test_certificate_accepts_clean_solution():
 def test_certificate_flags_perturbed_assignment():
     problem = diag_lp([1.0, 2.0, 3.0], 0.5)
     sol = solve(problem)
-    broken = with_assignment(sol, "X", sol.assignments["X"].mat + 0.01 * np.eye(3))
+    moved = HermitianMatrix(sol.assignments["X"].mat + 0.01 * np.eye(3))
+    broken = replace(sol, assignments={"X": moved})
     report = check_certificate(problem, broken)
     assert not report.ok
     assert any("equality" in f or "gap" in f for f in report.failures)
@@ -200,7 +202,7 @@ def test_certificate_flags_psd_violation():
     problem = diag_lp([1.0, 1.0], 1.0)
     sol = solve(problem)
     bad = sol.assignments["X"].mat - 2.0 * np.eye(2)
-    report = check_certificate(problem, with_assignment(sol, "X", bad))
+    report = check_certificate(problem, replace(sol, assignments={"X": HermitianMatrix(bad)}))
     assert not report.ok
     assert any("PSD" in f for f in report.failures)
 

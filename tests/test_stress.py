@@ -21,7 +21,7 @@ def test_stress_corpus_solves_every_measure():
     problems = []
     for name, rho in stress_corpus():
         try:
-            ew = e_w(rho).value_log2
+            ew_res = e_w(rho)
             e0 = det_distill_one_copy(rho).value_log2
             w0_ = w0(rho).value_log2
             fidelity_ppt(rho, k=2.0)
@@ -29,6 +29,12 @@ def test_stress_corpus_solves_every_measure():
             problems.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
         en = log_negativity(rho).value_log2
+        ew = ew_res.value_log2
+        if ew_res.gap > TOL or ew_res.dual_value < ew_res.primal_value - 1e-9:
+            problems.append(
+                f"{name}: e_w certificate primal {ew_res.primal_value!r}, "
+                f"dual {ew_res.dual_value!r}, gap {ew_res.gap:.3e}"
+            )
         if abs(e0 - w0_) > TOL:
             problems.append(f"{name}: |e0 - w0| = {abs(e0 - w0_):.3e}")
         if e0 > ew + TOL or ew > en + TOL:
