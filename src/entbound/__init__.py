@@ -16,11 +16,9 @@ from .linalg import (
     HermitianMatrix,
     kron,
     make_state,
-    op_norm,
     partial_transpose,
     negative_projector,
     support_projector,
-    trace_norm,
 )
 from .measures import (
     MeasureResult,
@@ -51,10 +49,8 @@ from .states import (
     StateEnsemble,
     antisym_state,
     apply_local_channel,
-    identity_channel,
     kron_power_state,
     max_entangled,
-    projective_measurement,
     random_local_channel,
     random_pure_state,
     random_separable,

@@ -8,6 +8,14 @@ for a fixed BLAS thread count; nothing here limits BLAS threads, so an
 OpenBLAS build runs one per core. Sized for matrix variables up to ~100
 rows total.
 
+Coordinate a of a variable is one entry pair (i_a, j_a, u_a), the basis
+matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|. Every structural
+constraint term is c X or c X^PT; a block stores each as (variable slice,
+c, i, j, u) with (i, j) remapped by the partial transpose, and that one
+format drives the block image (apply_block), its adjoint (gather_block)
+and the Schur assembly (kernels.schur_pairs). Trace terms are kept as
+rank-one (pvec, K) pairs beside it.
+
 When every datum in the problem is real, variables are restricted to real
 symmetric coordinates. The imaginary coordinates decouple exactly in that
 case (conjugating any solution by entrywise complex conjugation preserves
@@ -39,53 +47,39 @@ _RT2 = np.sqrt(2.0)
 # coordinate basis
 
 
-def _basis_entries(n: int, real_mode: bool):
-    """Entry table of an orthonormal Hermitian basis of dimension n.
+def _basis_pairs(n: int, real_mode: bool):
+    """Entry pairs (i, j, u) of an orthonormal Hermitian basis of dimension n.
 
-    Coordinate a is the matrix E_a = sum_e vals[a,e] |rows[a,e]><cols[a,e]|;
-    diagonal units first, then sqrt(1/2)-scaled real (and, unless real_mode,
-    imaginary) off-diagonal pairs in lexicographic order.
+    Coordinate a is the matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|:
+    diagonal units first (u = 1/2), then real (u = sqrt(1/2)) and, unless
+    real_mode, imaginary (u = i sqrt(1/2)) off-diagonal pairs in
+    lexicographic order.  u is real in real_mode.
     """
-    mv = n * (n + 1) // 2 if real_mode else n * n
-    rows = np.zeros((mv, 2), dtype=np.int64)
-    cols = np.zeros((mv, 2), dtype=np.int64)
-    vals = np.zeros((mv, 2), dtype=np.complex128)
-    cnts = np.zeros(mv, dtype=np.int64)
-    a = 0
-    for p in range(n):
-        rows[a, 0] = cols[a, 0] = p
-        vals[a, 0] = 1.0
-        cnts[a] = 1
-        a += 1
-    inv = 1.0 / _RT2
-    for p in range(n):
-        for q in range(p + 1, n):
-            rows[a], cols[a] = (p, q), (q, p)
-            vals[a] = (inv, inv)
-            cnts[a] = 2
-            a += 1
-            if not real_mode:
-                rows[a], cols[a] = (p, q), (q, p)
-                vals[a] = (1j * inv, -1j * inv)
-                cnts[a] = 2
-                a += 1
-    return rows, cols, vals, cnts
+    p, q = np.triu_indices(n, 1)
+    off = np.full(p.size, 1.0 / _RT2)
+    if not real_mode:
+        p, q = np.repeat(p, 2), np.repeat(q, 2)
+        off = np.stack([off, 1j * off], axis=1).ravel()
+    diag = np.arange(n)
+    return np.concatenate([diag, p]), np.concatenate([diag, q]), np.concatenate([np.full(n, 0.5), off])
 
 
-def _hvec(X, rows, cols, vals):
-    return np.real(np.sum(vals * X[cols, rows], axis=1))
+def _hvec(X, i, j, u):
+    """Coordinates Re tr(E_a X) = Re(u_a X[j_a, i_a] + conj(u_a) X[i_a, j_a])."""
+    return np.real(u * X[j, i] + np.conj(u) * X[i, j])
 
 
-def _unhvec(yv, rows, cols, vals, n):
+def _unhvec(yv, i, j, u, n):
+    """sum_a yv_a E_a, the adjoint of _hvec."""
     X = np.zeros((n, n), dtype=np.complex128)
-    np.add.at(X, (rows.ravel(), cols.ravel()), (vals * yv[:, None]).ravel())
-    return X
+    np.add.at(X, (i, j), u * yv)
+    return X + X.conj().T
 
 
-def _pt_map(rows, cols, d_a, d_b):
-    r2 = (rows // d_b) * d_b + cols % d_b
-    c2 = (cols // d_b) * d_b + rows % d_b
-    return r2, c2
+def _pt_map(i, j, d_a, d_b):
+    """Entry (i, j) of a d_a x d_b bipartite matrix moved by the partial
+    transpose on the second factor."""
+    return (i // d_b) * d_b + j % d_b, (j // d_b) * d_b + i % d_b
 
 
 # ---------------------------------------------------------------------------
@@ -95,12 +89,10 @@ def _pt_map(rows, cols, d_a, d_b):
 @dataclass
 class CompiledBlock:
     n: int
+    m: int
     const: np.ndarray
     label: str
-    rows: np.ndarray  # (m, W) int64
-    cols: np.ndarray
-    vals: np.ndarray  # (m, W) complex
-    cnts: np.ndarray  # (m,) int64
+    lterms: tuple  # of (variable slice, coeff, i, j, u): LinTerms as entry pairs
     tterms: tuple  # of (coeff, pvec (m,), K (n, n))
     sem_terms: tuple  # original model terms, for basis-free evaluation
     dnorm: float = 0.0
@@ -111,7 +103,7 @@ class Compiled:
     var_names: list
     var_dims: dict
     var_slices: dict
-    bases: dict
+    bases: dict  # variable name -> (i, j, u)
     m: int
     c: np.ndarray
     sense_mult: float
@@ -120,11 +112,6 @@ class Compiled:
     A: np.ndarray
     b: np.ndarray
     real_mode: bool
-    rows_st: np.ndarray
-    cols_st: np.ndarray
-    vals_st: np.ndarray
-    cnts_st: np.ndarray
-    nmax: int
     static_infeasible: bool = False
 
 
@@ -164,16 +151,15 @@ def compile_problem(problem: SdpProblem) -> Compiled:
     var_slices = {}
     off = 0
     for name, dim, _ in problem.variables:
-        bases[name] = _basis_entries(dim, real_mode)
-        mv = bases[name][0].shape[0]
+        bases[name] = _basis_pairs(dim, real_mode)
+        mv = bases[name][0].size
         var_slices[name] = slice(off, off + mv)
         off += mv
     m = off
 
     c_user = np.zeros(m)
     for name, C in problem.objective:
-        br, bc, bv, _ = bases[name]
-        c_user[var_slices[name]] += _hvec(C, br, bc, bv)
+        c_user[var_slices[name]] += _hvec(C, *bases[name])
     sense_mult = 1.0 if problem.sense == "max" else -1.0
     c = sense_mult * c_user
 
@@ -185,43 +171,28 @@ def compile_problem(problem: SdpProblem) -> Compiled:
     blocks = []
     static_infeasible = False
     for con in cons:
-        entry_lists = [[] for _ in range(m)]
+        lterms = []
         tterms = []
         for t in con.terms:
             sl = var_slices[t.var]
-            br, bc, bv, bcnt = bases[t.var]
+            i, j, u = bases[t.var]
             if isinstance(t, LinTerm):
-                tr, tc = (br, bc) if t.pt_dims is None else _pt_map(br, bc, *t.pt_dims)
-                tv = bv * t.coeff
-                for a in range(br.shape[0]):
-                    lst = entry_lists[sl.start + a]
-                    for e in range(bcnt[a]):
-                        lst.append((tr[a, e], tc[a, e], tv[a, e]))
+                if t.pt_dims is not None:
+                    i, j = _pt_map(i, j, *t.pt_dims)
+                lterms.append((sl, float(t.coeff), i, j, u))
             else:
                 pvec = np.zeros(m)
-                pvec[sl] = _hvec(t.probe, br, bc, bv)
+                pvec[sl] = _hvec(t.probe, i, j, u)
                 tterms.append((float(t.coeff), pvec, t.gain.copy()))
         if not con.terms and float(np.linalg.eigvalsh(con.const)[0]) < -1e-12:
             static_infeasible = True
-        W = max((len(lst) for lst in entry_lists), default=0)
-        W = max(W, 1)
-        rows = np.zeros((m, W), dtype=np.int64)
-        cols = np.zeros((m, W), dtype=np.int64)
-        vals = np.zeros((m, W), dtype=np.complex128)
-        cnts = np.zeros(m, dtype=np.int64)
-        for i, lst in enumerate(entry_lists):
-            for e, (r, cc, u) in enumerate(lst):
-                rows[i, e], cols[i, e], vals[i, e] = r, cc, u
-            cnts[i] = len(lst)
         blocks.append(
             CompiledBlock(
                 n=con.dim,
+                m=m,
                 const=con.const.astype(np.complex128),
                 label=con.label,
-                rows=rows,
-                cols=cols,
-                vals=vals,
-                cnts=cnts,
+                lterms=tuple(lterms),
                 tterms=tuple(tterms),
                 sem_terms=tuple(con.terms),
                 dnorm=float(np.linalg.norm(con.const, 2)) if con.dim else 0.0,
@@ -233,8 +204,7 @@ def compile_problem(problem: SdpProblem) -> Compiled:
     b = np.zeros(p)
     for r, eq in enumerate(problem.equalities):
         for v, probe in eq.terms:
-            br, bc, bv, _ = bases[v]
-            A[r, var_slices[v]] += _hvec(probe, br, bc, bv)
+            A[r, var_slices[v]] += _hvec(probe, *bases[v])
         b[r] = eq.rhs
 
     # An equality whose gradient vanishes on the coordinate space (imaginary
@@ -247,20 +217,6 @@ def compile_problem(problem: SdpProblem) -> Compiled:
         zero_rows = row_inf <= 1e-14 * ascale
         if np.any(zero_rows & (np.abs(b) > 1e-12)):
             static_infeasible = True
-
-    nb = len(blocks)
-    nmax = max((blk.n for blk in blocks), default=1)
-    Wmax = max((blk.rows.shape[1] for blk in blocks), default=1)
-    rows_st = np.zeros((nb, m, Wmax), dtype=np.int64)
-    cols_st = np.zeros((nb, m, Wmax), dtype=np.int64)
-    vals_st = np.zeros((nb, m, Wmax), dtype=np.complex128)
-    cnts_st = np.zeros((nb, m), dtype=np.int64)
-    for j, blk in enumerate(blocks):
-        w = blk.rows.shape[1]
-        rows_st[j, :, :w] = blk.rows
-        cols_st[j, :, :w] = blk.cols
-        vals_st[j, :, :w] = blk.vals
-        cnts_st[j] = blk.cnts
 
     return Compiled(
         var_names=var_names,
@@ -275,11 +231,6 @@ def compile_problem(problem: SdpProblem) -> Compiled:
         A=A,
         b=b,
         real_mode=real_mode,
-        rows_st=rows_st,
-        cols_st=cols_st,
-        vals_st=vals_st,
-        cnts_st=cnts_st,
-        nmax=nmax,
         static_infeasible=static_infeasible,
     )
 
@@ -291,21 +242,30 @@ def compile_problem(problem: SdpProblem) -> Compiled:
 def apply_block(blk: CompiledBlock, y: np.ndarray) -> np.ndarray:
     """Structural + trace-term image F_j(y), without the constant."""
     mat = np.zeros((blk.n, blk.n), dtype=np.complex128)
-    np.add.at(mat, (blk.rows.ravel(), blk.cols.ravel()), (blk.vals * y[:, None]).ravel())
+    for sl, coeff, i, j, u in blk.lterms:
+        mat += _unhvec(coeff * y[sl], i, j, u, blk.n)
     for coeff, pvec, K in blk.tterms:
         mat += (coeff * float(pvec @ y)) * K
     return mat
 
 
-def gather_block(comp: Compiled, blk: CompiledBlock, Amat: np.ndarray) -> np.ndarray:
-    """Adjoint: vector of <F_i, A> over all coordinates for one block."""
-    out = kernels.gather_inner(Amat, blk.rows, blk.cols, blk.vals, blk.cnts)
-    for coeff, pvec, K in blk.tterms:
-        out = out + (coeff * float(np.real(np.trace(K @ Amat)))) * pvec
+def _gather_lterms(blk: CompiledBlock, Amat: np.ndarray) -> np.ndarray:
+    """The LinTerm part of gather_block."""
+    out = np.zeros(blk.m)
+    for sl, coeff, i, j, u in blk.lterms:
+        out[sl] += coeff * _hvec(Amat, i, j, u)
     return out
 
 
-def block_matrix(comp: Compiled, blk: CompiledBlock, xs: dict) -> np.ndarray:
+def gather_block(blk: CompiledBlock, Amat: np.ndarray) -> np.ndarray:
+    """Adjoint: vector of <F_i, A> over all coordinates for one block."""
+    out = _gather_lterms(blk, Amat)
+    for coeff, pvec, K in blk.tterms:
+        out += (coeff * float(np.real(np.trace(K @ Amat)))) * pvec
+    return out
+
+
+def block_matrix(blk: CompiledBlock, xs: dict) -> np.ndarray:
     """Basis-free evaluation of const + terms at explicit variable matrices."""
     mat = blk.const.copy()
     for t in blk.sem_terms:
@@ -319,11 +279,10 @@ def block_matrix(comp: Compiled, blk: CompiledBlock, xs: dict) -> np.ndarray:
 
 
 def assignments_from(comp: Compiled, y: np.ndarray) -> dict:
-    out = {}
-    for name in comp.var_names:
-        br, bc, bv, _ = comp.bases[name]
-        out[name] = _unhvec(y[comp.var_slices[name]], br, bc, bv, comp.var_dims[name])
-    return out
+    return {
+        name: _unhvec(y[comp.var_slices[name]], *comp.bases[name], comp.var_dims[name])
+        for name in comp.var_names
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -444,20 +403,11 @@ def _max_step(L, dX):
 
 
 def _assemble_M(comp: Compiled, Vs):
-    m = comp.m
-    nb = len(comp.blocks)
-    M = np.zeros((m, m))
-    vstack = np.zeros((nb, comp.nmax, comp.nmax), dtype=np.complex128)
-    for j, blk in enumerate(comp.blocks):
-        vstack[j, : blk.n, : blk.n] = Vs[j]
-    kernels.schur_accumulate(M, vstack, comp.rows_st, comp.cols_st, comp.vals_st, comp.cnts_st)
-    for j, blk in enumerate(comp.blocks):
-        if not blk.tterms:
-            continue
-        V = Vs[j]
+    M = np.zeros((comp.m, comp.m))
+    for blk, V in zip(comp.blocks, Vs):
+        kernels.schur_pairs(M, V.real if comp.real_mode else V, blk.lterms)
         for coeff, pvec, K in blk.tterms:
-            VKV = V @ K @ V
-            w = kernels.gather_inner(VKV, blk.rows, blk.cols, blk.vals, blk.cnts)
+            w = _gather_lterms(blk, V @ K @ V)
             M += coeff * (np.outer(pvec, w) + np.outer(w, pvec))
         for cr, pr, Kr in blk.tterms:
             for cs, ps, Ks in blk.tterms:
@@ -638,7 +588,7 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
         Rp = [hermitize(blk.const + apply_block(blk, y)) - S[j] for j, blk in enumerate(blocks)]
         adjZ = np.zeros(m)
         for j, blk in enumerate(blocks):
-            adjZ += gather_block(comp, blk, Z[j])
+            adjZ += gather_block(blk, Z[j])
         rd = -comp.c - adjZ + (A.T @ lam if p else 0.0)
         re_ = b - A @ y if p else np.zeros(0)
 
@@ -749,7 +699,7 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
                 dual residual every step."""
                 g = -rd.copy()
                 for j, blk in enumerate(blocks):
-                    g += gather_block(comp, blk, G[j])
+                    g += gather_block(blk, G[j])
                 dy, dl = kkt(g, re_)
                 dS = [hermitize(Rp[j] + apply_block(blocks[j], dy)) for j in range(nb)]
                 dZ = [hermitize(G[j] - sc[j].V @ (dS[j] - Rp[j]) @ sc[j].V) for j in range(nb)]
@@ -805,7 +755,7 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
             def _dir_dual_err(dZ_, dl_):
                 acc = -rd.copy()
                 for j, blk in enumerate(blocks):
-                    acc += gather_block(comp, blk, dZ_[j])
+                    acc += gather_block(blk, dZ_[j])
                 if p:
                     acc -= A.T @ dl_
                 return float(np.max(np.abs(acc))) if m else 0.0

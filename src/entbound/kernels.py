@@ -1,15 +1,20 @@
 """Schur-complement assembly kernel for the interior-point solver.
 
-Per iteration the solver forms M[i,k] = sum_j Re tr(F_ji V_j F_jk V_j) where
-each F_ji is a sparse Hermitian coefficient matrix with at most a couple of
-nonzero entries. Expanded entrywise, each pair (e, f) of entry slots of a
-block contributes u_e u_f V[c_e, r_f] V[c_f, r_e] to every (i, k) at once, so
-the kernel is a short loop over slot pairs around vectorized numpy gathers.
+Per iteration the solver forms M[a,b] = sum_j Re tr(F_ja V_j F_jb V_j).
+Every structural term of a constraint block is c X or c X^Γ of one
+variable, so coordinate a of that variable enters the block as the entry
+pair c E_a with E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|; the partial
+transpose only remaps (i_a, j_a).  For two terms t and s of a block, with
+u and w their pair weights times their coefficients, the four products of
+tr(E_a V E_b V) form two complex-conjugate pairs, so
 
-Entry layout: block j stacks per-coordinate sparse representations
-rows/cols/vals of shape (n_blocks, m, width) with per-entry counts cnts
-(n_blocks, m); vstack holds each block's scaling matrix padded to the largest
-block dimension.
+    M[sl_t, sl_s] += 2 Re[(ū w̄ᵀ) ∘ V[i_t, j_s] ∘ V[i_s, j_t]ᵀ
+                          + (ū wᵀ) ∘ V[i_t, i_s] ∘ conj V[j_t, j_s]]
+
+with every V[x, y] an outer gather over the two terms' index arrays: the
+svec / symmetric-Kronecker Schur formula of SDPT3 (Toh, Todd & Tütüncü,
+Optim. Methods Softw. 11, 1999).  With real data the weights and V are
+real and the same expression runs in float64.
 """
 
 from __future__ import annotations
@@ -21,35 +26,15 @@ def kernel_name() -> str:
     return "numpy"
 
 
-def schur_accumulate(M, vstack, rows, cols, vals, cnts) -> None:
-    """Accumulate all blocks' structured Schur contributions into M in place."""
-    m = M.shape[0]
-    for j in range(vstack.shape[0]):
-        width = int(cnts[j].max()) if m else 0
-        v = vstack[j]
-        for e in range(width):
-            ue = vals[j, :, e]
-            re_ = rows[j, :, e]
-            ce = cols[j, :, e]
-            for f in range(width):
-                uf = vals[j, :, f]
-                rf = rows[j, :, f]
-                cf = cols[j, :, f]
-                # tr term: u_e u_f V[c_e, r_f] V[c_f, r_e], outer over (i, k)
-                x1 = v[ce[:, None], rf[None, :]]
-                x2 = v[cf[None, :], re_[:, None]]
-                M += ((ue[:, None] * uf[None, :]) * x1 * x2).real
+def schur_pairs(M, V, lterms) -> None:
+    """Add one block's entry-pair terms Re tr(F_a V F_b V) into M in place.
 
-
-def gather_inner(block_mat, rows, cols, vals, cnts) -> np.ndarray:
-    """Per-coordinate inner products Re tr(F_i A) for one block.
-
-    rows/cols/vals are that block's (m, width) entry arrays; cnts its counts.
+    lterms holds (variable slice, coeff, i, j, u) per term; V is the block's
+    scaling matrix, real when the weights u are.
     """
-    if rows.shape[1] == 0:
-        return np.zeros(rows.shape[0])
-    picked = vals * block_mat[cols, rows]
-    if cnts is not None:
-        mask = np.arange(rows.shape[1])[None, :] < cnts[:, None]
-        picked = np.where(mask, picked, 0.0)
-    return picked.real.sum(axis=1)
+    terms = [(sl, coeff * u, V[i], np.conj(V[j]), i, j) for sl, coeff, i, j, u in lterms]
+    for sl_t, u, Vi_t, cVj_t, i_t, j_t in terms:
+        ubar = np.conj(u)[:, None]
+        for sl_s, w, Vi_s, _, i_s, j_s in terms:
+            P = np.conj(w) * (Vi_t[:, j_s] * Vi_s[:, j_t].T) + w * (Vi_t[:, i_s] * cVj_t[:, j_s])
+            M[sl_t, sl_s] += 2.0 * (ubar * P).real

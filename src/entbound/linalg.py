@@ -155,19 +155,9 @@ def trace_norm_arr(mat: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(mat))))
 
 
-def trace_norm(m: HermitianMatrix) -> float:
-    """Sum of absolute eigenvalues."""
-    return trace_norm_arr(m.mat)
-
-
 def op_norm_arr(mat: np.ndarray) -> float:
     vals = np.linalg.eigvalsh(mat)
     return float(np.max(np.abs(vals)))
-
-
-def op_norm(m: HermitianMatrix) -> float:
-    """Largest absolute eigenvalue."""
-    return op_norm_arr(m.mat)
 
 
 def support_projector(rho: BipartiteState, rank_tol: float = RANK_TOL) -> HermitianMatrix:

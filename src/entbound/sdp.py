@@ -221,7 +221,7 @@ def check_certificate(
 
     con_res = []
     for blk in comp.blocks:
-        mat = ipm.block_matrix(comp, blk, xs)
+        mat = ipm.block_matrix(blk, xs)
         lmin = float(np.linalg.eigvalsh(mat)[0])
         con_res.append(max(0.0, -lmin))
     eq_res = []
@@ -245,7 +245,7 @@ def check_certificate(
         dual = comp.sense_mult * dobj_lin + comp.constant
         adj = comp.c.copy()
         for z, blk in zip(zs, comp.blocks):
-            adj += ipm.gather_block(comp, blk, z)
+            adj += ipm.gather_block(blk, z)
         if lam.size:
             adj -= comp.A.T @ lam
         dual_feas = float(np.max(np.abs(adj))) if adj.size else 0.0

@@ -181,23 +181,6 @@ def apply_local_channel(rho: BipartiteState, ch: LocalKrausChannel) -> StateEnse
     return StateEnsemble(tuple(members))
 
 
-def projective_measurement(d: int) -> tuple:
-    """Kraus family of the computational-basis measurement on one d-level side."""
-    return tuple(np.outer(_e(d, i), _e(d, i)) for i in range(d))
-
-
-def _e(d, i):
-    v = np.zeros(d, dtype=np.complex128)
-    v[i] = 1.0
-    return v
-
-
-def identity_channel(d_a: int, d_b: int) -> LocalKrausChannel:
-    ida = (np.eye(d_a, dtype=np.complex128),)
-    idb = (np.eye(d_b, dtype=np.complex128),)
-    return LocalKrausChannel(kraus_a=ida, kraus_b=idb, pairing=((0, 0),))
-
-
 def random_local_channel(d_a: int, d_b: int, n_a: int, n_b: int, seed: int) -> LocalKrausChannel:
     """Random trace-preserving local Kraus families with full outcome pairing."""
     rng = np.random.default_rng(seed)

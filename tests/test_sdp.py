@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from entbound import ipm, kernels
+from entbound import ipm, measures
 from entbound.errors import CapacityError, InvalidStateError, NumericError
 from entbound.linalg import HermitianMatrix, ptranspose_arr
 from entbound.sdp import (
@@ -16,7 +16,7 @@ from entbound.sdp import (
     check_certificate,
     solve,
 )
-from entbound.states import max_entangled
+from entbound.states import max_entangled, random_state, rho_alpha
 
 
 def eye(n):
@@ -310,32 +310,109 @@ def test_solver_tolerance_contract_on_optimal():
     assert report.max_residual <= cfg.feas_tol
 
 
-def test_schur_accumulate_matches_dense_oracle():
+class _Captured(Exception):
+    pass
+
+
+def _measure_program(measure, rho):
+    """The SdpProblem a measure hands to solve, captured before any solve."""
+
+    def capture(problem, config=None):
+        raise _Captured(problem)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "solve", capture)
+        with pytest.raises(_Captured) as caught:
+            measure(rho)
+    return caught.value.args[0]
+
+
+def _x_plus_pt_program(real):
+    """X + X^PT >= 0 with unequal coefficients: two LinTerms of one variable
+    in one block."""
+    c = np.diag([1.0, 2.0, 3.0, 4.0]).astype(complex)
+    if not real:
+        c[0, 1], c[1, 0] = 1j, -1j
+    return SdpProblem(
+        sense="max",
+        variables=[("X", 4, "hermitian")],
+        objective=[("X", c)],
+        constraints=[
+            PsdConstraint(dim=4, const=eye(4), terms=(LinTerm("X", 0.5), LinTerm("X", -2.0, (2, 2)))),
+        ],
+    )
+
+
+# e_w's max form, w_dual's two-variable (U - V)^PT block, e0's TraceTerm
+# blocks (mu upper / mu lower) and a block with two terms on one variable,
+# each on a real (rho_alpha) and a complex (random_state) input
+_PROGRAMS = [
+    pytest.param(build, real, id=f"{name}-{'real' if real else 'complex'}")
+    for name, build in (
+        ("e_w", lambda rho: measures._w_max_form(rho)),
+        ("w_dual", lambda rho: _measure_program(measures.w_dual, rho)),
+        ("e0", lambda rho: _measure_program(measures.det_distill_one_copy, rho)),
+        ("x_plus_pt", None),
+    )
+    for real in (True, False)
+]
+
+
+def _compiled(build, real):
+    if build is None:
+        problem = _x_plus_pt_program(real)
+    else:
+        problem = build(rho_alpha(0.3) if real else random_state(2, 3, 2, 8101))
+    comp = ipm.compile_problem(problem)
+    assert comp.real_mode == real
+    return comp
+
+
+@pytest.mark.parametrize("build, real", _PROGRAMS)
+def test_assemble_M_matches_dense_oracle(build, real):
+    comp = _compiled(build, real)
     rng = np.random.default_rng(2024)
-    nb, m, width, nmax = 3, 7, 4, 5
-    rows = rng.integers(0, nmax, size=(nb, m, width))
-    cols = rng.integers(0, nmax, size=(nb, m, width))
-    vals = rng.standard_normal((nb, m, width)) + 1j * rng.standard_normal((nb, m, width))
-    cnts = rng.integers(0, width + 1, size=(nb, m))
-    pad = np.arange(width)[None, None, :] >= cnts[:, :, None]
-    vals = np.where(pad, 0.0, vals)
-    vstack = np.zeros((nb, nmax, nmax), dtype=complex)
-    for j in range(nb):
-        a = rng.standard_normal((nmax, nmax)) + 1j * rng.standard_normal((nmax, nmax))
-        vstack[j] = (a + a.conj().T) / 2
+    Vs = []
+    for blk in comp.blocks:
+        a = rng.standard_normal((blk.n, blk.n))
+        if not real:
+            a = a + 1j * rng.standard_normal((blk.n, blk.n))
+        Vs.append((a @ a.conj().T + np.eye(blk.n)).astype(complex))
 
-    # M[i,k] = sum_j Re tr(F_ji V_j F_jk V_j), each F_ji built densely
-    want = np.zeros((m, m))
-    for j in range(nb):
-        F = np.zeros((m, nmax, nmax), dtype=complex)
-        for i in range(m):
-            for e in range(cnts[j, i]):
-                F[i, rows[j, i, e], cols[j, i, e]] += vals[j, i, e]
-        V = vstack[j]
-        for i in range(m):
-            for k in range(m):
-                want[i, k] += np.trace(F[i] @ V @ F[k] @ V).real
+    # M[i,k] = sum_j Re tr(F_ji V_j F_jk V_j), each F_ji evaluated densely
+    # from the model terms (partial transposes by ptranspose_arr) at the
+    # i-th unit coordinate, constant removed
+    units = [ipm.assignments_from(comp, e) for e in np.eye(comp.m)]
+    want = np.zeros((comp.m, comp.m))
+    for blk, V in zip(comp.blocks, Vs):
+        FV = np.array([(ipm.block_matrix(blk, xs) - blk.const) @ V for xs in units])
+        want += np.einsum("iab,kba->ik", FV, FV).real
 
-    got = np.zeros((m, m))
-    kernels.schur_accumulate(got, vstack, rows, cols, vals, cnts)
-    assert np.max(np.abs(got - want)) < 1e-10
+    got = ipm._assemble_M(comp, Vs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("build, real", _PROGRAMS)
+def test_gather_block_is_the_adjoint_of_apply_block(build, real):
+    comp = _compiled(build, real)
+    rng = np.random.default_rng(7)
+    for blk in comp.blocks:
+        y = rng.standard_normal(comp.m)
+        a = rng.standard_normal((blk.n, blk.n)) + 1j * rng.standard_normal((blk.n, blk.n))
+        X = a + a.conj().T
+        lhs = float(y @ ipm.gather_block(blk, X))
+        rhs = float(np.real(np.trace(ipm.apply_block(blk, y) @ X)))
+        assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("real_mode", [True, False])
+def test_coordinate_basis_is_orthonormal(real_mode):
+    for n in (1, 2, 3, 5):
+        i, j, u = ipm._basis_pairs(n, real_mode)
+        k = n * (n + 1) // 2 if real_mode else n * n
+        E = np.array([ipm._unhvec(e, i, j, u, n) for e in np.eye(k)])
+        assert np.allclose(E, E.conj().transpose(0, 2, 1), atol=0)
+        if real_mode:
+            assert not np.any(E.imag)
+        assert np.max(np.abs(np.einsum("aij,bji->ab", E, E).real - np.eye(k))) <= 1e-15
+        assert np.max(np.abs(np.array([ipm._hvec(Eb, i, j, u) for Eb in E]) - np.eye(k))) <= 1e-15

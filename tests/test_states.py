@@ -9,10 +9,8 @@ from entbound.states import (
     LocalKrausChannel,
     antisym_state,
     apply_local_channel,
-    identity_channel,
     kron_power_state,
     max_entangled,
-    projective_measurement,
     random_local_channel,
     random_pure_state,
     random_separable,
@@ -142,8 +140,12 @@ def test_kron_power_matches_tensor():
     assert np.max(np.abs(two.mat - ref.mat)) < 1e-12
 
 
+def _identity_channel():
+    return LocalKrausChannel(kraus_a=(np.eye(2),), kraus_b=(np.eye(2),), pairing=((0, 0),))
+
+
 def test_local_kraus_channel_validates_completeness():
-    good = identity_channel(2, 2)
+    good = _identity_channel()
     assert isinstance(good, LocalKrausChannel)
     with pytest.raises(DomainError, match="complete"):
         LocalKrausChannel(
@@ -157,7 +159,7 @@ def test_local_kraus_channel_validates_completeness():
 
 def test_identity_channel_fixes_state():
     rho = random_state(2, 2, rank=3, seed=41)
-    ens = apply_local_channel(rho, identity_channel(2, 2))
+    ens = apply_local_channel(rho, _identity_channel())
     assert len(ens.members) == 1
     p, post = ens.members[0]
     assert abs(p - 1.0) < 1e-12
@@ -173,13 +175,6 @@ def test_apply_local_channel_probabilities_sum_to_one():
     for p, post in ens.members:
         assert p > 0
         assert_valid_state(post)
-
-
-def test_projective_measurement_has_d_outcomes():
-    kraus = projective_measurement(3)
-    assert len(kraus) == 3
-    acc = sum(k.conj().T @ k for k in kraus)
-    assert np.allclose(acc, np.eye(3), atol=1e-12)
 
 
 def test_random_local_channel_is_seed_deterministic():
