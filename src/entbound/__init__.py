@@ -18,7 +18,6 @@ from .linalg import (
     make_state,
     partial_transpose,
     negative_projector,
-    support_projector,
 )
 from .measures import (
     MeasureResult,

@@ -160,18 +160,8 @@ def op_norm_arr(mat: np.ndarray) -> float:
     return float(np.max(np.abs(vals)))
 
 
-def support_projector(rho: BipartiteState, rank_tol: float = RANK_TOL) -> HermitianMatrix:
-    """Projector onto eigenvectors with eigenvalue > rank_tol * largest."""
-    if rank_tol <= 0:
-        raise InvalidStateError(f"rank_tol must be positive, got {rank_tol}")
-    vals, vecs = eigh_desc(rho.mat)
-    cutoff = rank_tol * max(float(vals[0]), 0.0)
-    keep = vecs[:, vals > cutoff]
-    return HermitianMatrix(keep @ keep.conj().T)
-
-
 def negative_projector(m: HermitianMatrix) -> HermitianMatrix:
-    """Projector onto eigenvectors with eigenvalue < -rank_tol * max|eig|; zero for PSD input."""
+    """Projector onto eigenvectors with eigenvalue < -RANK_TOL * max|eig|; zero for PSD input."""
     vals, vecs = eigh_desc(m.mat)
     cutoff = RANK_TOL * float(np.max(np.abs(vals))) if vals.size else 0.0
     keep = vecs[:, vals < -cutoff]

@@ -107,6 +107,8 @@ def test_solver_tol_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     monkeypatch.setenv("ENTBOUND_SOLVER_TOL", "1e-7")
     assert main(["compute", "--state", path, "--measures", "ew"]) == 0
+    monkeypatch.setenv("ENTBOUND_SOLVER_TOL", "1e-5")
+    assert main(["compute", "--state", path, "--measures", "ew"]) == 0
 
 
 def test_state_file_parse_errors(tmp_path, capsys):

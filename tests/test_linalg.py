@@ -14,7 +14,6 @@ from entbound.linalg import (
     op_norm_arr,
     partial_transpose,
     ptranspose_arr,
-    support_projector,
     trace_norm_arr,
 )
 from entbound.states import max_entangled, random_state
@@ -91,14 +90,6 @@ def test_eigh_desc_orders_descending():
     assert np.all(np.diff(vals) <= 0)
     recon = (vecs * vals) @ vecs.conj().T
     assert np.max(np.abs(recon - random_hermitian(6, 4))) < 1e-10
-
-
-def test_support_projector_is_projection_onto_range():
-    rho = random_state(2, 2, rank=2, seed=11)
-    p = support_projector(rho).mat
-    assert np.max(np.abs(p @ p - p)) < 1e-10
-    assert abs(np.trace(p).real - 2.0) < 1e-9
-    assert np.max(np.abs(p @ rho.mat - rho.mat)) < 1e-9
 
 
 def test_negative_projector_catches_negative_eigenspace():

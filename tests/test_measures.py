@@ -22,6 +22,7 @@ from entbound.measures import (
     w_dual,
     w_primal,
 )
+from entbound.sdp import SolverConfig
 from entbound.states import (
     antisym_state,
     max_entangled,
@@ -345,6 +346,13 @@ def test_e_w_rejects_a_halved_dual_certificate(monkeypatch):
     monkeypatch.setattr(measures, "solve", halved)
     with pytest.raises(ConsistencyError):
         e_w(rho_alpha(0.5))
+
+
+def test_e_w_sides_agree_to_a_loose_gap_tolerance():
+    # the solve stops at a 1e-5 relative gap, so the two certificate sides
+    # differ by more than PRIMAL_DUAL_AGREE_TOL but within 10x the gap
+    res = e_w(rho_alpha(0.3), SolverConfig(gap_tol=1e-5))
+    assert res.primal_value <= res.dual_value <= res.primal_value + 1e-4
 
 
 def test_multi_copy_det_superadditive_on_rho_half():

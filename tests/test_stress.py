@@ -2,6 +2,7 @@
 
 from entbound.errors import EntboundError
 from entbound.measures import det_distill_one_copy, e_w, fidelity_ppt, log_negativity, w0
+from entbound.sdp import SolverConfig
 from entbound.states import random_state
 
 DIMS = ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4))
@@ -17,14 +18,14 @@ def stress_corpus():
         yield f"#{i} {d_a}x{d_b} rank {rank}", random_state(d_a, d_b, rank, 7000 + i)
 
 
-def test_stress_corpus_solves_every_measure():
+def stress_problems(config):
     problems = []
     for name, rho in stress_corpus():
         try:
-            ew_res = e_w(rho)
-            e0 = det_distill_one_copy(rho).value_log2
-            w0_ = w0(rho).value_log2
-            fidelity_ppt(rho, k=2.0)
+            ew_res = e_w(rho, config)
+            e0 = det_distill_one_copy(rho, config).value_log2
+            w0_ = w0(rho, config).value_log2
+            fidelity_ppt(rho, 2.0, config)
         except EntboundError as exc:
             problems.append(f"{name}: {type(exc).__name__}: {exc}")
             continue
@@ -39,4 +40,16 @@ def test_stress_corpus_solves_every_measure():
             problems.append(f"{name}: |e0 - w0| = {abs(e0 - w0_):.3e}")
         if e0 > ew + TOL or ew > en + TOL:
             problems.append(f"{name}: e0 {e0!r}, e_w {ew!r}, en {en!r} out of order")
+    return problems
+
+
+def test_stress_corpus_solves_every_measure():
+    problems = stress_problems(None)
+    assert not problems, "\n".join(problems)
+
+
+def test_stress_corpus_solves_every_measure_at_tight_gap():
+    # the safeguards that only pay at tight tolerances (the mu_needed floor,
+    # residual zeroing, refinement, equilibration) must keep this at zero
+    problems = stress_problems(SolverConfig(gap_tol=1e-10))
     assert not problems, "\n".join(problems)
