@@ -14,7 +14,6 @@ from .linalg import (
     BipartiteDims,
     BipartiteState,
     HermitianMatrix,
-    kron,
     make_state,
     partial_transpose,
     negative_projector,
@@ -30,7 +29,6 @@ from .measures import (
     ppt_classification,
     w0,
     w_dual,
-    w_primal,
 )
 from .sdp import (
     EqConstraint,

@@ -199,8 +199,8 @@ def _load_state(path: str) -> tuple[BipartiteState, str]:
             dtype=np.complex128,
         )
         norm = float(np.linalg.norm(vec))
-        if norm <= 1e-12:
-            raise CliError(3, "invalid-state", f"{path}: vector norm must be positive, got {norm:.3e}")
+        if not (math.isfinite(norm) and norm > 1e-12):
+            raise CliError(3, "invalid-state", f"{path}: vector norm must be positive and finite, got {norm:.3e}")
         psi = vec / norm
         state = make_state(np.outer(psi, psi.conj()), d_a, d_b)
     return state, (name if name else pathlib.Path(path).name)

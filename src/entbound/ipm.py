@@ -8,6 +8,13 @@ for a fixed BLAS thread count; nothing here limits BLAS threads, so an
 OpenBLAS build runs one per core. Sized for matrix variables up to ~100
 rows total.
 
+The NT scaling takes the G form of Todd, Toh & Tütüncü, "On the
+Nesterov-Todd direction in semidefinite programming", SIAM J. Optim. 8
+(1998): with S = LS LSᴴ, Z = LZ LZᴴ and LZᴴ LS = U diag(d) Wᴴ,
+G = LS W d^{-1/2} has the inverse d^{-1/2} Uᴴ LZᴴ and the scaled point
+G⁻¹ S G⁻ᴴ = Gᴴ Z G = diag(d) is diagonal, so the corrector terms'
+Lyapunov equations are solved entrywise.
+
 Coordinate a of a variable is one entry pair (i_a, j_a, u_a), the basis
 matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|. Every structural
 constraint term is c X or c X^PT; a block stores each as (variable slice,
@@ -294,13 +301,6 @@ def _eigh(mat):
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _pos_clip(w):
-    hi = float(w[-1])
-    if hi <= 0.0:
-        raise NumericError("iterate lost positive definiteness")
-    return np.maximum(w, hi * 1e-14)
-
-
 def _cholesky(X):
     """Lower Cholesky factor of X > 0, retried once with a trace-scaled jitter."""
     try:
@@ -315,55 +315,50 @@ def _cholesky(X):
 @dataclass
 class _Scaling:
     """One block's NT scaling at the current iterate, shared by every
-    direction of the iteration: V with V S V = Z, S^{-1}, V^{1/2} and
-    V^{-1/2}, the eigendecomposition U diag(d) U† of the scaled point
-    V^{1/2} S V^{1/2}, and the Cholesky factors of S and Z."""
+    direction of the iteration, in the G form of Todd, Toh & Tütüncü: the
+    scaling matrix G and its inverse Gi, with G⁻¹ S G⁻ᴴ = Gᴴ Z G = diag(d),
+    the NT matrix V = Giᴴ Gi (V S V = Z), and the Cholesky factors of S
+    and Z that G is built from."""
 
     V: np.ndarray
-    Sinv: np.ndarray
-    Vh: np.ndarray
-    Vmh: np.ndarray
+    G: np.ndarray
+    Gi: np.ndarray
     d: np.ndarray
-    U: np.ndarray
     LS: np.ndarray
     LZ: np.ndarray
 
 
 def _nt_scaling(S, Z) -> _Scaling:
-    dz, Uz = _eigh(Z)
-    dz = _pos_clip(dz)
-    Zh = (Uz * np.sqrt(dz)) @ Uz.conj().T
-    dt, Ut = _eigh(hermitize(Zh @ S @ Zh))
-    dt = _pos_clip(dt)
-    Tmh = (Ut / np.sqrt(dt)) @ Ut.conj().T
-    V = hermitize(Zh @ Tmh @ Zh)
-    ds, Us = _eigh(S)
-    ds = _pos_clip(ds)
-    Sinv = hermitize((Us / ds) @ Us.conj().T)
-    dv, Uv = _eigh(V)
-    dv = _pos_clip(dv)
-    Vh = (Uv * np.sqrt(dv)) @ Uv.conj().T
-    Vmh = (Uv / np.sqrt(dv)) @ Uv.conj().T
-    d, U = _eigh(hermitize(Vh @ S @ Vh))
-    d = _pos_clip(d)
-    return _Scaling(V, Sinv, Vh, Vmh, d, U, _cholesky(S), _cholesky(Z))
+    """G from two Cholesky factors and one SVD (module docstring)."""
+    LS = _cholesky(S)
+    LZ = _cholesky(Z)
+    try:
+        U, d, Wh = np.linalg.svd(LZ.conj().T @ LS)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"SVD of the scaling product failed: {exc}") from exc
+    if not d[-1] > 0.0:
+        raise NumericError("iterate lost positive definiteness")
+    rd = 1.0 / np.sqrt(d)
+    G = (LS @ Wh.conj().T) * rd
+    Gi = rd[:, None] * (U.conj().T @ LZ.conj().T)
+    return _Scaling(hermitize(Gi.conj().T @ Gi), G, Gi, d, LS, LZ)
 
 
 def _scaled_product(sc: _Scaling, X, Y):
-    """sym(V^{1/2} X V^{1/2} · V^{-1/2} Y V^{-1/2}), the complementarity
-    product of the primal and dual matrices X, Y in the scaled space."""
-    DS = sc.Vh @ X @ sc.Vh
-    DZ = sc.Vmh @ Y @ sc.Vmh
+    """sym(Gi X Giᴴ · Gᴴ Y G), the complementarity product of the primal and
+    dual matrices X, Y in the scaled space."""
+    DS = sc.Gi @ X @ sc.Gi.conj().T
+    DZ = sc.G.conj().T @ Y @ sc.G
     return hermitize(DS @ DZ + DZ @ DS) * 0.5
 
 
 def _pull_back(sc: _Scaling, T):
     """Right-hand-side term for a scaled-space target T: solve the Lyapunov
-    equation (W Vsc + Vsc W)/2 = T with Vsc = V^{1/2} S V^{1/2} in Vsc's
-    eigenbasis, then map W back by V^{1/2}."""
-    Ttil = sc.U.conj().T @ T @ sc.U
-    Util = 2.0 * Ttil / (sc.d[:, None] + sc.d[None, :])
-    return hermitize(sc.Vh @ (sc.U @ Util @ sc.U.conj().T) @ sc.Vh)
+    equation (W D + D W)/2 = T against the diagonal scaled point
+    D = diag(d) entrywise, W = 2T / (d_i + d_j), and map W back to the dual
+    space as Giᴴ W Gi.  For T = c I this is c S⁻¹."""
+    W = 2.0 * T / (sc.d[:, None] + sc.d[None, :])
+    return hermitize(sc.Gi.conj().T @ W @ sc.Gi)
 
 
 def _second_order_term(sc: _Scaling, dS, dZ):
@@ -720,7 +715,8 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
             # corrector: recenter and absorb the second-order product term
             Gc = [
                 hermitize(
-                    sigma * mu * sc[j].Sinv - Z[j] - sc[j].V @ Rp[j] @ sc[j].V
+                    _pull_back(sc[j], (sigma * mu) * np.eye(blocks[j].n))
+                    - Z[j] - sc[j].V @ Rp[j] @ sc[j].V
                     - _second_order_term(sc[j], dS_a[j], dZ_a[j])
                 )
                 for j in range(nb)

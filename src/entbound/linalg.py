@@ -16,10 +16,13 @@ HERMITICITY_ATOL = 1e-12
 RANK_TOL = 1e-9
 
 
-def _as_complex(mat) -> np.ndarray:
+def _as_complex(mat, what: str = "matrix") -> np.ndarray:
+    """mat as a square complex array with finite entries."""
     arr = np.asarray(mat, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidDimsError(f"expected a square matrix, got shape {arr.shape}")
+        raise InvalidDimsError(f"{what} must be square, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise InvalidStateError(f"{what} has non-finite entries")
     return arr
 
 
@@ -114,11 +117,6 @@ class BipartiteState:
 def make_state(mat, d_a: int, d_b: int) -> BipartiteState:
     """Wrap a raw array as a validated BipartiteState."""
     return BipartiteState(HermitianMatrix(mat), BipartiteDims(d_a, d_b))
-
-
-def kron(a: HermitianMatrix, b: HermitianMatrix) -> HermitianMatrix:
-    """Kronecker product; entry ((i*db+k),(j*db+l)) = a[i,j]*b[k,l]."""
-    return HermitianMatrix(np.kron(a.mat, b.mat))
 
 
 def ptranspose_arr(mat: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

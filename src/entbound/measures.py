@@ -106,12 +106,6 @@ def _w_max_form(rho: BipartiteState) -> SdpProblem:
     )
 
 
-def w_primal(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
-    """max Re tr(rho^PT R) over -I <= R <= I with R^PT >= 0."""
-    sol = _solved(_w_max_form(rho), config, "w_primal")
-    return _result(sol, sol.assignments["R"])
-
-
 def w_dual(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
     """min tr(U + V) over U, V >= 0 with (U - V)^PT >= rho; the witness is
     the minimizing X = (U - V)^PT, which dominates rho."""
@@ -175,8 +169,8 @@ def e_w(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResul
 def fidelity_ppt(rho: BipartiteState, k: float, config: SolverConfig | None = None) -> MeasureResult:
     """Best overlap with a k-level maximally entangled target over PPT
     operations: max Re tr(rho Q), 0 <= Q <= I, -(1/k)I <= Q^PT <= (1/k)I."""
-    if k < 1.0:
-        raise DomainError(f"fidelity_ppt requires k >= 1, got {k}")
+    if not (math.isfinite(k) and k >= 1.0):
+        raise DomainError(f"fidelity_ppt requires a finite k >= 1, got {k}")
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     eye = _eye(n)

@@ -14,15 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimsError, InvalidStateError
-from .linalg import HermitianMatrix, hermitize
+from .linalg import HermitianMatrix, _as_complex, hermitize
 
 VALID_KINDS = ("hermitian", "hermitian-psd")
 
 
 def _checked_hermitian(mat, what: str) -> np.ndarray:
-    arr = np.asarray(mat, dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidDimsError(f"{what} must be square, got shape {arr.shape}")
+    arr = _as_complex(mat, what)
     asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
     if asym > 1e-12:
         raise InvalidStateError(f"{what} is not Hermitian (asymmetry {asym:.3e})")

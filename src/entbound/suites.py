@@ -211,7 +211,8 @@ def suite_paper_values(config: SolverConfig | None = None) -> list[CheckResult]:
 
 
 def suite_duality(config: SolverConfig | None = None) -> list[CheckResult]:
-    """Primal and dual W programs agree on a seeded corpus (strong duality)."""
+    """e_w's max-form value and the separately solved min-form program
+    w_dual agree on a seeded corpus (strong duality)."""
     out = []
     for i in range(50):
         d_a, d_b = _DIMS_CYCLE[i % 3]
@@ -219,7 +220,7 @@ def suite_duality(config: SolverConfig | None = None) -> list[CheckResult]:
         rho = states.random_state(d_a, d_b, rank=rank, seed=1000 + i)
 
         def duality():
-            wp = measures.w_primal(rho, config=config)
+            wp = measures.e_w(rho, config=config)
             wd = measures.w_dual(rho, config=config)
             gap = abs(2.0**wp.value_log2 - 2.0**wd.value_log2)
             return gap, f"dims {d_a}x{d_b} rank {rank}, W = {2.0**wp.value_log2:.9f}"

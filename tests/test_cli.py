@@ -140,11 +140,15 @@ def test_invalid_states_exit_three(tmp_path, capsys):
     off = [[[0.7, 0], [0, 0]], [[0, 0], [0.7, 0]]]  # trace 1.4
     neg = [[[1.5, 0], [0, 0]], [[0, 0], [-0.5, 0]]]
     zero_vec = {"dims": [1, 2], "vector": [[0, 0], [0, 0]]}
+    nan_mat = [[[float("nan"), 0], [0, 0]], [[0, 0], [0.5, 0]]]
+    inf_vec = {"dims": [1, 2], "vector": [[float("inf"), 0], [1, 0]]}
     docs = [
         {"dims": [1, 2], "matrix": herm},
         {"dims": [1, 2], "matrix": off},
         {"dims": [1, 2], "matrix": neg},
         zero_vec,
+        {"dims": [1, 2], "matrix": nan_mat},
+        inf_vec,
     ]
     for i, doc in enumerate(docs):
         path = write_json(tmp_path, f"inv{i}.json", doc)

@@ -8,7 +8,6 @@ from entbound.linalg import (
     BipartiteDims,
     HermitianMatrix,
     eigh_desc,
-    kron,
     make_state,
     negative_projector,
     op_norm_arr,
@@ -98,14 +97,6 @@ def test_negative_projector_catches_negative_eigenspace():
     assert np.allclose(np.diag(p), [0, 1, 1, 0], atol=1e-12)
 
 
-def test_kron_dims_and_values():
-    a = HermitianMatrix(np.diag([1.0, 2.0]))
-    b = HermitianMatrix(np.diag([3.0, 4.0]))
-    k = kron(a, b)
-    assert k.dim == 4
-    assert np.allclose(np.diag(k.mat), [3, 4, 6, 8])
-
-
 def test_make_state_validates_trace():
     with pytest.raises(InvalidStateError, match="trace"):
         make_state(np.eye(4) / 3.0, 2, 2)
@@ -115,6 +106,13 @@ def test_make_state_validates_psd():
     mat = np.diag([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(InvalidStateError, match="PSD"):
         make_state(mat, 2, 2)
+
+
+def test_make_state_rejects_non_finite_entries():
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        make_state(np.diag([np.nan, 0.5, 0.5, 0.0]), 2, 2)
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        HermitianMatrix(np.diag([np.inf, 1.0]))
 
 
 def test_make_state_validates_dims_product():

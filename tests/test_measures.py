@@ -20,7 +20,6 @@ from entbound.measures import (
     ppt_classification,
     w0,
     w_dual,
-    w_primal,
 )
 from entbound.sdp import SolverConfig
 from entbound.states import (
@@ -71,21 +70,24 @@ def test_log_negativity_rho_alpha_closed_form():
         assert abs(res.value_log2 - want) <= 1e-10
 
 
+# The W max form ("w_primal") is solved by e_w, whose value is its primal value.
+
+
 def test_w_primal_bell():
-    res = w_primal(max_entangled(2))
+    res = e_w(max_entangled(2))
     assert abs(2 ** res.value_log2 - 2.0) <= 1e-7
 
 
 def test_w_primal_ppt_state_is_one():
     for i in range(4):
         rho = random_separable(2, 3, terms=4, seed=620 + i)
-        assert abs(2 ** w_primal(rho).value_log2 - 1.0) <= 1e-7
+        assert abs(2 ** e_w(rho).value_log2 - 1.0) <= 1e-7
 
 
 def test_w_primal_range_and_witness_feasibility():
     for i in range(6):
         rho = random_state(2, 3, rank=(i % 6) + 1, seed=640 + i)
-        res = w_primal(rho)
+        res = e_w(rho)
         value = 2 ** res.value_log2
         pt = ptranspose_arr(rho.mat, 2, 3)
         assert value >= 1.0 - 1e-9
@@ -99,12 +101,13 @@ def test_w_primal_range_and_witness_feasibility():
 def test_w_dual_matches_primal():
     for i, (d_a, d_b) in enumerate(((2, 2), (2, 3), (3, 3))):
         rho = random_state(d_a, d_b, rank=2, seed=660 + i)
-        vp = 2 ** w_primal(rho).value_log2
+        ew = e_w(rho)
+        vp = 2 ** ew.value_log2
         wd = w_dual(rho)
         vd = 2 ** wd.value_log2
         assert abs(vp - vd) <= 1e-7
         # e_w's min-form side, read off the max-form dual blocks
-        assert abs(e_w(rho).dual_value - wd.dual_value) <= 1e-7
+        assert abs(ew.dual_value - wd.dual_value) <= 1e-7
 
 
 def test_w_dual_rho_alpha_feasible_point_bound():
@@ -196,6 +199,10 @@ def test_fidelity_rejects_k_below_one():
         fidelity_ppt(rho, 0.5)
     with pytest.raises(DomainError):
         fidelity_ppt(rho, 0.999)
+    with pytest.raises(DomainError):
+        fidelity_ppt(rho, float("nan"))
+    with pytest.raises(DomainError):
+        fidelity_ppt(rho, float("inf"))
 
 
 def test_fidelity_stays_in_unit_interval():
@@ -229,7 +236,7 @@ def test_npt_witness_bound_lower_bounds_solver():
         found += 1
         value, _ = npt_witness_bound(rho)
         assert value > 1.0
-        assert value <= 2 ** w_primal(rho).value_log2 + 1e-7
+        assert value <= 2 ** e_w(rho).value_log2 + 1e-7
     assert found >= 3
 
 

@@ -10,7 +10,7 @@ from entbound.states import rho_alpha
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # names the benchmark still traces but the package no longer has
-RETIRED = {"kernels.schur_accumulate", "kernels.gather_inner"}
+RETIRED = {"kernels.schur_accumulate", "kernels.gather_inner", "measures.w_primal"}
 
 
 def test_traced_measures_run_and_report_metrics(monkeypatch):

@@ -300,6 +300,15 @@ def test_model_validation_rejects_bad_sense_and_dupes():
         )
 
 
+def test_model_validation_rejects_non_finite_data():
+    with pytest.raises(InvalidStateError, match="non-finite"):
+        SdpProblem(
+            sense="max",
+            variables=[("X", 2, "hermitian-psd")],
+            objective=[("X", np.diag([np.nan, 1.0]))],
+        )
+
+
 def test_solver_tolerance_contract_on_optimal():
     cfg = SolverConfig(gap_tol=1e-9)
     problem = diag_lp([1.0, 2.0], 0.25)
@@ -403,6 +412,38 @@ def test_gather_block_is_the_adjoint_of_apply_block(build, real):
         lhs = float(y @ ipm.gather_block(blk, X))
         rhs = float(np.real(np.trace(ipm.apply_block(blk, y) @ X)))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("real", [True, False])
+def test_nt_scaling_diagonalizes_the_scaled_point(n, real):
+    rng = np.random.default_rng(100 * n + real)
+
+    def pd():
+        a = rng.standard_normal((n, n))
+        if not real:
+            a = a + 1j * rng.standard_normal((n, n))
+        return (a @ a.conj().T + 0.1 * np.eye(n)).astype(complex)
+
+    S, Z = pd(), pd()
+    sc = ipm._nt_scaling(S, Z)
+    scale = max(np.max(np.abs(S)), np.max(np.abs(Z)))
+    D = np.diag(sc.d)
+    assert np.all(sc.d > 0)
+    assert np.max(np.abs(sc.Gi @ S @ sc.Gi.conj().T - D)) <= 1e-12 * scale
+    assert np.max(np.abs(sc.G.conj().T @ Z @ sc.G - D)) <= 1e-12 * scale
+    assert np.max(np.abs(sc.Gi @ sc.G - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(sc.V @ S @ sc.V - Z)) <= 1e-12 * scale
+
+    # _pull_back returns Giᴴ W Gi for the W with (W D + D W)/2 = T, so
+    # Gᴴ (.) G takes it back to W
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    T = a + a.conj().T
+    W = sc.G.conj().T @ ipm._pull_back(sc, T) @ sc.G
+    assert np.max(np.abs((W @ D + D @ W) / 2 - T)) <= 1e-12 * np.max(np.abs(T))
+
+    Sinv = np.linalg.inv(S)
+    assert np.max(np.abs(ipm._pull_back(sc, 2.5 * np.eye(n)) - 2.5 * Sinv)) <= 1e-10 * np.max(np.abs(Sinv))
 
 
 @pytest.mark.parametrize("real_mode", [True, False])
