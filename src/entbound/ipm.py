@@ -8,6 +8,12 @@ for a fixed BLAS thread count; nothing here limits BLAS threads, so an
 OpenBLAS build runs one per core. Sized for matrix variables up to ~100
 rows total.
 
+The equalities A y = b are solved once (the null-space method of Nocedal
+& Wright, Numerical Optimization, §16.2): y starts at A⁺b, every step lies
+in null(A), and an inconsistent system is infeasible at iteration 0. The
+multiplier λ is not iterated but read off each dual point as the
+least-squares (Aᵀ)⁺(c + Σ F*(Z)), which the Newton direction never sees.
+
 The NT scaling takes the G form of Todd, Toh & Tütüncü, "On the
 Nesterov-Todd direction in semidefinite programming", SIAM J. Optim. 8
 (1998): with S = LS LSᴴ, Z = LZ LZᴴ and LZᴴ LS = U diag(d) Wᴴ,
@@ -214,15 +220,6 @@ def compile_problem(problem: SdpProblem) -> Compiled:
             A[r, var_slices[v]] += _hvec(probe, *bases[v])
         b[r] = eq.rhs
 
-    # An equality whose gradient vanishes on the coordinate space (imaginary
-    # probes against real data after the real embedding) is either trivially
-    # satisfied or unsatisfiable; the solver's rank-revealing split of A
-    # ignores such rows, so only the unsatisfiable case needs flagging here.
-    row_inf = np.max(np.abs(A), axis=1, initial=0.0)
-    zero_rows = row_inf <= 1e-14 * max(float(np.max(row_inf, initial=0.0)), 1.0)
-    if np.any(zero_rows & (np.abs(b) > 1e-12)):
-        static_infeasible = True
-
     return Compiled(
         var_names=var_names,
         var_dims=var_dims,
@@ -417,7 +414,6 @@ class _EqSplit:
     When A has rank 0 (in particular with no equalities at all) the null
     space is every coordinate, N is None and stands for the identity."""
 
-    A: np.ndarray
     Ur: np.ndarray
     s: np.ndarray
     Vr: np.ndarray
@@ -452,28 +448,20 @@ def _split_equalities(A) -> _EqSplit:
         raise NumericError(f"SVD of the equality matrix failed: {exc}") from exc
     tol = max(p, m) * np.finfo(float).eps * float(np.max(s, initial=0.0))
     r = int(np.sum(s > tol))
-    return _EqSplit(A=A, Ur=U[:, :r], s=s[:r], Vr=Vt[:r].T, N=Vt[r:].T if r else None)
+    return _EqSplit(Ur=U[:, :r], s=s[:r], Vr=Vt[:r].T, N=Vt[r:].T if r else None)
 
 
-def _factor_kkt(M, eq: _EqSplit):
-    """Factor the Newton system M dy + Aᵀ dl = g, A dy = re and return its
-    solver, or None when no jittered Cholesky factor exists.
+def _factor_kkt(Mr):
+    """Factor the reduced Newton matrix Mr = NᵀMN and return the solver of
+    Mr z = r, or None when no jittered Cholesky factor exists.  Equalities
+    are eliminated (dy = N z) rather than bordered: Mr stays positive
+    definite, whereas an LU solve of the saddle system [[M, Aᵀ], [A, 0]]
+    loses the dual equation in the endgame and stalls the iterates.
 
-    Equalities are eliminated rather than bordered: dy = A⁺ re + N z with z
-    from a Cholesky solve on NᵀMN, and dl = (Aᵀ)⁺ (g - M dy).  The reduced
-    matrix stays positive definite, whereas an LU solve of the indefinite
-    saddle system [[M, Aᵀ], [A, 0]] loses the dual equation in the endgame
-    and stalls the iterates.  A problem without equalities is the p = 0
-    case of the same path: A⁺ re is zero, dl is empty and N is the
-    identity, so M itself is factored.
-
-    Near the optimum M's diagonal spans many orders of magnitude, so the
-    reduced matrix is symmetrically equilibrated first: without that, kappa
-    can pass 1/eps and refinement stops converging.  The solver applies
-    iterative refinement, which matters once mu pushes M's conditioning
-    toward the float64 cliff near convergence."""
-    A = eq.A
-    Mr = eq.reduce(M)
+    Near the optimum Mr's diagonal spans many orders of magnitude, so it is
+    symmetrically equilibrated first: without that, kappa can pass 1/eps
+    and refinement stops converging.  Iterative refinement matters once mu
+    pushes Mr's conditioning toward the float64 cliff near convergence."""
     k = Mr.shape[0]
     dscale = max(float(np.max(np.diag(Mr), initial=0.0)), 1e-300)
     for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
@@ -484,31 +472,26 @@ def _factor_kkt(M, eq: _EqSplit):
         except (np.linalg.LinAlgError, ValueError):
             continue
 
-        def base(g, re_, ch=ch, d=d):
-            y0 = eq.pinv(re_)
-            z = sla.cho_solve(ch, eq.restrict(g - M @ y0) / d, check_finite=False) / d
-            dy = y0 + eq.extend(z)
-            return dy, eq.pinv_t(g - M @ dy)
+        def base(r, ch=ch, d=d):
+            return sla.cho_solve(ch, r / d, check_finite=False) / d
 
-        def solve(g, re_, base=base):
-            dy, dl = base(g, re_)
-            if not (np.all(np.isfinite(dy)) and np.all(np.isfinite(dl))):
+        def solve(g, base=base):
+            z = base(g)
+            if not np.all(np.isfinite(z)):
                 raise NumericError("KKT solve produced non-finite step")
-            gscale = max(float(np.max(np.abs(g))), 1e-300)
+            gscale = max(float(np.max(np.abs(g), initial=0.0)), 1e-300)
             prev = np.inf
             for _ in range(4):
-                r1 = g - M @ dy - A.T @ dl
-                r2 = re_ - A @ dy
-                rnorm = max(float(np.max(np.abs(r1))), float(np.max(np.abs(r2), initial=0.0)))
+                r = g - Mr @ z
+                rnorm = float(np.max(np.abs(r), initial=0.0))
                 if rnorm <= 1e-15 * gscale or rnorm >= prev:
                     break
                 prev = rnorm
-                e1, e2 = base(r1, r2)
-                if not (np.all(np.isfinite(e1)) and np.all(np.isfinite(e2))):
+                e = base(r)
+                if not np.all(np.isfinite(e)):
                     break
-                dy = dy + e1
-                dl = dl + e2
-            return dy, dl
+                z = z + e
+            return z
 
         return solve
     return None
@@ -545,14 +528,15 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
             "eq_duals": snap["lam"],
         }
 
-    y = np.zeros(m)
-    lam = np.zeros(b.size)
+    eq = _split_equalities(A)  # A is fixed for the whole run
+    binf = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    y = eq.pinv(b)
     S = [max(1.0, blk.dnorm) * np.eye(blk.n, dtype=np.complex128) for blk in blocks]
     zscale = max(1.0, float(np.max(np.abs(comp.c))))
     Z = [zscale * np.eye(blk.n, dtype=np.complex128) for blk in blocks]
 
-    snap0 = {"y": y, "lam": lam, "Z": Z, "pobj": float("nan"), "dobj": float("nan"), "it": 0}
-    if comp.static_infeasible:
+    snap0 = {"y": y, "lam": np.zeros(b.size), "Z": Z, "pobj": float("nan"), "dobj": float("nan"), "it": 0}
+    if comp.static_infeasible or float(np.max(np.abs(A @ y - b), initial=0.0)) > cfg.feas_tol * binf:
         return result("infeasible", snap0)
     if nb == 0:
         # No cone at all: the problem is a pure linear program over equalities;
@@ -561,10 +545,8 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
 
     znorm0 = sum(float(np.trace(Zj).real) for Zj in Z) + 1.0
     cinf = 1.0 + float(np.max(np.abs(comp.c)))
-    binf = 1.0 + float(np.max(np.abs(b), initial=0.0))
     mu0 = None
 
-    eq = _split_equalities(A)  # A is fixed for the whole run
     best = None
     best_score = np.inf
     best_it = 0
@@ -578,8 +560,8 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
         adjZ = np.zeros(m)
         for j, blk in enumerate(blocks):
             adjZ += gather_block(blk, Z[j])
+        lam = eq.pinv_t(comp.c + adjZ)
         rd = -comp.c - adjZ + A.T @ lam
-        re_ = b - A @ y
 
         mu = sum(float(np.real(np.vdot(Z[j], S[j]))) for j in range(nb)) / Ntot
         if mu0 is None:
@@ -590,12 +572,11 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
         pinf = max(
             float(np.linalg.norm(Rp[j], "fro")) / (1.0 + blocks[j].dnorm) for j in range(nb)
         )
-        einf = float(np.max(np.abs(re_), initial=0.0)) / binf
         dinf = float(np.max(np.abs(rd))) / cinf
         pu, du = user_vals(pobj_lin, dobj_lin)
         relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
 
-        slack = abs(float(rd @ y)) + abs(float(lam @ re_))
+        slack = abs(float(rd @ y))
         for j in range(nb):
             slack += abs(float(np.real(np.vdot(Z[j], Rp[j]))))
 
@@ -608,12 +589,10 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
         for j in range(nb):
             if float(np.linalg.norm(Rp[j], "fro")) <= 1e-13 * (1.0 + blocks[j].dnorm):
                 Rp[j] = np.zeros_like(Rp[j])
-        if float(np.max(np.abs(re_), initial=0.0)) <= 1e-13 * binf:
-            re_ = np.zeros_like(re_)
 
         snap = {
             "y": y.copy(),
-            "lam": lam.copy(),
+            "lam": lam,
             "Z": [Zj.copy() for Zj in Z],
             "pobj": pobj_lin,
             "dobj": dobj_lin,
@@ -631,13 +610,12 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
                     "relgap": relgap,
                     "pinf": pinf,
                     "dinf": dinf,
-                    "einf": einf,
                     "residual_slack": slack,
                     **last_step,
                 }
             )
 
-        score = max(relgap, pinf, dinf, einf)
+        score = max(relgap, pinf, dinf)
         if score < best_score:
             best_score = score
             best = snap
@@ -649,7 +627,7 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
         # out near sqrt(eps) regardless of step count, so it gets a floor of
         # 10x the gap tolerance rather than feas_tol.
         dual_stop = max(cfg.feas_tol, 10.0 * cfg.gap_tol)
-        if pinf <= cfg.feas_tol and dinf <= dual_stop and einf <= cfg.feas_tol and relgap <= cfg.gap_tol:
+        if pinf <= cfg.feas_tol and dinf <= dual_stop and relgap <= cfg.gap_tol:
             best = snap
             status = "optimal"
             break
@@ -672,8 +650,7 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
 
         try:
             sc = [_nt_scaling(S[j], Z[j]) for j in range(nb)]
-            M = _assemble_M(comp, [s.V for s in sc])
-            kkt = _factor_kkt(M, eq)
+            kkt = _factor_kkt(eq.reduce(_assemble_M(comp, [s.V for s in sc])))
             if kkt is None:
                 break
 
@@ -687,16 +664,16 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
                 g = -rd.copy()
                 for j, blk in enumerate(blocks):
                     g += gather_block(blk, G[j])
-                dy, dl = kkt(g, re_)
+                dy = eq.extend(kkt(eq.restrict(g)))
                 dS = [hermitize(Rp[j] + apply_block(blocks[j], dy)) for j in range(nb)]
                 dZ = [hermitize(G[j] - sc[j].V @ (dS[j] - Rp[j]) @ sc[j].V) for j in range(nb)]
                 ap = min(1.0, tau * min((_max_step(sc[j].LS, dS[j]) for j in range(nb)), default=np.inf))
                 ad = min(1.0, tau * min((_max_step(sc[j].LZ, dZ[j]) for j in range(nb)), default=np.inf))
-                return dy, dl, dS, dZ, ap, ad
+                return dy, dS, dZ, ap, ad
 
             # predictor: pure Newton step toward feasibility and zero product
             Ga = [hermitize(-Z[j] - sc[j].V @ Rp[j] @ sc[j].V) for j in range(nb)]
-            _, _, dS_a, dZ_a, ap_a, ad_a = direction(Ga, 1.0)
+            _, dS_a, dZ_a, ap_a, ad_a = direction(Ga, 1.0)
             mu_aff = (
                 sum(
                     float(np.real(np.vdot(Z[j] + ad_a * dZ_a[j], S[j] + ap_a * dS_a[j])))
@@ -722,7 +699,7 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
                 for j in range(nb)
             ]
             tau = 0.98  # share of the way to the cone boundary a corrector step takes
-            dy, dl, dS, dZ, ap, ad = direction(Gc, tau)
+            dy, dS, dZ, ap, ad = direction(Gc, tau)
 
             # extra centrality correctors: when the step is short, herd the
             # outlier complementarity products back toward sigma*mu and
@@ -744,15 +721,14 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
                 if worst <= 1e-16 * max(smu, 1e-300):
                     break
                 Gg = [hermitize(Gc[j] + extra[j]) for j in range(nb)]
-                dy2, dl2, dS2, dZ2, ap2, ad2 = direction(Gg, tau)
+                dy2, dS2, dZ2, ap2, ad2 = direction(Gg, tau)
                 if min(ap2, ad2) < min(ap, ad) + 0.02:
                     break
-                dy, dl, dS, dZ, ap, ad, Gc = dy2, dl2, dS2, dZ2, ap2, ad2, Gg
+                dy, dS, dZ, ap, ad, Gc = dy2, dS2, dZ2, ap2, ad2, Gg
         except NumericError:
             break
 
         y = y + ap * dy
-        lam = lam + ad * dl
         S = [hermitize(S[j] + ap * dS[j]) for j in range(nb)]
         Z = [hermitize(Z[j] + ad * dZ[j]) for j in range(nb)]
         last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma}

@@ -11,6 +11,7 @@ since R = I is feasible for the distillation program).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -358,8 +359,8 @@ def multi_copy(
     measure, rho: BipartiteState, n: int, config: SolverConfig | None = None
 ) -> MeasureResult:
     """Evaluate a measure on the regrouped n-fold tensor power of rho."""
-    if not 1 <= n <= 3:
-        raise DomainError(f"multi_copy supports 1 <= n <= 3, got {n}")
+    if not (isinstance(n, numbers.Integral) and 1 <= n <= 3):
+        raise DomainError(f"multi_copy supports integer 1 <= n <= 3, got {n!r}")
     composite = (rho.dims.d_a * rho.dims.d_b) ** n
     if composite > MULTI_COPY_DIM_CAP:
         raise CapacityError(

@@ -9,6 +9,8 @@ compiled form; solve() and check_certificate() are the public entry points.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -155,8 +157,11 @@ class SolverConfig:
     max_iterations: int = 200
 
     def __post_init__(self):
-        if self.gap_tol <= 0 or self.feas_tol <= 0 or self.max_iterations <= 0:
-            raise InvalidStateError("solver tolerances and iteration cap must be positive")
+        tols = (self.gap_tol, self.feas_tol)
+        if not all(isinstance(t, numbers.Real) and math.isfinite(t) and t > 0 for t in tols):
+            raise InvalidStateError(f"solver tolerances must be finite and positive, got {tols}")
+        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
+            raise InvalidStateError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 
 @dataclass

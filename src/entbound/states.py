@@ -3,6 +3,7 @@ plus seeded random state/channel generators for property-test corpora."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -212,8 +213,8 @@ def tensor_state(a: BipartiteState, b: BipartiteState) -> BipartiteState:
 
 def kron_power_state(rho: BipartiteState, n: int) -> BipartiteState:
     """n-fold tensor power with (A...A)(B...B) subsystem regrouping."""
-    if n < 1:
-        raise DomainError(f"kron power requires n >= 1, got {n}")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise DomainError(f"kron power requires an integer n >= 1, got {n!r}")
     out = rho
     for _ in range(n - 1):
         out = tensor_state(out, rho)

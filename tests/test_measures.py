@@ -310,6 +310,8 @@ def test_multi_copy_rejects_out_of_range_n():
         multi_copy(e_w, rho, 0)
     with pytest.raises(DomainError):
         multi_copy(e_w, rho, 4)
+    with pytest.raises(DomainError):
+        multi_copy(e_w, rho, 1.5)
 
 
 def test_multi_copy_capacity_limits():

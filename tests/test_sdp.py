@@ -57,7 +57,7 @@ def test_dependent_equality_rows():
 
 
 def test_equalities_fixing_every_coordinate():
-    # the null space of the equality rows is empty: the step is A+ re alone
+    # the null space of the equality rows is empty: y = A+ b from the start
     problem = SdpProblem(
         sense="min",
         variables=[("x", 1, "hermitian-psd")],
@@ -222,15 +222,58 @@ def test_infeasible_problem_is_reported():
 
 
 def test_statically_infeasible_equality():
-    # a probe with no gradient on any coordinate reduces to 0 = 1 at compile
-    problem = SdpProblem(
-        sense="min",
-        variables=[("X", 2, "hermitian-psd")],
-        objective=[("X", eye(2))],
-        equalities=[EqConstraint(terms=(("X", np.zeros((2, 2))),), rhs=1.0)],
-    )
-    sol = solve(problem)
-    assert sol.status == "infeasible"
+    # inconsistent equality systems are found before the first iteration
+    cases = [
+        # a probe with no gradient on any coordinate: 0 = 1
+        [(np.zeros((2, 2)), 1.0)],
+        # x = 0.25 together with x = 0.5
+        [(np.eye(1), 0.25), (np.eye(1), 0.5)],
+        # diagonal pins that contradict a trace pin
+        [(np.diag([1.0, 0.0]), 0.3), (np.diag([0.0, 1.0]), 0.3), (np.eye(2), 1.0)],
+    ]
+    for pins in cases:
+        n = pins[0][0].shape[0]
+        problem = SdpProblem(
+            sense="min",
+            variables=[("X", n, "hermitian-psd")],
+            objective=[("X", eye(n))],
+            equalities=[EqConstraint(terms=(("X", probe),), rhs=rhs) for probe, rhs in pins],
+        )
+        sol = solve(problem)
+        assert sol.status == "infeasible"
+        assert sol.iterations == 0
+
+
+def test_split_equalities_invariants():
+    rng = np.random.default_rng(5)
+    rows = rng.standard_normal((3, 8))
+    # rank 3: a duplicated row and a combination of two others
+    A = np.vstack([rows, rows[1], rows[0] + 2.0 * rows[2]])
+    eq = ipm._split_equalities(A)
+    assert eq.s.size == 3 and eq.N.shape == (8, 5)
+    assert np.max(np.abs(eq.N.T @ eq.N - np.eye(5))) <= 1e-14
+    b = A @ rng.standard_normal(8)
+    assert np.max(np.abs(A @ eq.pinv(b) - b)) <= 1e-12 * np.max(np.abs(b))
+    assert np.max(np.abs(A @ eq.extend(rng.standard_normal(5)))) <= 1e-12
+    v = A.T @ rng.standard_normal(5)
+    assert np.max(np.abs(A.T @ eq.pinv_t(v) - v)) <= 1e-12 * np.max(np.abs(v))
+    assert ipm._split_equalities(np.zeros((0, 8))).N is None
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"gap_tol": np.inf},
+        {"gap_tol": 0.0},
+        {"feas_tol": np.nan},
+        {"feas_tol": -1e-9},
+        {"max_iterations": 2.5},
+        {"max_iterations": 0},
+    ],
+)
+def test_solver_config_rejects_bad_values(kwargs):
+    with pytest.raises(InvalidStateError):
+        SolverConfig(**kwargs)
 
 
 def test_zero_gradient_trivial_equality_is_dropped():
@@ -334,6 +377,27 @@ def _measure_program(measure, rho):
         with pytest.raises(_Captured) as caught:
             measure(rho)
     return caught.value.args[0]
+
+
+@pytest.mark.parametrize("measure", [measures.det_distill_one_copy, measures.w0], ids=["e0", "w0"])
+@pytest.mark.parametrize(
+    "rho",
+    [
+        pytest.param(rho_alpha(0.3), id="rho_alpha"),
+        pytest.param(random_state(3, 3, 2, 7017), id="rs3x3"),
+        pytest.param(random_state(2, 4, 3, 7003), id="rs2x4"),
+        pytest.param(max_entangled(2), id="phi2"),
+    ],
+)
+def test_equality_pinned_programs_certify(measure, rho):
+    # the least-squares multiplier must stay a valid dual certificate
+    problem = _measure_program(measure, rho)
+    assert problem.equalities
+    sol = solve(problem)
+    report = check_certificate(problem, sol)
+    assert report.ok, report.failures
+    assert max(report.eq_residuals) <= 1e-12
+    assert report.dual_feas_residual <= 1e-7
 
 
 def _x_plus_pt_program(real):
