@@ -3,10 +3,14 @@
 Compiles a modeled problem onto an orthonormal Hermitian coordinate basis
 (one real coordinate per matrix entry degree of freedom), then runs an
 infeasible-start primal-dual path-following method with Nesterov-Todd
-scaling and a Mehrotra predictor-corrector step. Dense and deterministic
-for a fixed BLAS thread count; nothing here limits BLAS threads, so an
-OpenBLAS build runs one per core. Sized for matrix variables up to ~100
-rows total.
+scaling and a Mehrotra predictor-corrector step. Dense and deterministic,
+sized for matrix variables up to ~100 rows total.
+
+Each solve runs on one BLAS thread: its blocks have at most ~100 rows, and
+OpenBLAS's default of one thread per core makes such work slower, not
+faster. A reduced Newton matrix of at least _THREADED_ORDER rows is reduced
+and factored on the caller's BLAS threads. Below that order the result does
+not depend on the core count.
 
 The equalities A y = b are solved once (the null-space method of Nocedal
 & Wright, Numerical Optimization, §16.2): y starts at A⁺b, every step lies
@@ -40,6 +44,11 @@ dual certificates remain certificates for the full problem.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import importlib
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -498,10 +507,96 @@ def _factor_kkt(Mr):
 
 
 # ---------------------------------------------------------------------------
+# BLAS threads
+
+# Reduced Newton matrices with at least this many rows are reduced and
+# factored on the caller's BLAS threads; smaller ones, and all other work, run
+# on one.  Measured on 2 cores (medians of 3 to 6 solves): one thread wins end
+# to end on the tensor6 benchmark (orders 466 and 666).  On a real 64-dim
+# two-copy state (m = 2080) two threads take e0 (order 1541) from 18.1 to
+# 16.9 s and leave e_w (order 2080) at 13.2 s; they take the two-copy e0 of
+# rho(0.5) (order 2629) from 49.6 to 39.3 s.  e_w has no NᵀMN to form.
+_THREADED_ORDER = 1500
+
+# The thread count is process-global, so its bookkeeping is too.
+_blas_lock = threading.Lock()
+_blas_depth = 0  # solves running in this process
+_blas_caller = ()  # the thread counts the outermost solve found
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """(get, set) thread-count functions of the OpenBLAS copies numpy and
+    scipy link (the scipy-openblas builds of their wheels), looked up once
+    through ctypes.  Empty when neither exports them."""
+    found = []
+    for module, symbol in (
+        ("numpy.linalg._umath_linalg", "scipy_openblas_{}_num_threads64_"),
+        ("scipy.linalg._fblas", "scipy_openblas_{}_num_threads"),
+    ):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            get, set_ = getattr(lib, symbol.format("get")), getattr(lib, symbol.format("set"))
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        found.append((get, set_))
+    return tuple(found)
+
+
+def _blas_threads() -> tuple:
+    return tuple(get() for get, _ in _openblas())
+
+
+def _set_blas_threads(counts) -> None:
+    for (_, set_), n in zip(_openblas(), counts):
+        set_(n)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one BLAS thread.  The limit is process-global while
+    any solve runs: the outermost entry saves the caller's counts and the
+    last exit restores them, so nested solves, and solves from several Python
+    threads, leave the counts as they found them."""
+    global _blas_depth, _blas_caller
+    with _blas_lock:
+        if _blas_depth == 0:
+            _blas_caller = _blas_threads()
+            _set_blas_threads([1] * len(_blas_caller))
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                _set_blas_threads(_blas_caller)
+
+
+@contextlib.contextmanager
+def _caller_blas_threads():
+    """Inside _one_blas_thread, run the body on the caller's BLAS threads."""
+    with _blas_lock:
+        _set_blas_threads(_blas_caller)
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _set_blas_threads([1] * len(_blas_caller))
+
+
+# ---------------------------------------------------------------------------
 # the solver loop
 
 
 def run(comp: Compiled, cfg, callback=None) -> dict:
+    with _one_blas_thread():
+        return _iterate(comp, cfg, callback)
+
+
+def _iterate(comp: Compiled, cfg, callback) -> dict:
     m = comp.m
     blocks = comp.blocks
     nb = len(blocks)
@@ -529,6 +624,7 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
         }
 
     eq = _split_equalities(A)  # A is fixed for the whole run
+    threaded = (m if eq.N is None else eq.N.shape[1]) >= _THREADED_ORDER
     binf = 1.0 + float(np.max(np.abs(b), initial=0.0))
     y = eq.pinv(b)
     S = [max(1.0, blk.dnorm) * np.eye(blk.n, dtype=np.complex128) for blk in blocks]
@@ -650,7 +746,10 @@ def run(comp: Compiled, cfg, callback=None) -> dict:
 
         try:
             sc = [_nt_scaling(S[j], Z[j]) for j in range(nb)]
-            kkt = _factor_kkt(eq.reduce(_assemble_M(comp, [s.V for s in sc])))
+            M = _assemble_M(comp, [s.V for s in sc])
+            with _caller_blas_threads() if threaded else contextlib.nullcontext():
+                M = eq.reduce(M)  # frees the full M before the factor
+                kkt = _factor_kkt(M)
             if kkt is None:
                 break
 

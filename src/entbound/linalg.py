@@ -6,6 +6,7 @@ All logarithms elsewhere in the package are base 2.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,11 @@ def _as_complex(mat, what: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise InvalidStateError(f"{what} has non-finite entries")
     return arr
+
+
+def is_integer(x) -> bool:
+    """x is an integer (numpy integers included) and not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:
@@ -70,8 +76,8 @@ class BipartiteDims:
     d_b: int
 
     def __post_init__(self):
-        if self.d_a < 1 or self.d_b < 1:
-            raise InvalidDimsError(f"subsystem dims must be >= 1, got {(self.d_a, self.d_b)}")
+        if not all(is_integer(d) and d >= 1 for d in (self.d_a, self.d_b)):
+            raise InvalidDimsError(f"subsystem dims must be integers >= 1, got {(self.d_a, self.d_b)}")
 
     @property
     def total(self) -> int:

@@ -22,6 +22,7 @@ from .linalg import (
     BipartiteState,
     HermitianMatrix,
     hermitize,
+    is_integer,
     negative_projector,
     op_norm_arr,
     partial_transpose,
@@ -170,8 +171,8 @@ def e_w(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResul
 def fidelity_ppt(rho: BipartiteState, k: float, config: SolverConfig | None = None) -> MeasureResult:
     """Best overlap with a k-level maximally entangled target over PPT
     operations: max Re tr(rho Q), 0 <= Q <= I, -(1/k)I <= Q^PT <= (1/k)I."""
-    if not (math.isfinite(k) and k >= 1.0):
-        raise DomainError(f"fidelity_ppt requires a finite k >= 1, got {k}")
+    if not (isinstance(k, numbers.Real) and math.isfinite(k) and k >= 1.0):
+        raise DomainError(f"fidelity_ppt requires a finite k >= 1, got {k!r}")
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     eye = _eye(n)
@@ -359,7 +360,7 @@ def multi_copy(
     measure, rho: BipartiteState, n: int, config: SolverConfig | None = None
 ) -> MeasureResult:
     """Evaluate a measure on the regrouped n-fold tensor power of rho."""
-    if not (isinstance(n, numbers.Integral) and 1 <= n <= 3):
+    if not (is_integer(n) and 1 <= n <= 3):
         raise DomainError(f"multi_copy supports integer 1 <= n <= 3, got {n!r}")
     composite = (rho.dims.d_a * rho.dims.d_b) ** n
     if composite > MULTI_COPY_DIM_CAP:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimsError, InvalidStateError
-from .linalg import HermitianMatrix, _as_complex, hermitize
+from .linalg import HermitianMatrix, _as_complex, hermitize, is_integer
 
 VALID_KINDS = ("hermitian", "hermitian-psd")
 
@@ -158,9 +158,11 @@ class SolverConfig:
 
     def __post_init__(self):
         tols = (self.gap_tol, self.feas_tol)
-        if not all(isinstance(t, numbers.Real) and math.isfinite(t) and t > 0 for t in tols):
+        if not all(
+            isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t) and t > 0 for t in tols
+        ):
             raise InvalidStateError(f"solver tolerances must be finite and positive, got {tols}")
-        if not (isinstance(self.max_iterations, numbers.Integral) and self.max_iterations >= 1):
+        if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise InvalidStateError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
 

@@ -3,13 +3,12 @@ plus seeded random state/channel generators for property-test corpora."""
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, InvalidDimsError
-from .linalg import BipartiteState, make_state
+from .linalg import BipartiteState, is_integer, make_state
 
 _COMPLETENESS_ATOL = 1e-10
 _PROB_ATOL = 1e-9
@@ -213,7 +212,7 @@ def tensor_state(a: BipartiteState, b: BipartiteState) -> BipartiteState:
 
 def kron_power_state(rho: BipartiteState, n: int) -> BipartiteState:
     """n-fold tensor power with (A...A)(B...B) subsystem regrouping."""
-    if not (isinstance(n, numbers.Integral) and n >= 1):
+    if not (is_integer(n) and n >= 1):
         raise DomainError(f"kron power requires an integer n >= 1, got {n!r}")
     out = rho
     for _ in range(n - 1):

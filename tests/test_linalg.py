@@ -118,8 +118,13 @@ def test_make_state_rejects_non_finite_entries():
 def test_make_state_validates_dims_product():
     with pytest.raises(InvalidDimsError):
         make_state(np.eye(4) / 4.0, 2, 3)
+    with pytest.raises(InvalidDimsError):
+        make_state(np.eye(4) / 4.0, 2.5, 1.6)  # 2.5 * 1.6 = 4
+    assert make_state(np.eye(4) / 4.0, np.int64(2), 2).dims.total == 4
 
 
 def test_bipartite_dims_reject_nonpositive():
     with pytest.raises(InvalidDimsError):
         BipartiteDims(0, 2)
+    with pytest.raises(InvalidDimsError):
+        BipartiteDims(True, 2)

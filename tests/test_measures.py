@@ -203,6 +203,8 @@ def test_fidelity_rejects_k_below_one():
         fidelity_ppt(rho, float("nan"))
     with pytest.raises(DomainError):
         fidelity_ppt(rho, float("inf"))
+    with pytest.raises(DomainError):
+        fidelity_ppt(rho, "2")
 
 
 def test_fidelity_stays_in_unit_interval():
@@ -312,6 +314,8 @@ def test_multi_copy_rejects_out_of_range_n():
         multi_copy(e_w, rho, 4)
     with pytest.raises(DomainError):
         multi_copy(e_w, rho, 1.5)
+    with pytest.raises(DomainError):
+        multi_copy(e_w, rho, True)
 
 
 def test_multi_copy_capacity_limits():

@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -178,6 +180,111 @@ def test_determinism_across_repeat_solves():
     assert abs(vals[0] - vals[1]) <= 10 * cfg.gap_tol
 
 
+@pytest.fixture
+def caller_blas_threads():
+    """Set the caller's BLAS thread count of every OpenBLAS copy; the counts
+    found are restored afterwards."""
+    if not ipm._openblas():
+        pytest.skip("no OpenBLAS thread control found")
+    saved = ipm._blas_threads()
+    yield lambda n: ipm._set_blas_threads([n] * len(saved))
+    ipm._set_blas_threads(saved)
+
+
+def test_results_do_not_depend_on_the_callers_blas_threads(caller_blas_threads, monkeypatch):
+    # without the limit, OpenBLAS splits the 3x4 state's products across
+    # threads and its values change in the last bits
+    states = [rho_alpha(0.3), random_state(3, 3, 2, 7017), random_state(3, 4, 5, 7004)]
+    runs = {}
+    for n in (1, 2):
+        caller_blas_threads(n)
+        runs[n] = [
+            (r.value_log2, r.primal_value, r.dual_value, r.iterations)
+            for rho in states
+            for r in (measures.e_w(rho), measures.det_distill_one_copy(rho))
+        ]
+        assert set(ipm._blas_threads()) == {n}
+    assert runs[1] == runs[2]
+
+    def fail(S, Z):
+        raise RuntimeError("scaling failed")
+
+    monkeypatch.setattr(ipm, "_nt_scaling", fail)
+    with pytest.raises(RuntimeError):
+        measures.e_w(states[0])
+    assert set(ipm._blas_threads()) == {2}
+    assert ipm._blas_depth == 0
+
+
+def test_nested_solves_restore_the_callers_blas_threads(caller_blas_threads):
+    caller_blas_threads(2)
+    seen = []
+
+    def nested(row):
+        seen.append(ipm._blas_threads())
+        if row["iteration"] == 1:
+            measures.e_w(rho_alpha(0.3))
+            seen.append(ipm._blas_threads())
+
+    assert solve(diag_lp([2.0, 1.0], 1.0), callback=nested).status == "optimal"
+    assert all(set(s) == {1} for s in seen)
+    assert set(ipm._blas_threads()) == {2}
+
+
+def test_concurrent_solves_restore_the_callers_blas_threads(caller_blas_threads):
+    caller_blas_threads(2)
+    errors = []
+
+    def work():
+        try:
+            for _ in range(5):
+                assert solve(diag_lp([2.0, 1.0], 1.0)).status == "optimal"
+        except Exception as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert set(ipm._blas_threads()) == {2}
+    assert ipm._blas_depth == 0
+
+
+def test_large_reduced_newton_matrix_is_factored_on_the_callers_threads(caller_blas_threads, monkeypatch):
+    caller_blas_threads(2)
+    seen = {"assemble": set(), "factor": set()}
+    assemble, factor = ipm._assemble_M, ipm._factor_kkt
+
+    def spy(name, fn):
+        def wrapped(*args):
+            seen[name].update(ipm._blas_threads())
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(ipm, "_assemble_M", spy("assemble", assemble))
+    monkeypatch.setattr(ipm, "_factor_kkt", spy("factor", factor))
+    monkeypatch.setattr(ipm, "_THREADED_ORDER", 1)
+    measures.det_distill_one_copy(rho_alpha(0.3))
+    assert seen == {"assemble": {1}, "factor": {2}}
+    assert set(ipm._blas_threads()) == {2}
+
+
+def test_solve_without_blas_thread_control(monkeypatch):
+    expected = measures.e_w(rho_alpha(0.3))
+    monkeypatch.setattr(ipm, "_openblas", lambda: ())
+    r = measures.e_w(rho_alpha(0.3))
+    assert (r.value_log2, r.iterations) == (expected.value_log2, expected.iterations)
+
+
 def test_certificate_accepts_clean_solution():
     problem = diag_lp([1.0, 2.0, 3.0], 0.5)
     sol = solve(problem)
@@ -265,10 +372,12 @@ def test_split_equalities_invariants():
     [
         {"gap_tol": np.inf},
         {"gap_tol": 0.0},
+        {"gap_tol": True},
         {"feas_tol": np.nan},
         {"feas_tol": -1e-9},
         {"max_iterations": 2.5},
         {"max_iterations": 0},
+        {"max_iterations": True},
     ],
 )
 def test_solver_config_rejects_bad_values(kwargs):

@@ -138,6 +138,8 @@ def test_kron_power_matches_tensor():
     two = kron_power_state(rho, 2)
     ref = tensor_state(rho, rho)
     assert np.max(np.abs(two.mat - ref.mat)) < 1e-12
+    with pytest.raises(DomainError):
+        kron_power_state(rho, True)
 
 
 def _identity_channel():
