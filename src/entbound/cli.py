@@ -142,7 +142,10 @@ def _number_pair(entry, where: str, path: str) -> complex:
     )
     if not ok:
         raise CliError(2, "parse", f"{path}: {where} must be a [re, im] pair of numbers")
-    return complex(float(entry[0]), float(entry[1]))
+    try:
+        return complex(float(entry[0]), float(entry[1]))
+    except OverflowError:
+        raise CliError(2, "parse", f"{path}: {where} is out of floating-point range") from None
 
 
 def _load_state(path: str) -> tuple[BipartiteState, str]:

@@ -23,7 +23,11 @@ Nesterov-Todd direction in semidefinite programming", SIAM J. Optim. 8
 (1998): with S = LS LSᴴ, Z = LZ LZᴴ and LZᴴ LS = U diag(d) Wᴴ,
 G = LS W d^{-1/2} has the inverse d^{-1/2} Uᴴ LZᴴ and the scaled point
 G⁻¹ S G⁻ᴴ = Gᴴ Z G = diag(d) is diagonal, so the corrector terms'
-Lyapunov equations are solved entrywise.
+Lyapunov equations are solved entrywise.  Each Newton direction is scaled
+once, to dS̃ = Gi dS Giᴴ and dZ̃ = Gᴴ dZ G, and every step length and
+corrector product is taken from that pair in the scaled space: S + t dS ⪰ 0
+exactly when diag(d) + t dS̃ ⪰ 0, and the complementarity product of the
+tentative point is (D + t dS̃)(D + t' dZ̃) with D = diag(d).
 
 Coordinate a of a variable is one entry pair (i_a, j_a, u_a), the basis
 matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|. Every structural
@@ -307,55 +311,39 @@ def _eigh(mat):
         raise NumericError(f"eigendecomposition failed: {exc}") from exc
 
 
-def _cholesky(X):
-    """Lower Cholesky factor of X > 0, retried once with a trace-scaled jitter."""
-    try:
-        try:
-            return np.linalg.cholesky(X)
-        except np.linalg.LinAlgError:
-            return np.linalg.cholesky(X + (1e-14 * max(1.0, float(np.trace(X).real))) * np.eye(X.shape[0]))
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise NumericError(f"Cholesky factorization failed: {exc}") from exc
-
-
 @dataclass
 class _Scaling:
     """One block's NT scaling at the current iterate, shared by every
     direction of the iteration, in the G form of Todd, Toh & Tütüncü: the
     scaling matrix G and its inverse Gi, with G⁻¹ S G⁻ᴴ = Gᴴ Z G = diag(d),
-    the NT matrix V = Giᴴ Gi (V S V = Z), and the Cholesky factors of S
-    and Z that G is built from."""
+    and the NT matrix V = Giᴴ Gi (V S V = Z)."""
 
     V: np.ndarray
     G: np.ndarray
     Gi: np.ndarray
     d: np.ndarray
-    LS: np.ndarray
-    LZ: np.ndarray
 
 
 def _nt_scaling(S, Z) -> _Scaling:
     """G from two Cholesky factors and one SVD (module docstring)."""
-    LS = _cholesky(S)
-    LZ = _cholesky(Z)
     try:
+        LS = np.linalg.cholesky(S)
+        LZ = np.linalg.cholesky(Z)
         U, d, Wh = np.linalg.svd(LZ.conj().T @ LS)
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"SVD of the scaling product failed: {exc}") from exc
+        raise NumericError(f"NT scaling failed: {exc}") from exc
     if not d[-1] > 0.0:
         raise NumericError("iterate lost positive definiteness")
     rd = 1.0 / np.sqrt(d)
     G = (LS @ Wh.conj().T) * rd
     Gi = rd[:, None] * (U.conj().T @ LZ.conj().T)
-    return _Scaling(hermitize(Gi.conj().T @ Gi), G, Gi, d, LS, LZ)
+    return _Scaling(hermitize(Gi.conj().T @ Gi), G, Gi, d)
 
 
-def _scaled_product(sc: _Scaling, X, Y):
-    """sym(Gi X Giᴴ · Gᴴ Y G), the complementarity product of the primal and
-    dual matrices X, Y in the scaled space."""
-    DS = sc.Gi @ X @ sc.Gi.conj().T
-    DZ = sc.G.conj().T @ Y @ sc.G
-    return hermitize(DS @ DZ + DZ @ DS) * 0.5
+def _scale(sc: _Scaling, dS, dZ):
+    """The scaled pair (Gi dS Giᴴ, Gᴴ dZ G) of a direction: S + t dS and
+    Z + t dZ map to diag(d) + t times each."""
+    return hermitize(sc.Gi @ dS @ sc.Gi.conj().T), hermitize(sc.G.conj().T @ dZ @ sc.G)
 
 
 def _pull_back(sc: _Scaling, T):
@@ -367,16 +355,19 @@ def _pull_back(sc: _Scaling, T):
     return hermitize(sc.Gi.conj().T @ W @ sc.Gi)
 
 
-def _second_order_term(sc: _Scaling, dS, dZ):
-    """Mehrotra correction: the pulled-back scaled product of the predictor."""
-    return _pull_back(sc, _scaled_product(sc, dS, dZ))
+def _second_order_term(sc: _Scaling, dSt, dZt):
+    """Mehrotra correction: the pulled-back product of the predictor's
+    scaled pair."""
+    return _pull_back(sc, hermitize(dSt @ dZt))
 
 
-def _gondzio_target(sc: _Scaling, S, Z, dS, dZ, ap, ad, smu):
+def _gondzio_target(sc: _Scaling, dSt, dZt, ap, ad, smu):
     """Product-space correction herding the tentative complementarity
-    eigenvalues into [0.1 smu, 10 smu], pulled back like the Mehrotra
-    term.  Returns the extra target and the largest outlier magnitude."""
-    P = _scaled_product(sc, S + ap * dS, Z + ad * dZ)
+    eigenvalues, those of (D + ap dSt)(D + ad dZt) with D = diag(d), into
+    [0.1 smu, 10 smu], pulled back like the Mehrotra term.  Returns the
+    extra target and the largest outlier magnitude."""
+    D = np.diag(sc.d)
+    P = hermitize((D + ap * dSt) @ (D + ad * dZt))
     pe, Pu = _eigh(P)
     lo, hi = 0.1 * smu, 10.0 * smu
     t = np.where(pe < lo, lo - pe, np.where(pe > hi, hi - pe, 0.0))
@@ -385,15 +376,15 @@ def _gondzio_target(sc: _Scaling, S, Z, dS, dZ, ap, ad, smu):
     return _pull_back(sc, (Pu * t) @ Pu.conj().T), float(np.max(np.abs(t)))
 
 
-def _max_step(L, dX):
-    """Largest t with X + t dX >= 0 for X = L L† > 0; inf when dX >= 0."""
-    if not np.all(np.isfinite(dX)):
+def _max_step(d, dXt):
+    """Largest t with diag(d) + t dXt >= 0, the step length of a scaled
+    direction; inf when dXt >= 0."""
+    if not np.all(np.isfinite(dXt)):
         raise NumericError("step length computation failed: non-finite direction")
+    r = 1.0 / np.sqrt(d)
     try:
-        B = sla.solve_triangular(L, dX, lower=True, check_finite=False)
-        H = sla.solve_triangular(L, B.conj().T, lower=True, check_finite=False).conj().T
-        lmin = float(np.linalg.eigvalsh(hermitize(H))[0])
-    except (np.linalg.LinAlgError, ValueError) as exc:
+        lmin = float(np.linalg.eigvalsh(r[:, None] * dXt * r[None, :])[0])
+    except np.linalg.LinAlgError as exc:
         raise NumericError(f"step length computation failed: {exc}") from exc
     if lmin >= -1e-16:
         return np.inf
@@ -672,9 +663,8 @@ def _iterate(comp: Compiled, cfg, callback) -> dict:
         pu, du = user_vals(pobj_lin, dobj_lin)
         relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
 
-        slack = abs(float(rd @ y))
-        for j in range(nb):
-            slack += abs(float(np.real(np.vdot(Z[j], Rp[j]))))
+        if callback is not None:  # the residuals before the noise floor below
+            slack = sum((abs(float(np.real(np.vdot(Z[j], Rp[j])))) for j in range(nb)), abs(float(rd @ y)))
 
         if not (np.isfinite(mu) and np.isfinite(pobj_lin) and np.isfinite(dobj_lin)):
             break
@@ -686,14 +676,9 @@ def _iterate(comp: Compiled, cfg, callback) -> dict:
             if float(np.linalg.norm(Rp[j], "fro")) <= 1e-13 * (1.0 + blocks[j].dnorm):
                 Rp[j] = np.zeros_like(Rp[j])
 
-        snap = {
-            "y": y.copy(),
-            "lam": lam,
-            "Z": [Zj.copy() for Zj in Z],
-            "pobj": pobj_lin,
-            "dobj": dobj_lin,
-            "it": it,
-        }
+        # y and Z are rebound, never changed in place, so the snapshot
+        # needs no copies
+        snap = {"y": y, "lam": lam, "Z": Z, "pobj": pobj_lin, "dobj": dobj_lin, "it": it}
         if callback is not None:
             callback(
                 {
@@ -755,24 +740,25 @@ def _iterate(comp: Compiled, cfg, callback) -> dict:
 
             def direction(G, tau):
                 """Newton direction for the right-hand-side blocks G on the
-                current factorization, with its damped step lengths.  dZ is
-                rebuilt from G: G already folds in -V Rp V, so only the
-                linear part of dS may be scaled back out; using dS itself
-                would double-count Rp and leak sum_j F*(V Rp V) into the
-                dual residual every step."""
+                current factorization, each block's scaled pair and the
+                damped step lengths.  dZ is rebuilt from G: G already folds
+                in -V Rp V, so only the linear part of dS may be scaled back
+                out; using dS itself would double-count Rp and leak
+                sum_j F*(V Rp V) into the dual residual every step."""
                 g = -rd.copy()
                 for j, blk in enumerate(blocks):
                     g += gather_block(blk, G[j])
                 dy = eq.extend(kkt(eq.restrict(g)))
                 dS = [hermitize(Rp[j] + apply_block(blocks[j], dy)) for j in range(nb)]
                 dZ = [hermitize(G[j] - sc[j].V @ (dS[j] - Rp[j]) @ sc[j].V) for j in range(nb)]
-                ap = min(1.0, tau * min((_max_step(sc[j].LS, dS[j]) for j in range(nb)), default=np.inf))
-                ad = min(1.0, tau * min((_max_step(sc[j].LZ, dZ[j]) for j in range(nb)), default=np.inf))
-                return dy, dS, dZ, ap, ad
+                scaled = [_scale(sc[j], dS[j], dZ[j]) for j in range(nb)]
+                ap = min(1.0, tau * min((_max_step(s.d, t[0]) for s, t in zip(sc, scaled)), default=np.inf))
+                ad = min(1.0, tau * min((_max_step(s.d, t[1]) for s, t in zip(sc, scaled)), default=np.inf))
+                return dy, dS, dZ, scaled, ap, ad
 
             # predictor: pure Newton step toward feasibility and zero product
             Ga = [hermitize(-Z[j] - sc[j].V @ Rp[j] @ sc[j].V) for j in range(nb)]
-            _, dS_a, dZ_a, ap_a, ad_a = direction(Ga, 1.0)
+            _, dS_a, dZ_a, scaled_a, ap_a, ad_a = direction(Ga, 1.0)
             mu_aff = (
                 sum(
                     float(np.real(np.vdot(Z[j] + ad_a * dZ_a[j], S[j] + ap_a * dS_a[j])))
@@ -793,12 +779,12 @@ def _iterate(comp: Compiled, cfg, callback) -> dict:
                 hermitize(
                     _pull_back(sc[j], (sigma * mu) * np.eye(blocks[j].n))
                     - Z[j] - sc[j].V @ Rp[j] @ sc[j].V
-                    - _second_order_term(sc[j], dS_a[j], dZ_a[j])
+                    - _second_order_term(sc[j], *scaled_a[j])
                 )
                 for j in range(nb)
             ]
             tau = 0.98  # share of the way to the cone boundary a corrector step takes
-            dy, dS, dZ, ap, ad = direction(Gc, tau)
+            dy, dS, dZ, scaled, ap, ad = direction(Gc, tau)
 
             # extra centrality correctors: when the step is short, herd the
             # outlier complementarity products back toward sigma*mu and
@@ -811,19 +797,16 @@ def _iterate(comp: Compiled, cfg, callback) -> dict:
                 extra = []
                 worst = 0.0
                 for j in range(nb):
-                    Tj, out = _gondzio_target(
-                        sc[j], S[j], Z[j], dS[j], dZ[j],
-                        min(1.0, ap + 0.3), min(1.0, ad + 0.3), smu,
-                    )
+                    Tj, out = _gondzio_target(sc[j], *scaled[j], min(1.0, ap + 0.3), min(1.0, ad + 0.3), smu)
                     extra.append(Tj)
                     worst = max(worst, out)
                 if worst <= 1e-16 * max(smu, 1e-300):
                     break
                 Gg = [hermitize(Gc[j] + extra[j]) for j in range(nb)]
-                dy2, dS2, dZ2, ap2, ad2 = direction(Gg, tau)
+                dy2, dS2, dZ2, scaled2, ap2, ad2 = direction(Gg, tau)
                 if min(ap2, ad2) < min(ap, ad) + 0.02:
                     break
-                dy, dS, dZ, ap, ad, Gc = dy2, dS2, dZ2, ap2, ad2, Gg
+                dy, dS, dZ, scaled, ap, ad, Gc = dy2, dS2, dZ2, scaled2, ap2, ad2, Gg
         except NumericError:
             break
 

@@ -6,6 +6,7 @@ All logarithms elsewhere in the package are base 2.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -19,7 +20,10 @@ RANK_TOL = 1e-9
 
 def _as_complex(mat, what: str = "matrix") -> np.ndarray:
     """mat as a square complex array with finite entries."""
-    arr = np.asarray(mat, dtype=np.complex128)
+    try:
+        arr = np.asarray(mat, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidStateError(f"{what} is not an array of complex floats: {exc}") from exc
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidDimsError(f"{what} must be square, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -30,6 +34,11 @@ def _as_complex(mat, what: str = "matrix") -> np.ndarray:
 def is_integer(x) -> bool:
     """x is an integer (numpy integers included) and not a bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_finite_real(x) -> bool:
+    """x is a finite real number (numpy scalars included) and not a bool."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def hermitize(mat: np.ndarray) -> np.ndarray:

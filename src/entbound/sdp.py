@@ -9,16 +9,24 @@ compiled form; solve() and check_certificate() are the public entry points.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidDimsError, InvalidStateError
-from .linalg import HermitianMatrix, _as_complex, hermitize, is_integer
+from .linalg import HermitianMatrix, _as_complex, hermitize, is_finite_real, is_integer
 
 VALID_KINDS = ("hermitian", "hermitian-psd")
+
+
+def _check_coeff(coeff, what: str) -> None:
+    if not is_finite_real(coeff):
+        raise InvalidStateError(f"{what} must be a finite real number, got {coeff!r}")
+
+
+def _check_dim(dim, what: str, least: int = 1) -> None:
+    if not (is_integer(dim) and dim >= least):
+        raise InvalidDimsError(f"{what} must be an integer >= {least}, got {dim!r}")
 
 
 def _checked_hermitian(mat, what: str) -> np.ndarray:
@@ -37,6 +45,14 @@ class LinTerm:
     coeff: float = 1.0
     pt_dims: tuple[int, int] | None = None
 
+    def __post_init__(self):
+        _check_coeff(self.coeff, f"LinTerm coeff for {self.var!r}")
+        if self.pt_dims is not None:
+            if not (isinstance(self.pt_dims, (tuple, list)) and len(self.pt_dims) == 2):
+                raise InvalidDimsError(f"LinTerm pt_dims must be a pair (d_A, d_B), got {self.pt_dims!r}")
+            for d in self.pt_dims:
+                _check_dim(d, "LinTerm pt_dims entry")
+
 
 @dataclass(frozen=True)
 class TraceTerm:
@@ -48,6 +64,7 @@ class TraceTerm:
     coeff: float = 1.0
 
     def __post_init__(self):
+        _check_coeff(self.coeff, f"TraceTerm coeff for {self.var!r}")
         object.__setattr__(self, "probe", _checked_hermitian(self.probe, "TraceTerm probe"))
         object.__setattr__(self, "gain", _checked_hermitian(self.gain, "TraceTerm gain"))
 
@@ -62,6 +79,7 @@ class PsdConstraint:
     label: str = ""
 
     def __post_init__(self):
+        _check_dim(self.dim, f"constraint '{self.label}' dim", least=0)
         if self.const is None:
             object.__setattr__(self, "const", np.zeros((self.dim, self.dim), dtype=np.complex128))
         else:
@@ -83,6 +101,7 @@ class EqConstraint:
     label: str = ""
 
     def __post_init__(self):
+        _check_coeff(self.rhs, f"equality '{self.label}' rhs")
         checked = tuple((v, _checked_hermitian(p, f"equality '{self.label}' probe")) for v, p in self.terms)
         object.__setattr__(self, "terms", checked)
 
@@ -99,14 +118,14 @@ class SdpProblem:
     def __post_init__(self):
         if self.sense not in ("max", "min"):
             raise InvalidStateError(f"sense must be 'max' or 'min', got {self.sense!r}")
+        _check_coeff(self.constant, "problem constant")
         dims: dict[str, int] = {}
         for name, dim, kind in self.variables:
             if name in dims:
                 raise InvalidStateError(f"duplicate variable name {name!r}")
             if kind not in VALID_KINDS:
                 raise InvalidStateError(f"variable {name!r} kind must be one of {VALID_KINDS}")
-            if dim < 1:
-                raise InvalidDimsError(f"variable {name!r} dim must be >= 1")
+            _check_dim(dim, f"variable {name!r} dim")
             dims[name] = dim
         self.objective = [
             (name, self._obj_coeff(name, C, dims)) for name, C in self.objective
@@ -158,9 +177,7 @@ class SolverConfig:
 
     def __post_init__(self):
         tols = (self.gap_tol, self.feas_tol)
-        if not all(
-            isinstance(t, numbers.Real) and not isinstance(t, bool) and math.isfinite(t) and t > 0 for t in tols
-        ):
+        if not all(is_finite_real(t) and t > 0 for t in tols):
             raise InvalidStateError(f"solver tolerances must be finite and positive, got {tols}")
         if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise InvalidStateError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")

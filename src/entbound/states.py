@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidDimsError
-from .linalg import BipartiteState, is_integer, make_state
+from .linalg import BipartiteDims, BipartiteState, is_finite_real, is_integer, make_state
 
 _COMPLETENESS_ATOL = 1e-10
 _PROB_ATOL = 1e-9
@@ -17,8 +17,8 @@ _OUTCOME_CUTOFF = 1e-12
 
 def max_entangled(d: int) -> BipartiteState:
     """Phi(d) = (1/d) sum_{i,j} |ii><jj| on d tensor d."""
-    if d < 2:
-        raise DomainError(f"max_entangled requires d >= 2, got {d}")
+    if not (is_integer(d) and d >= 2):
+        raise DomainError(f"max_entangled requires an integer d >= 2, got {d!r}")
     psi = np.zeros(d * d, dtype=np.complex128)
     psi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
     return make_state(np.outer(psi, psi.conj()), d, d)
@@ -27,8 +27,8 @@ def max_entangled(d: int) -> BipartiteState:
 def sigma_r(r: float) -> BipartiteState:
     """Rank-2 mixture r|v0><v0| + (1-r)|v1><v1| on 2 tensor 2,
     v0 = (|10> - |11>)/sqrt2, v1 = (|00> + |10> + |11>)/sqrt3."""
-    if not 0.0 < r < 1.0:
-        raise DomainError(f"sigma_r requires 0 < r < 1, got {r}")
+    if not (is_finite_real(r) and 0.0 < r < 1.0):
+        raise DomainError(f"sigma_r requires a real 0 < r < 1, got {r!r}")
     v0 = np.array([0.0, 0.0, 1.0, -1.0], dtype=np.complex128) / np.sqrt(2.0)
     v1 = np.array([1.0, 0.0, 1.0, 1.0], dtype=np.complex128) / np.sqrt(3.0)
     mat = r * np.outer(v0, v0.conj()) + (1.0 - r) * np.outer(v1, v1.conj())
@@ -38,8 +38,8 @@ def sigma_r(r: float) -> BipartiteState:
 def rho_alpha(alpha: float) -> BipartiteState:
     """Rank-3 family on 3 tensor 3: equal mixture of
     |psi_m> = sqrt(alpha)|m,m+1> + sqrt(1-alpha)|m+1,m>, indices mod 3."""
-    if not 0.0 < alpha <= 0.5:
-        raise DomainError(f"rho_alpha requires 0 < alpha <= 0.5, got {alpha}")
+    if not (is_finite_real(alpha) and 0.0 < alpha <= 0.5):
+        raise DomainError(f"rho_alpha requires a real 0 < alpha <= 0.5, got {alpha!r}")
     mat = np.zeros((9, 9), dtype=np.complex128)
     a, b = np.sqrt(alpha), np.sqrt(1.0 - alpha)
     for m in range(3):
@@ -66,9 +66,9 @@ def antisym_state() -> BipartiteState:
 
 def random_state(d_a: int, d_b: int, rank: int, seed: int) -> BipartiteState:
     """Ginibre-induced random state of the requested rank; deterministic per seed."""
-    n = d_a * d_b
-    if not 1 <= rank <= n:
-        raise DomainError(f"rank must lie in [1, {n}], got {rank}")
+    n = BipartiteDims(d_a, d_b).total
+    if not (is_integer(rank) and 1 <= rank <= n):
+        raise DomainError(f"rank must be an integer in [1, {n}], got {rank!r}")
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0)
     mat = g @ g.conj().T
@@ -81,8 +81,9 @@ def random_pure_state(d_a: int, d_b: int, seed: int) -> BipartiteState:
 
 def random_separable(d_a: int, d_b: int, terms: int, seed: int) -> BipartiteState:
     """Convex mixture of random product pure states; PPT by construction."""
-    if terms < 1:
-        raise DomainError(f"terms must be >= 1, got {terms}")
+    BipartiteDims(d_a, d_b)  # checks the dims before they size any array
+    if not (is_integer(terms) and terms >= 1):
+        raise DomainError(f"terms must be an integer >= 1, got {terms!r}")
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(terms))
     mat = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)

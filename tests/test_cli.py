@@ -135,6 +135,23 @@ def test_state_file_parse_errors(tmp_path, capsys):
     assert main(["compute", "--state", str(tmp_path / "missing.json"), "--measures", "en"]) == 2
 
 
+def test_entries_beyond_float_range_are_parse_errors(tmp_path, capsys):
+    # JSON integer literals have no size limit; float() of 1 followed by 400
+    # zeros overflows
+    big = 10**400
+    docs = [
+        {"dims": [1, 2], "matrix": [[[big, 0], [0, 0]], [[0, 0], [0, 0]]]},
+        {"dims": [1, 2], "vector": [[1, 0], [0, -big]]},
+    ]
+    for i, doc in enumerate(docs):
+        path = tmp_path / f"big{i}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compute", "--state", str(path), "--measures", "en"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "ERROR 2: parse"
+        assert ("matrix entry (0,0)" if i == 0 else "vector entry 1") in err[1]
+
+
 def test_invalid_states_exit_three(tmp_path, capsys):
     herm = [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]  # not Hermitian
     off = [[[0.7, 0], [0, 0]], [[0, 0], [0.7, 0]]]  # trace 1.4

@@ -115,6 +115,16 @@ def test_make_state_rejects_non_finite_entries():
         HermitianMatrix(np.diag([np.inf, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "mat, d_a, d_b",
+    [([[10**400, 0], [0, 0]], 2, 1), ([[1.0, 0.0], [0.0]], 2, 1), ("abc", 1, 1)],
+)
+def test_make_state_rejects_non_numeric_input(mat, d_a, d_b):
+    # an integer beyond float range, ragged rows, a string
+    with pytest.raises(InvalidStateError, match="not an array of complex floats"):
+        make_state(mat, d_a, d_b)
+
+
 def test_make_state_validates_dims_product():
     with pytest.raises(InvalidDimsError):
         make_state(np.eye(4) / 4.0, 2, 3)

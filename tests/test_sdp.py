@@ -4,9 +4,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from entbound import ipm, measures
-from entbound.errors import CapacityError, InvalidStateError, NumericError
+from entbound.errors import CapacityError, InvalidDimsError, InvalidStateError, NumericError
 from entbound.linalg import HermitianMatrix, ptranspose_arr
 from entbound.sdp import (
     EqConstraint,
@@ -72,11 +73,11 @@ def test_equalities_fixing_every_coordinate():
 
 
 def test_max_step_rejects_indefinite_iterate():
-    # the step-length factor of S is taken once per iteration, in the scaling
+    # an indefinite iterate is caught once per iteration, in the scaling
     with pytest.raises(NumericError):
         ipm._nt_scaling(np.diag([1.0, -1.0]).astype(complex), eye(2))
     with pytest.raises(NumericError):
-        ipm._max_step(eye(2), np.full((2, 2), np.nan, dtype=complex))
+        ipm._max_step(np.ones(2), np.full((2, 2), np.nan, dtype=complex))
 
 
 def test_pinned_offdiagonal_equality():
@@ -461,6 +462,52 @@ def test_model_validation_rejects_non_finite_data():
         )
 
 
+def _one_block_problem(**changes):
+    base = dict(
+        sense="max",
+        variables=[("X", 2, "hermitian-psd")],
+        objective=[("X", eye(2))],
+        constraints=[PsdConstraint(dim=2, const=eye(2), terms=(LinTerm("X", -1.0),))],
+    )
+    return SdpProblem(**{**base, **changes})
+
+
+@pytest.mark.parametrize("constant", [np.nan, np.inf, "1", True])
+def test_model_validation_rejects_bad_constant(constant):
+    assert _one_block_problem().constant == 0.0
+    with pytest.raises(InvalidStateError, match="constant"):
+        _one_block_problem(constant=constant)
+
+
+@pytest.mark.parametrize("coeff", [np.nan, -np.inf, "2", True])
+def test_model_validation_rejects_bad_term_coeff(coeff):
+    with pytest.raises(InvalidStateError, match="coeff"):
+        LinTerm("X", coeff)
+    with pytest.raises(InvalidStateError, match="coeff"):
+        TraceTerm("X", eye(2), eye(2), coeff)
+
+
+@pytest.mark.parametrize("pt_dims", [(2.5, 1.6), (4,), (True, 4), (2, 0), 4])
+def test_model_validation_rejects_bad_pt_dims(pt_dims):
+    assert LinTerm("X", 1.0, (np.int64(2), 2)).pt_dims == (2, 2)
+    with pytest.raises(InvalidDimsError, match="pt_dims"):
+        LinTerm("X", 1.0, pt_dims)
+
+
+@pytest.mark.parametrize("dim", [2.0, "2", True])
+def test_model_validation_rejects_non_integer_dims(dim):
+    with pytest.raises(InvalidDimsError, match="dim"):
+        _one_block_problem(variables=[("X", dim, "hermitian-psd")])
+    with pytest.raises(InvalidDimsError, match="dim"):
+        PsdConstraint(dim=dim, terms=())
+
+
+@pytest.mark.parametrize("rhs", [np.nan, np.inf, "1"])
+def test_model_validation_rejects_bad_equality_rhs(rhs):
+    with pytest.raises(InvalidStateError, match="rhs"):
+        EqConstraint(terms=(("X", eye(2)),), rhs=rhs)
+
+
 def test_solver_tolerance_contract_on_optimal():
     cfg = SolverConfig(gap_tol=1e-9)
     problem = diag_lp([1.0, 2.0], 0.25)
@@ -617,6 +664,40 @@ def test_nt_scaling_diagonalizes_the_scaled_point(n, real):
 
     Sinv = np.linalg.inv(S)
     assert np.max(np.abs(ipm._pull_back(sc, 2.5 * np.eye(n)) - 2.5 * Sinv)) <= 1e-10 * np.max(np.abs(Sinv))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize("real", [True, False])
+def test_max_step_of_the_scaled_direction_is_the_largest_feasible_step(n, real):
+    # S + t dS >= 0 exactly when diag(d) + t Gi dS Giᴴ >= 0, and likewise for
+    # Z with Gᴴ dZ G; the largest t is 1 / -λmin of the pencil (dS, S)
+    rng = np.random.default_rng(10 * n + real)
+
+    def herm():
+        a = rng.standard_normal((n, n))
+        if not real:
+            a = a + 1j * rng.standard_normal((n, n))
+        return (a + a.conj().T).astype(complex)
+
+    def pd():
+        a = herm()
+        return a @ a + 0.1 * np.eye(n)
+
+    for _ in range(5):
+        S, Z, dS, dZ = pd(), pd(), herm(), herm()
+        sc = ipm._nt_scaling(S, Z)
+        dSt, dZt = ipm._scale(sc, dS, dZ)
+        for X, dX, dXt in ((S, dS, dSt), (Z, dZ, dZt)):
+            lmin = sla.eigvalsh(-dX, X)[-1]
+            want = 1.0 / lmin if lmin > 0 else np.inf
+            got = ipm._max_step(sc.d, dXt)
+            if np.isinf(want):
+                assert np.isinf(got)
+            else:
+                assert abs(got - want) <= 1e-10 * want
+        # a direction inside the cone never leaves it
+        for dPt in ipm._scale(sc, dS @ dS, dZ @ dZ):
+            assert np.isinf(ipm._max_step(sc.d, dPt))
 
 
 @pytest.mark.parametrize("real_mode", [True, False])

@@ -106,6 +106,27 @@ def test_random_state_rejects_bad_rank():
         random_state(2, 2, rank=0, seed=0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: max_entangled(2.5),
+        lambda: random_state(2, 2, 1.5, seed=1),
+        lambda: random_separable(2, 2, 1.5, seed=1),
+        lambda: rho_alpha("0.3"),
+        lambda: sigma_r("0.3"),
+    ],
+    ids=["max_entangled", "random_state", "random_separable", "rho_alpha", "sigma_r"],
+)
+def test_state_constructors_reject_non_numeric_parameters(make):
+    with pytest.raises(DomainError):
+        make()
+
+
+def test_random_state_rejects_non_integer_dims():
+    with pytest.raises(InvalidDimsError):
+        random_state(2.5, 2, 1, seed=1)
+
+
 def test_random_pure_state_is_pure():
     psi = random_pure_state(3, 3, seed=9)
     assert_valid_state(psi)
