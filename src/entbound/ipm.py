@@ -6,11 +6,11 @@ infeasible-start primal-dual path-following method with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector step. Dense and deterministic,
 sized for matrix variables up to ~100 rows total.
 
-Each solve runs on one BLAS thread: its blocks have at most ~100 rows, and
-OpenBLAS's default of one thread per core makes such work slower, not
-faster. A reduced Newton matrix of at least _THREADED_ORDER rows is reduced
-and factored on the caller's BLAS threads. Below that order the result does
-not depend on the core count.
+Blocks have at most ~100 rows, where OpenBLAS's one thread per core is
+slower, not faster, so a program whose reduced Newton matrix has fewer than
+_THREADED_ORDER rows runs on one BLAS thread and its result does not depend
+on the core count; a larger one runs wholly on the caller's threads.  Every
+iterate the loop evaluates leaves one row in the returned trace.
 
 The equalities A y = b are solved once (the null-space method of Nocedal
 & Wright, Numerical Optimization, §16.2): y starts at A⁺b, every step lies
@@ -500,13 +500,12 @@ def _factor_kkt(Mr):
 # ---------------------------------------------------------------------------
 # BLAS threads
 
-# Reduced Newton matrices with at least this many rows are reduced and
-# factored on the caller's BLAS threads; smaller ones, and all other work, run
-# on one.  Measured on 2 cores (medians of 3 to 6 solves): one thread wins end
-# to end on the tensor6 benchmark (orders 466 and 666).  On a real 64-dim
-# two-copy state (m = 2080) two threads take e0 (order 1541) from 18.1 to
-# 16.9 s and leave e_w (order 2080) at 13.2 s; they take the two-copy e0 of
-# rho(0.5) (order 2629) from 49.6 to 39.3 s.  e_w has no NᵀMN to form.
+# Programs whose reduced Newton matrix has at least this many rows run on the
+# caller's BLAS threads, smaller ones on one.  Measured on 2 cores (medians of
+# 3 to 6 solves): one thread wins end to end on the tensor6 benchmark (orders
+# 466 and 666).  On a real 64-dim two-copy state (m = 2080) two threads take
+# e0 (order 1541) from 18.1 to 16.9 s and leave e_w (order 2080) at 13.2 s;
+# they take the two-copy e0 of rho(0.5) (order 2629) from 49.6 to 39.3 s.
 _THREADED_ORDER = 1500
 
 # The thread count is process-global, so its bookkeeping is too.
@@ -548,7 +547,7 @@ def _set_blas_threads(counts) -> None:
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body on one BLAS thread.  The limit is process-global while
-    any solve runs: the outermost entry saves the caller's counts and the
+    any such solve runs: the outermost entry saves the caller's counts and the
     last exit restores them, so nested solves, and solves from several Python
     threads, leave the counts as they found them."""
     global _blas_depth, _blas_caller
@@ -566,28 +565,18 @@ def _one_blas_thread():
                 _set_blas_threads(_blas_caller)
 
 
-@contextlib.contextmanager
-def _caller_blas_threads():
-    """Inside _one_blas_thread, run the body on the caller's BLAS threads."""
-    with _blas_lock:
-        _set_blas_threads(_blas_caller)
-    try:
-        yield
-    finally:
-        with _blas_lock:
-            _set_blas_threads([1] * len(_blas_caller))
-
-
 # ---------------------------------------------------------------------------
 # the solver loop
 
 
-def run(comp: Compiled, cfg, callback=None) -> dict:
-    with _one_blas_thread():
-        return _iterate(comp, cfg, callback)
+def run(comp: Compiled, cfg) -> dict:
+    """Pick the BLAS thread policy once.  The equality row count stands in for
+    rank(A), whose SVD must run under the policy; for the measures they agree."""
+    with contextlib.nullcontext() if comp.m - comp.A.shape[0] >= _THREADED_ORDER else _one_blas_thread():
+        return _iterate(comp, cfg)
 
 
-def _iterate(comp: Compiled, cfg, callback) -> dict:
+def _iterate(comp: Compiled, cfg) -> dict:
     m = comp.m
     blocks = comp.blocks
     nb = len(blocks)
@@ -612,10 +601,11 @@ def _iterate(comp: Compiled, cfg, callback) -> dict:
             "iterations": snap["it"],
             "dual_blocks": [hermitize(Zj) for Zj in snap["Z"]],
             "eq_duals": snap["lam"],
+            "trace": trace,
         }
 
+    trace = []  # one row per evaluated iterate
     eq = _split_equalities(A)  # A is fixed for the whole run
-    threaded = (m if eq.N is None else eq.N.shape[1]) >= _THREADED_ORDER
     binf = 1.0 + float(np.max(np.abs(b), initial=0.0))
     y = eq.pinv(b)
     S = [max(1.0, blk.dnorm) * np.eye(blk.n, dtype=np.complex128) for blk in blocks]
@@ -663,11 +653,25 @@ def _iterate(comp: Compiled, cfg, callback) -> dict:
         pu, du = user_vals(pobj_lin, dobj_lin)
         relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
 
-        if callback is not None:  # the residuals before the noise floor below
-            slack = sum((abs(float(np.real(np.vdot(Z[j], Rp[j])))) for j in range(nb)), abs(float(rd @ y)))
-
         if not (np.isfinite(mu) and np.isfinite(pobj_lin) and np.isfinite(dobj_lin)):
             break
+        # the residuals before the noise floor below
+        slack = sum((abs(float(np.real(np.vdot(Z[j], Rp[j])))) for j in range(nb)), abs(float(rd @ y)))
+        trace.append(
+            {
+                "iteration": it,
+                "mu": mu,
+                "primal_value": pu,
+                "dual_value": du,
+                "pobj_lin": pobj_lin,
+                "dobj_lin": dobj_lin,
+                "relgap": relgap,
+                "pinf": pinf,
+                "dinf": dinf,
+                "residual_slack": slack,
+                **last_step,
+            }
+        )
 
         # Residuals at float-noise level carry no signal, but V Rp V amplifies
         # them by ~1/mu in the step equations; treat the iterate as exactly
@@ -679,22 +683,6 @@ def _iterate(comp: Compiled, cfg, callback) -> dict:
         # y and Z are rebound, never changed in place, so the snapshot
         # needs no copies
         snap = {"y": y, "lam": lam, "Z": Z, "pobj": pobj_lin, "dobj": dobj_lin, "it": it}
-        if callback is not None:
-            callback(
-                {
-                    "iteration": it,
-                    "mu": mu,
-                    "primal_value": pu,
-                    "dual_value": du,
-                    "pobj_lin": pobj_lin,
-                    "dobj_lin": dobj_lin,
-                    "relgap": relgap,
-                    "pinf": pinf,
-                    "dinf": dinf,
-                    "residual_slack": slack,
-                    **last_step,
-                }
-            )
 
         score = max(relgap, pinf, dinf)
         if score < best_score:
@@ -732,9 +720,8 @@ def _iterate(comp: Compiled, cfg, callback) -> dict:
         try:
             sc = [_nt_scaling(S[j], Z[j]) for j in range(nb)]
             M = _assemble_M(comp, [s.V for s in sc])
-            with _caller_blas_threads() if threaded else contextlib.nullcontext():
-                M = eq.reduce(M)  # frees the full M before the factor
-                kkt = _factor_kkt(M)
+            M = eq.reduce(M)  # frees the full M before the factor
+            kkt = _factor_kkt(M)
             if kkt is None:
                 break
 

@@ -46,6 +46,18 @@ def hermitize(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (mat + mat.conj().T)
 
 
+def checked_hermitian(mat, what: str = "matrix") -> np.ndarray:
+    """mat as a square complex array, symmetrized after checking that no
+    entry of |m - m†| exceeds 1e-12; InvalidStateError names `what`."""
+    arr = _as_complex(mat, what)
+    asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+    if asym > HERMITICITY_ATOL:
+        raise InvalidStateError(
+            f"{what} is not Hermitian: max |m - m†| = {asym:.3e} > {HERMITICITY_ATOL:.0e}"
+        )
+    return hermitize(arr)
+
+
 class HermitianMatrix:
     """Square complex matrix certified Hermitian at construction.
 
@@ -57,13 +69,7 @@ class HermitianMatrix:
     __slots__ = ("_mat",)
 
     def __init__(self, mat):
-        arr = _as_complex(mat)
-        asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-        if asym > HERMITICITY_ATOL:
-            raise InvalidStateError(
-                f"matrix is not Hermitian: max |m - m†| = {asym:.3e} > {HERMITICITY_ATOL:.0e}"
-            )
-        sym = hermitize(arr)
+        sym = checked_hermitian(mat)
         sym.setflags(write=False)
         self._mat = sym
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimsError, InvalidStateError
-from .linalg import HermitianMatrix, _as_complex, hermitize, is_finite_real, is_integer
+from .linalg import HermitianMatrix, checked_hermitian, is_finite_real, is_integer
 
 VALID_KINDS = ("hermitian", "hermitian-psd")
 
@@ -27,14 +27,6 @@ def _check_coeff(coeff, what: str) -> None:
 def _check_dim(dim, what: str, least: int = 1) -> None:
     if not (is_integer(dim) and dim >= least):
         raise InvalidDimsError(f"{what} must be an integer >= {least}, got {dim!r}")
-
-
-def _checked_hermitian(mat, what: str) -> np.ndarray:
-    arr = _as_complex(mat, what)
-    asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if asym > 1e-12:
-        raise InvalidStateError(f"{what} is not Hermitian (asymmetry {asym:.3e})")
-    return hermitize(arr)
 
 
 @dataclass(frozen=True)
@@ -65,8 +57,8 @@ class TraceTerm:
 
     def __post_init__(self):
         _check_coeff(self.coeff, f"TraceTerm coeff for {self.var!r}")
-        object.__setattr__(self, "probe", _checked_hermitian(self.probe, "TraceTerm probe"))
-        object.__setattr__(self, "gain", _checked_hermitian(self.gain, "TraceTerm gain"))
+        object.__setattr__(self, "probe", checked_hermitian(self.probe, "TraceTerm probe"))
+        object.__setattr__(self, "gain", checked_hermitian(self.gain, "TraceTerm gain"))
 
 
 @dataclass(frozen=True)
@@ -83,7 +75,7 @@ class PsdConstraint:
         if self.const is None:
             object.__setattr__(self, "const", np.zeros((self.dim, self.dim), dtype=np.complex128))
         else:
-            c = _checked_hermitian(self.const, f"constraint '{self.label}' constant")
+            c = checked_hermitian(self.const, f"constraint '{self.label}' constant")
             if c.shape[0] != self.dim:
                 raise InvalidDimsError(
                     f"constraint '{self.label}' constant dim {c.shape[0]} != {self.dim}"
@@ -102,7 +94,7 @@ class EqConstraint:
 
     def __post_init__(self):
         _check_coeff(self.rhs, f"equality '{self.label}' rhs")
-        checked = tuple((v, _checked_hermitian(p, f"equality '{self.label}' probe")) for v, p in self.terms)
+        checked = tuple((v, checked_hermitian(p, f"equality '{self.label}' probe")) for v, p in self.terms)
         object.__setattr__(self, "terms", checked)
 
 
@@ -163,7 +155,7 @@ class SdpProblem:
     def _obj_coeff(name, C, dims):
         if name not in dims:
             raise InvalidStateError(f"objective references unknown variable {name!r}")
-        arr = _checked_hermitian(C, f"objective coefficient for {name!r}")
+        arr = checked_hermitian(C, f"objective coefficient for {name!r}")
         if arr.shape[0] != dims[name]:
             raise InvalidDimsError(f"objective coefficient for {name!r} has wrong dim")
         return arr
@@ -193,6 +185,9 @@ class SdpSolution:
     iterations: int
     dual_blocks: tuple = ()
     eq_duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    # one dict per iterate evaluated: iteration, mu, objectives, relgap, pinf,
+    # dinf, residual_slack, and the alpha_p, alpha_d, sigma that led to it
+    trace: tuple = ()
 
 
 @dataclass
@@ -209,16 +204,14 @@ class CertificateReport:
     failures: list
 
 
-def solve(problem: SdpProblem, config: SolverConfig | None = None, callback=None) -> SdpSolution:
+def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
     """Solve with the in-tree interior-point engine; see ipm.py."""
     from . import ipm
 
     cfg = config or SolverConfig()
     comp = ipm.compile_problem(problem)
-    raw = ipm.run(comp, cfg, callback=callback)
-    assignments = {
-        name: HermitianMatrix(hermitize(X)) for name, X in raw["assignments"].items()
-    }
+    raw = ipm.run(comp, cfg)
+    assignments = {name: HermitianMatrix(X) for name, X in raw["assignments"].items()}
     return SdpSolution(
         status=raw["status"],
         primal_value=raw["primal_value"],
@@ -228,6 +221,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None, callback=None
         iterations=raw["iterations"],
         dual_blocks=tuple(raw["dual_blocks"]),
         eq_duals=raw["eq_duals"],
+        trace=tuple(raw["trace"]),
     )
 
 

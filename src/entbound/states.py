@@ -7,18 +7,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidDimsError
-from .linalg import BipartiteDims, BipartiteState, is_finite_real, is_integer, make_state
+from .errors import DomainError, InvalidDimsError, InvalidStateError
+from .linalg import BipartiteDims, BipartiteState, _as_complex, is_finite_real, is_integer, make_state
 
 _COMPLETENESS_ATOL = 1e-10
 _PROB_ATOL = 1e-9
 _OUTCOME_CUTOFF = 1e-12
 
 
+def _check_integer(x, what: str, least: int) -> None:
+    if not (is_integer(x) and x >= least):
+        raise DomainError(f"{what} must be an integer >= {least}, got {x!r}")
+
+
 def max_entangled(d: int) -> BipartiteState:
     """Phi(d) = (1/d) sum_{i,j} |ii><jj| on d tensor d."""
-    if not (is_integer(d) and d >= 2):
-        raise DomainError(f"max_entangled requires an integer d >= 2, got {d!r}")
+    _check_integer(d, "max_entangled d", 2)
     psi = np.zeros(d * d, dtype=np.complex128)
     psi[np.arange(d) * d + np.arange(d)] = 1.0 / np.sqrt(d)
     return make_state(np.outer(psi, psi.conj()), d, d)
@@ -69,6 +73,7 @@ def random_state(d_a: int, d_b: int, rank: int, seed: int) -> BipartiteState:
     n = BipartiteDims(d_a, d_b).total
     if not (is_integer(rank) and 1 <= rank <= n):
         raise DomainError(f"rank must be an integer in [1, {n}], got {rank!r}")
+    _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     g = (rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))) / np.sqrt(2.0)
     mat = g @ g.conj().T
@@ -82,8 +87,8 @@ def random_pure_state(d_a: int, d_b: int, seed: int) -> BipartiteState:
 def random_separable(d_a: int, d_b: int, terms: int, seed: int) -> BipartiteState:
     """Convex mixture of random product pure states; PPT by construction."""
     BipartiteDims(d_a, d_b)  # checks the dims before they size any array
-    if not (is_integer(terms) and terms >= 1):
-        raise DomainError(f"terms must be an integer >= 1, got {terms!r}")
+    _check_integer(terms, "terms", 1)
+    _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     probs = rng.dirichlet(np.ones(terms))
     mat = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)
@@ -111,24 +116,27 @@ class LocalKrausChannel:
     pairing: tuple
 
     def __post_init__(self):
-        ka = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus_a)
-        kb = tuple(np.asarray(k, dtype=np.complex128) for k in self.kraus_b)
-        object.__setattr__(self, "kraus_a", ka)
-        object.__setattr__(self, "kraus_b", kb)
-        for side, ks in (("A", ka), ("B", kb)):
+        for attr, side in (("kraus_a", "A"), ("kraus_b", "B")):
+            try:
+                ks = tuple(_as_complex(k, f"side {side} Kraus element") for k in getattr(self, attr))
+            except InvalidStateError as exc:  # non-numeric or non-finite entries
+                raise DomainError(str(exc)) from exc
             if not ks:
                 raise DomainError(f"side {side} has no Kraus elements")
             d = ks[0].shape[0]
-            for k in ks:
-                if k.shape != (d, d):
-                    raise InvalidDimsError(f"side {side} Kraus elements must share a square shape")
+            if d == 0 or any(k.shape != (d, d) for k in ks):
+                raise InvalidDimsError(f"side {side} Kraus elements must share a square shape")
             total = sum(k.conj().T @ k for k in ks)
             dev = float(np.max(np.abs(total - np.eye(d))))
             if dev > _COMPLETENESS_ATOL:
                 raise DomainError(f"side {side} Kraus family not complete (deviation {dev:.3e})")
-        for ia, ib in self.pairing:
-            if not (0 <= ia < len(ka) and 0 <= ib < len(kb)):
-                raise DomainError(f"pairing ({ia}, {ib}) indexes outside the Kraus families")
+            object.__setattr__(self, attr, ks)
+        for pair in self.pairing:
+            if not (
+                isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(is_integer, pair))
+                and 0 <= pair[0] < len(self.kraus_a) and 0 <= pair[1] < len(self.kraus_b)
+            ):
+                raise DomainError(f"pairing {pair!r} is not a pair of indices into the Kraus families")
 
     @property
     def d_a(self) -> int:
@@ -147,8 +155,8 @@ class StateEnsemble:
         object.__setattr__(self, "members", tuple(self.members))
         total = 0.0
         for prob, state in self.members:
-            if prob < 0:
-                raise DomainError(f"ensemble probability {prob} is negative")
+            if not (is_finite_real(prob) and prob >= 0):
+                raise DomainError(f"ensemble probability {prob!r} is not a finite real number >= 0")
             if not isinstance(state, BipartiteState):
                 raise DomainError("ensemble members must be BipartiteState values")
             total += prob
@@ -184,6 +192,10 @@ def apply_local_channel(rho: BipartiteState, ch: LocalKrausChannel) -> StateEnse
 
 def random_local_channel(d_a: int, d_b: int, n_a: int, n_b: int, seed: int) -> LocalKrausChannel:
     """Random trace-preserving local Kraus families with full outcome pairing."""
+    BipartiteDims(d_a, d_b)
+    _check_integer(n_a, "Kraus count n_a", 1)
+    _check_integer(n_b, "Kraus count n_b", 1)
+    _check_integer(seed, "seed", 0)
     rng = np.random.default_rng(seed)
 
     def family(d, n):
@@ -213,8 +225,7 @@ def tensor_state(a: BipartiteState, b: BipartiteState) -> BipartiteState:
 
 def kron_power_state(rho: BipartiteState, n: int) -> BipartiteState:
     """n-fold tensor power with (A...A)(B...B) subsystem regrouping."""
-    if not (is_integer(n) and n >= 1):
-        raise DomainError(f"kron power requires an integer n >= 1, got {n!r}")
+    _check_integer(n, "kron power n", 1)
     out = rho
     for _ in range(n - 1):
         out = tensor_state(out, rho)

@@ -154,6 +154,12 @@ def test_trace_term_scalar_coupling():
     assert abs(sol.primal_value - 0.5) < 1e-7
 
 
+_TRACE_KEYS = {
+    "iteration", "mu", "primal_value", "dual_value", "pobj_lin", "dobj_lin", "relgap",
+    "pinf", "dinf", "residual_slack", "alpha_p", "alpha_d", "sigma",
+}
+
+
 def test_weak_duality_holds_on_every_iterate():
     phi = max_entangled(2)
     rho_pt = ptranspose_arr(phi.mat, 2, 2)
@@ -167,10 +173,12 @@ def test_weak_duality_holds_on_every_iterate():
             PsdConstraint(dim=4, terms=(LinTerm("R", 1.0, (2, 2)),)),
         ],
     )
-    trail = []
-    solve(problem, callback=trail.append)
-    assert len(trail) >= 5
-    for info in trail:
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert len(sol.trace) >= 5
+    assert [row["iteration"] for row in sol.trace] == list(range(1, sol.iterations + 1))
+    assert all(set(row) == _TRACE_KEYS for row in sol.trace)
+    for info in sol.trace:
         scale = 1.0 + abs(info["pobj_lin"]) + abs(info["dobj_lin"])
         assert info["pobj_lin"] <= info["dobj_lin"] + info["residual_slack"] + 1e-8 * scale
 
@@ -217,17 +225,20 @@ def test_results_do_not_depend_on_the_callers_blas_threads(caller_blas_threads, 
     assert ipm._blas_depth == 0
 
 
-def test_nested_solves_restore_the_callers_blas_threads(caller_blas_threads):
+def test_nested_solves_restore_the_callers_blas_threads(caller_blas_threads, monkeypatch):
     caller_blas_threads(2)
     seen = []
+    assemble = ipm._assemble_M
 
-    def nested(row):
+    def nested(comp, Vs):
         seen.append(ipm._blas_threads())
-        if row["iteration"] == 1:
+        if len(seen) == 1:
             measures.e_w(rho_alpha(0.3))
             seen.append(ipm._blas_threads())
+        return assemble(comp, Vs)
 
-    assert solve(diag_lp([2.0, 1.0], 1.0), callback=nested).status == "optimal"
+    monkeypatch.setattr(ipm, "_assemble_M", nested)
+    assert solve(diag_lp([2.0, 1.0], 1.0)).status == "optimal"
     assert all(set(s) == {1} for s in seen)
     assert set(ipm._blas_threads()) == {2}
 
@@ -260,8 +271,12 @@ def test_concurrent_solves_restore_the_callers_blas_threads(caller_blas_threads)
 
 
 def test_large_reduced_newton_matrix_is_factored_on_the_callers_threads(caller_blas_threads, monkeypatch):
+    # the whole solve runs on the caller's threads from the threshold on, and
+    # on one thread below it
     caller_blas_threads(2)
-    seen = {"assemble": set(), "factor": set()}
+    rho = rho_alpha(0.3)
+    comp = ipm.compile_problem(_measure_program(measures.det_distill_one_copy, rho))
+    order = comp.m - comp.A.shape[0]
     assemble, factor = ipm._assemble_M, ipm._factor_kkt
 
     def spy(name, fn):
@@ -273,9 +288,38 @@ def test_large_reduced_newton_matrix_is_factored_on_the_callers_threads(caller_b
 
     monkeypatch.setattr(ipm, "_assemble_M", spy("assemble", assemble))
     monkeypatch.setattr(ipm, "_factor_kkt", spy("factor", factor))
-    monkeypatch.setattr(ipm, "_THREADED_ORDER", 1)
-    measures.det_distill_one_copy(rho_alpha(0.3))
-    assert seen == {"assemble": {1}, "factor": {2}}
+    for threshold, threads in ((order, 2), (order + 1, 1)):
+        monkeypatch.setattr(ipm, "_THREADED_ORDER", threshold)
+        seen = {"assemble": set(), "factor": set()}
+        measures.det_distill_one_copy(rho)
+        assert seen == {"assemble": {threads}, "factor": {threads}}
+        assert set(ipm._blas_threads()) == {2}
+
+
+def test_small_solve_beside_a_large_one_runs_on_one_thread(caller_blas_threads, monkeypatch):
+    # a small solve started while a solve on the caller's threads factors
+    # its Newton matrix still runs on one thread
+    caller_blas_threads(2)
+    monkeypatch.setattr(ipm, "_THREADED_ORDER", 10)
+    large = threading.get_ident()
+    factor = ipm._factor_kkt
+    small_seen = set()
+    statuses = []
+
+    def beside(Mr):
+        if threading.get_ident() != large:
+            small_seen.update(ipm._blas_threads())
+        elif not statuses:
+            t = threading.Thread(target=lambda: statuses.append(solve(diag_lp([2.0, 1.0], 1.0)).status))
+            t.start()
+            t.join(timeout=60)
+            assert not t.is_alive()
+        return factor(Mr)
+
+    monkeypatch.setattr(ipm, "_factor_kkt", beside)
+    assert measures.det_distill_one_copy(rho_alpha(0.3)).iterations > 0
+    assert statuses == ["optimal"]
+    assert small_seen == {1}
     assert set(ipm._blas_threads()) == {2}
 
 
@@ -313,6 +357,30 @@ def test_certificate_flags_psd_violation():
     report = check_certificate(problem, replace(sol, assignments={"X": HermitianMatrix(bad)}))
     assert not report.ok
     assert any("PSD" in f for f in report.failures)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_blocks_of_different_sizes_in_one_program(real):
+    # max tr(C1 X) + tr(C2 Y) over 0 <= X <= I (2x2) and 0 <= Y <= I (3x3):
+    # the sum of the positive eigenvalues of C1 and C2
+    rng = np.random.default_rng(31)
+    C1, C2 = _random_hermitian(rng, 2, real), _random_hermitian(rng, 3, real)
+    problem = SdpProblem(
+        sense="max",
+        variables=[("X", 2, "hermitian-psd"), ("Y", 3, "hermitian-psd")],
+        objective=[("X", C1), ("Y", C2)],
+        constraints=[
+            PsdConstraint(dim=2, const=eye(2), terms=(LinTerm("X", -1.0),)),
+            PsdConstraint(dim=3, const=eye(3), terms=(LinTerm("Y", -1.0),)),
+        ],
+    )
+    assert ipm.compile_problem(problem).real_mode == real
+    want = sum(float(np.sum(np.clip(np.linalg.eigvalsh(C), 0.0, None))) for C in (C1, C2))
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert abs(sol.primal_value - want) <= 1e-7 * max(1.0, abs(want))
+    report = check_certificate(problem, sol)
+    assert report.ok, report.failures
 
 
 def test_infeasible_problem_is_reported():
@@ -572,27 +640,50 @@ def _x_plus_pt_program(real):
     )
 
 
+def _random_hermitian(rng, n, real):
+    a = rng.standard_normal((n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((n, n))
+    return (a + a.conj().T).astype(complex)
+
+
+def _trace_term_program(real):
+    """0.5 X + tr(P X) K >= -I: a TraceTerm on a 4x4 variable, so its probe
+    has more than one coordinate."""
+    rng = np.random.default_rng(11)
+    P, K = _random_hermitian(rng, 4, real), _random_hermitian(rng, 4, real)
+    return SdpProblem(
+        sense="max",
+        variables=[("X", 4, "hermitian")],
+        objective=[("X", eye(4))],
+        constraints=[
+            PsdConstraint(dim=4, const=eye(4), terms=(LinTerm("X", 0.5), TraceTerm("X", P, K))),
+        ],
+    )
+
+
+def _state(real):
+    return rho_alpha(0.3) if real else random_state(2, 3, 2, 8101)
+
+
 # e_w's max form, w_dual's two-variable (U - V)^PT block, e0's TraceTerm
-# blocks (mu upper / mu lower) and a block with two terms on one variable,
-# each on a real (rho_alpha) and a complex (random_state) input
+# blocks (mu upper / mu lower) on 1x1 variables, a block with two terms on
+# one variable and a TraceTerm on a 4x4 variable, each real and complex
 _PROGRAMS = [
     pytest.param(build, real, id=f"{name}-{'real' if real else 'complex'}")
     for name, build in (
-        ("e_w", lambda rho: measures._w_max_form(rho)),
-        ("w_dual", lambda rho: _measure_program(measures.w_dual, rho)),
-        ("e0", lambda rho: _measure_program(measures.det_distill_one_copy, rho)),
-        ("x_plus_pt", None),
+        ("e_w", lambda real: measures._w_max_form(_state(real))),
+        ("w_dual", lambda real: _measure_program(measures.w_dual, _state(real))),
+        ("e0", lambda real: _measure_program(measures.det_distill_one_copy, _state(real))),
+        ("x_plus_pt", _x_plus_pt_program),
+        ("trace_term", _trace_term_program),
     )
     for real in (True, False)
 ]
 
 
 def _compiled(build, real):
-    if build is None:
-        problem = _x_plus_pt_program(real)
-    else:
-        problem = build(rho_alpha(0.3) if real else random_state(2, 3, 2, 8101))
-    comp = ipm.compile_problem(problem)
+    comp = ipm.compile_problem(build(real))
     assert comp.real_mode == real
     return comp
 

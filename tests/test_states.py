@@ -7,6 +7,7 @@ from entbound.errors import DomainError, InvalidDimsError
 from entbound.linalg import ptranspose_arr
 from entbound.states import (
     LocalKrausChannel,
+    StateEnsemble,
     antisym_state,
     apply_local_channel,
     kron_power_state,
@@ -122,6 +123,21 @@ def test_state_constructors_reject_non_numeric_parameters(make):
         make()
 
 
+@pytest.mark.parametrize("seed", ["x", 1.5, -1, None, True])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda seed: random_state(2, 2, 1, seed),
+        lambda seed: random_separable(2, 2, 2, seed),
+        lambda seed: random_local_channel(2, 2, 1, 1, seed),
+    ],
+    ids=["random_state", "random_separable", "random_local_channel"],
+)
+def test_random_generators_require_a_non_negative_integer_seed(make, seed):
+    with pytest.raises(DomainError, match="seed"):
+        make(seed)
+
+
 def test_random_state_rejects_non_integer_dims():
     with pytest.raises(InvalidDimsError):
         random_state(2.5, 2, 1, seed=1)
@@ -205,3 +221,40 @@ def test_random_local_channel_is_seed_deterministic():
     c2 = random_local_channel(2, 2, n_a=2, n_b=2, seed=7)
     for k1, k2 in zip(c1.kraus_a, c2.kraus_a):
         assert np.array_equal(k1, k2)
+
+
+@pytest.mark.parametrize(
+    "args, error",
+    [
+        ((2, 2, 0, 2), DomainError),
+        ((2, 2, 1.5, 2), DomainError),
+        ((2.5, 2, 1, 2), InvalidDimsError),
+        ((0, 2, 1, 2), InvalidDimsError),
+    ],
+    ids=["no-kraus-elements", "non-integer-count", "non-integer-dim", "zero-dim"],
+)
+def test_random_local_channel_rejects_bad_sizes(args, error):
+    with pytest.raises(error):
+        random_local_channel(*args, seed=1)
+
+
+@pytest.mark.parametrize(
+    "kraus_a, pairing",
+    [
+        ((np.diag([np.nan, 1.0]),), ((0, 0),)),
+        (("ab",), ((0, 0),)),
+        ((np.eye(2),), ((0.5, 0),)),
+        ((np.eye(2),), ((0,),)),
+    ],
+    ids=["nan-element", "string-element", "non-integer-index", "short-pair"],
+)
+def test_local_kraus_channel_rejects_bad_elements_and_pairings(kraus_a, pairing):
+    with pytest.raises(DomainError):
+        LocalKrausChannel(kraus_a=kraus_a, kraus_b=(np.eye(2),), pairing=pairing)
+
+
+@pytest.mark.parametrize("prob", [float("nan"), "0.5"], ids=["nan", "string"])
+def test_state_ensemble_rejects_non_numeric_probabilities(prob):
+    phi = max_entangled(2)
+    with pytest.raises(DomainError):
+        StateEnsemble(((prob, phi), (0.5, phi)))
