@@ -10,7 +10,8 @@ Blocks have at most ~100 rows, where OpenBLAS's one thread per core is
 slower, not faster, so a program whose reduced Newton matrix has fewer than
 _THREADED_ORDER rows runs on one BLAS thread and its result does not depend
 on the core count; a larger one runs wholly on the caller's threads.  Every
-iterate the loop evaluates leaves one row in the returned trace.
+iterate the loop evaluates leaves one row in the returned trace, and the
+result names the stop rule that ended the loop.
 
 The equalities A y = b are solved once (the null-space method of Nocedal
 & Wright, Numerical Optimization, §16.2): y starts at A⁺b, every step lies
@@ -44,6 +45,12 @@ symmetric coordinates. The imaginary coordinates decouple exactly in that
 case (conjugating any solution by entrywise complex conjugation preserves
 feasibility and objective), so the restriction is lossless and the reduced
 dual certificates remain certificates for the full problem.
+
+A variable with a symmetry pattern (SdpProblem.patterns) keeps only the
+coordinates whose entry pair the pattern marks.  The pattern stands for a
+group under which the program is invariant, and it spans the algebra that
+group fixes: the NT scaling, the Newton direction and every iterate stay in
+that algebra, so nothing after compile_problem reads it.
 """
 
 from __future__ import annotations
@@ -60,14 +67,13 @@ import scipy.linalg as sla
 
 from . import kernels
 from .errors import CapacityError, InvalidStateError, NumericError
-from .linalg import hermitize, ptranspose_arr
+from .linalg import ZERO_ENTRY_ATOL, hermitize, ptranspose_arr
 from .sdp import LinTerm, PsdConstraint, SdpProblem
 
 # Total variable dimension cap, counted after real embedding (2n per n-dim
 # Hermitian variable). Keeps dense Schur assembly and factorization tractable.
 EMBEDDED_DIM_CAP = 208
 
-_REAL_DATA_TOL = 1e-13
 _RT2 = np.sqrt(2.0)
 
 
@@ -145,7 +151,7 @@ class Compiled:
 
 def _problem_is_real(problem: SdpProblem) -> bool:
     def _real(arr):
-        return float(np.max(np.abs(np.imag(arr)))) <= _REAL_DATA_TOL if arr.size else True
+        return float(np.max(np.abs(np.imag(arr)))) <= ZERO_ENTRY_ATOL if arr.size else True
 
     for _, C in problem.objective:
         if not _real(C):
@@ -179,8 +185,12 @@ def compile_problem(problem: SdpProblem) -> Compiled:
     var_slices = {}
     off = 0
     for name, dim, _ in problem.variables:
-        bases[name] = _basis_pairs(dim, real_mode)
-        mv = bases[name][0].size
+        i, j, u = _basis_pairs(dim, real_mode)
+        if name in problem.patterns:
+            keep = problem.patterns[name][i, j]
+            i, j, u = i[keep], j[keep], u[keep]
+        bases[name] = (i, j, u)
+        mv = i.size
         var_slices[name] = slice(off, off + mv)
         off += mv
     m = off
@@ -571,7 +581,9 @@ def _one_blas_thread():
 
 def run(comp: Compiled, cfg) -> dict:
     """Pick the BLAS thread policy once.  The equality row count stands in for
-    rank(A), whose SVD must run under the policy; for the measures they agree."""
+    rank(A), whose SVD must run under the policy.  Dependent rows (the
+    measures' pinning rows on a symmetry pattern) only make the order look
+    smaller, and such programs are far below the threshold anyway."""
     with contextlib.nullcontext() if comp.m - comp.A.shape[0] >= _THREADED_ORDER else _one_blas_thread():
         return _iterate(comp, cfg)
 
@@ -591,10 +603,11 @@ def _iterate(comp: Compiled, cfg) -> dict:
             comp.sense_mult * dobj_lin + comp.constant,
         )
 
-    def result(status, snap):
+    def result(status, stop, snap):
         pv, dv = user_vals(snap["pobj"], snap["dobj"])
         return {
             "status": status,
+            "stop": stop,
             "primal_value": pv,
             "dual_value": dv,
             "assignments": assignments_from(comp, snap["y"]),
@@ -614,11 +627,11 @@ def _iterate(comp: Compiled, cfg) -> dict:
 
     snap0 = {"y": y, "lam": np.zeros(b.size), "Z": Z, "pobj": float("nan"), "dobj": float("nan"), "it": 0}
     if comp.static_infeasible or float(np.max(np.abs(A @ y - b), initial=0.0)) > cfg.feas_tol * binf:
-        return result("infeasible", snap0)
+        return result("infeasible", "static-infeasible", snap0)
     if nb == 0:
         # No cone at all: the problem is a pure linear program over equalities;
         # out of scope for the measures here, treat as numeric failure.
-        return result("numeric-failure", snap0)
+        return result("numeric-failure", "no-cone", snap0)
 
     znorm0 = sum(float(np.trace(Zj).real) for Zj in Z) + 1.0
     cinf = 1.0 + float(np.max(np.abs(comp.c)))
@@ -628,6 +641,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
     best_score = np.inf
     best_it = 0
     status = "numeric-failure"
+    stop = "max-iterations"  # the rule that ended the loop
     it_done = 0
     last_step = {"alpha_p": float("nan"), "alpha_d": float("nan"), "sigma": float("nan")}
 
@@ -654,6 +668,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
         relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
 
         if not (np.isfinite(mu) and np.isfinite(pobj_lin) and np.isfinite(dobj_lin)):
+            stop = "non-finite"
             break
         # the residuals before the noise floor below
         slack = sum((abs(float(np.real(np.vdot(Z[j], Rp[j])))) for j in range(nb)), abs(float(rd @ y)))
@@ -698,23 +713,25 @@ def _iterate(comp: Compiled, cfg) -> dict:
         dual_stop = max(cfg.feas_tol, 10.0 * cfg.gap_tol)
         if pinf <= cfg.feas_tol and dinf <= dual_stop and relgap <= cfg.gap_tol:
             best = snap
-            status = "optimal"
+            status = stop = "optimal"
             break
         if it - best_it >= 30:
             # no progress on any residual for a long stretch: the iterates are
             # orbiting a noise floor, burning more steps will not help
+            stop = "stalled"
             break
 
         znorm = sum(float(np.trace(Zj).real) for Zj in Z) + float(np.sum(np.abs(lam)))
         if znorm > 1e7 * znorm0:
             ray_res = float(np.max(np.abs(adjZ - A.T @ lam))) / znorm
             if ray_res <= 1e-8 and dobj_lin / znorm < -1e-8:
-                status = "infeasible"
+                status = stop = "infeasible"
                 break
         if float(np.max(np.abs(y))) > 1e7 and pinf <= 1e-6 and pobj_lin > 1e7 * max(1.0, abs(comp.constant)):
-            status = "unbounded"
+            status = stop = "unbounded"
             break
         if mu < 1e-14 * max(1.0, mu0):
+            stop = "mu-floor"
             break
 
         try:
@@ -723,6 +740,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
             M = eq.reduce(M)  # frees the full M before the factor
             kkt = _factor_kkt(M)
             if kkt is None:
+                stop = "kkt-factor"
                 break
 
             def direction(G, tau):
@@ -795,6 +813,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
                     break
                 dy, dS, dZ, scaled, ap, ad, Gc = dy2, dS2, dZ2, scaled2, ap2, ad2, Gg
         except NumericError:
+            stop = "numeric-error"
             break
 
         y = y + ap * dy
@@ -805,4 +824,4 @@ def _iterate(comp: Compiled, cfg) -> dict:
     if best is None:
         best = snap0
         best["it"] = it_done
-    return result(status, best)
+    return result(status, stop, best)

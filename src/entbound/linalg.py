@@ -16,6 +16,9 @@ from .errors import InvalidDimsError, InvalidStateError, NumericError
 
 HERMITICITY_ATOL = 1e-12
 RANK_TOL = 1e-9
+# an entry or imaginary part at most this large counts as zero when the
+# solver picks its coordinates (real mode, symmetry pattern)
+ZERO_ENTRY_ATOL = 1e-13
 
 
 def _as_complex(mat, what: str = "matrix") -> np.ndarray:
@@ -157,6 +160,34 @@ def partial_transpose(m: HermitianMatrix, dims: BipartiteDims) -> HermitianMatri
     if m.dim != dims.total:
         raise InvalidDimsError(f"matrix dim {m.dim} != d_A*d_B = {dims.total}")
     return HermitianMatrix(ptranspose_arr(m.mat, dims.d_a, dims.d_b))
+
+
+def symmetry_pattern(mat, d_a: int, d_b: int) -> np.ndarray:
+    """Entries that every diagonal local unitary D_A ⊗ D_B fixing mat leaves
+    unchanged, as a symmetric boolean mask with a True diagonal.
+
+    Index p = (a, b) has the character c_p = e_a + f_b in Z^(d_A+d_B), and
+    D_A ⊗ D_B = diag(exp(iθ·c_p)) multiplies entry (p, q) by exp(iθ·χ) with
+    χ = c_p − c_q.  The connected group fixing mat is the θ orthogonal to L,
+    the span of χ over the entries above ZERO_ENTRY_ATOL, and averaging over
+    it keeps exactly the entries with χ in L (Gatermann & Parrilo, J. Pure
+    Appl. Algebra 192 (2004)).  One projection of every c_p onto L's
+    complement decides all n² pairs: χ is in L when both ends project alike."""
+    dims = BipartiteDims(d_a, d_b)
+    arr = _as_complex(mat)
+    n = dims.total
+    if arr.shape[0] != n:
+        raise InvalidDimsError(f"matrix dim {arr.shape[0]} != d_A*d_B = {n}")
+    idx = np.arange(n)
+    chars = np.zeros((n, d_a + d_b))
+    chars[idx, idx // d_b] = 1.0
+    chars[idx, d_a + idx % d_b] = 1.0
+    p, q = np.nonzero(np.abs(arr) > ZERO_ENTRY_ATOL)
+    _, s, vt = np.linalg.svd(chars[p] - chars[q], full_matrices=False)
+    span = vt[s > 1e-9 * s.max(initial=0.0)]
+    outside = chars - (chars @ span.T) @ span
+    # characters are integer vectors, so a χ outside L is far from it
+    return np.abs(outside[:, None, :] - outside[None, :, :]).max(axis=2) < 1e-6
 
 
 def eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -27,6 +27,7 @@ from .linalg import (
     op_norm_arr,
     partial_transpose,
     ptranspose_arr,
+    symmetry_pattern,
     trace_norm_arr,
 )
 from .sdp import EqConstraint, LinTerm, PsdConstraint, SdpProblem, SolverConfig, TraceTerm, solve
@@ -51,7 +52,9 @@ class MeasureResult:
 def _solved(problem: SdpProblem, config: SolverConfig | None, what: str):
     sol = solve(problem, config)
     if sol.status != "optimal":
-        raise SolverError(f"{what}: solver finished with status {sol.status}", status=sol.status)
+        raise SolverError(
+            f"{what}: solver finished with status {sol.status} (stop rule {sol.stop})", status=sol.status
+        )
     return sol
 
 
@@ -96,15 +99,17 @@ def _w_max_form(rho: BipartiteState) -> SdpProblem:
     blocks of its first two constraints are the min form's (U, V)."""
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
+    rho_pt = ptranspose_arr(rho.mat, *pt_dims)
     return SdpProblem(
         sense="max",
         variables=[("R", n, "hermitian")],
-        objective=[("R", ptranspose_arr(rho.mat, *pt_dims))],
+        objective=[("R", rho_pt)],
         constraints=[
             PsdConstraint(dim=n, const=_eye(n), terms=(LinTerm("R", -1.0),), label="I - R"),
             PsdConstraint(dim=n, const=_eye(n), terms=(LinTerm("R", 1.0),), label="I + R"),
             PsdConstraint(dim=n, terms=(LinTerm("R", 1.0, pt_dims),), label="R pt"),
         ],
+        patterns={"R": symmetry_pattern(rho_pt, *pt_dims)},
     )
 
 
@@ -114,6 +119,7 @@ def w_dual(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureRe
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     eye = _eye(n)
+    pattern = symmetry_pattern(ptranspose_arr(rho.mat, *pt_dims), *pt_dims)
     problem = SdpProblem(
         sense="min",
         variables=[("U", n, "hermitian-psd"), ("V", n, "hermitian-psd")],
@@ -126,6 +132,7 @@ def w_dual(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureRe
                 label="(U-V) pt >= rho",
             ),
         ],
+        patterns={"U": pattern, "V": pattern},
     )
     sol = _solved(problem, config, "w_dual")
     x = ptranspose_arr(
@@ -190,6 +197,7 @@ def fidelity_ppt(rho: BipartiteState, k: float, config: SolverConfig | None = No
                 dim=n, const=inv_k * eye, terms=(LinTerm("Q", 1.0, pt_dims),), label="k lower"
             ),
         ],
+        patterns={"Q": symmetry_pattern(rho.mat, *pt_dims)},
     )
     sol = _solved(problem, config, "fidelity_ppt")
     return _result(sol, sol.assignments["Q"], lambda f: math.log2(min(1.0, max(1e-300, f))))
@@ -299,6 +307,7 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
             EqConstraint(terms=(("R", probe),), rhs=target, label="R pinned on support")
             for probe, target in _pinning_probes(supp, ker)
         ],
+        patterns={"R": symmetry_pattern(rho.mat, *pt_dims)},
     )
     sol = _solved(problem, config, "det_distill_one_copy")
     # mu* is at most 1 (R = I attains it) and at least 1/n (trace bound on
@@ -351,6 +360,7 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
             PsdConstraint(dim=n, const=eye, terms=(LinTerm("R", 1.0, pt_dims),), label="pt lower"),
         ],
         equalities=equalities,
+        patterns={"R": symmetry_pattern(rho.mat, *pt_dims)},
     )
     sol = _solved(problem, config, "w0")
     return _result(sol, sol.assignments["R"])

@@ -106,6 +106,9 @@ class SdpProblem:
     constraints: list = field(default_factory=list)
     equalities: list = field(default_factory=list)
     constant: float = 0.0
+    # variable name -> symmetric boolean (dim, dim) mask with a True diagonal:
+    # the variable is restricted to the marked entries (linalg.symmetry_pattern)
+    patterns: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.sense not in ("max", "min"):
@@ -150,6 +153,18 @@ class SdpProblem:
                     raise InvalidStateError(f"equality '{eq.label}' references unknown variable {v!r}")
                 if p.shape[0] != dims[v]:
                     raise InvalidDimsError(f"equality '{eq.label}': probe dim mismatch for {v!r}")
+        self.patterns = {name: self._pattern(name, mask, dims) for name, mask in self.patterns.items()}
+
+    @staticmethod
+    def _pattern(name, mask, dims):
+        if name not in dims:
+            raise InvalidStateError(f"pattern given for unknown variable {name!r}")
+        arr = np.asarray(mask)
+        if arr.shape != (dims[name], dims[name]):
+            raise InvalidDimsError(f"pattern for {name!r} has shape {arr.shape}, not {(dims[name],) * 2}")
+        if arr.dtype != bool or not (np.array_equal(arr, arr.T) and arr.diagonal().all()):
+            raise InvalidStateError(f"pattern for {name!r} must be a symmetric boolean mask with a True diagonal")
+        return arr
 
     @staticmethod
     def _obj_coeff(name, C, dims):
@@ -183,6 +198,10 @@ class SdpSolution:
     gap: float
     assignments: dict
     iterations: int
+    # the rule that ended the solve: optimal, stalled, mu-floor, non-finite,
+    # kkt-factor, numeric-error, infeasible, unbounded, max-iterations, or at
+    # iteration 0 static-infeasible or no-cone
+    stop: str
     dual_blocks: tuple = ()
     eq_duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # one dict per iterate evaluated: iteration, mu, objectives, relgap, pinf,
@@ -219,6 +238,7 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
         gap=abs(raw["primal_value"] - raw["dual_value"]),
         assignments=assignments,
         iterations=raw["iterations"],
+        stop=raw["stop"],
         dual_blocks=tuple(raw["dual_blocks"]),
         eq_duals=raw["eq_duals"],
         trace=tuple(raw["trace"]),

@@ -20,6 +20,13 @@ def _check_integer(x, what: str, least: int) -> None:
         raise DomainError(f"{what} must be an integer >= {least}, got {x!r}")
 
 
+def _as_tuple(items, what: str) -> tuple:
+    try:
+        return tuple(items)
+    except TypeError as exc:
+        raise DomainError(f"{what} must be a sequence, got {items!r}") from exc
+
+
 def max_entangled(d: int) -> BipartiteState:
     """Phi(d) = (1/d) sum_{i,j} |ii><jj| on d tensor d."""
     _check_integer(d, "max_entangled d", 2)
@@ -118,7 +125,10 @@ class LocalKrausChannel:
     def __post_init__(self):
         for attr, side in (("kraus_a", "A"), ("kraus_b", "B")):
             try:
-                ks = tuple(_as_complex(k, f"side {side} Kraus element") for k in getattr(self, attr))
+                ks = tuple(
+                    _as_complex(k, f"side {side} Kraus element")
+                    for k in _as_tuple(getattr(self, attr), f"side {side} Kraus family")
+                )
             except InvalidStateError as exc:  # non-numeric or non-finite entries
                 raise DomainError(str(exc)) from exc
             if not ks:
@@ -131,6 +141,7 @@ class LocalKrausChannel:
             if dev > _COMPLETENESS_ATOL:
                 raise DomainError(f"side {side} Kraus family not complete (deviation {dev:.3e})")
             object.__setattr__(self, attr, ks)
+        object.__setattr__(self, "pairing", _as_tuple(self.pairing, "pairing"))
         for pair in self.pairing:
             if not (
                 isinstance(pair, (tuple, list)) and len(pair) == 2 and all(map(is_integer, pair))
@@ -152,9 +163,12 @@ class StateEnsemble:
     members: tuple  # of (probability, BipartiteState)
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
+        object.__setattr__(self, "members", _as_tuple(self.members, "ensemble members"))
         total = 0.0
-        for prob, state in self.members:
+        for member in self.members:
+            if not (isinstance(member, (tuple, list)) and len(member) == 2):
+                raise DomainError(f"ensemble member {member!r} is not a (probability, state) pair")
+            prob, state = member
             if not (is_finite_real(prob) and prob >= 0):
                 raise DomainError(f"ensemble probability {prob!r} is not a finite real number >= 0")
             if not isinstance(state, BipartiteState):
@@ -169,6 +183,8 @@ def apply_local_channel(rho: BipartiteState, ch: LocalKrausChannel) -> StateEnse
 
     Outcomes below probability 1e-12 are dropped; the kept probabilities must
     still total 1 (the pairing has to cover a trace-preserving family)."""
+    if not isinstance(ch, LocalKrausChannel):
+        raise DomainError(f"apply_local_channel needs a LocalKrausChannel, got {ch!r}")
     if (ch.d_a, ch.d_b) != (rho.dims.d_a, rho.dims.d_b):
         raise DomainError(
             f"channel acts on {ch.d_a}x{ch.d_b}, state is {rho.dims.d_a}x{rho.dims.d_b}"

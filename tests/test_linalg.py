@@ -13,9 +13,10 @@ from entbound.linalg import (
     op_norm_arr,
     partial_transpose,
     ptranspose_arr,
+    symmetry_pattern,
     trace_norm_arr,
 )
-from entbound.states import max_entangled, random_state
+from entbound.states import antisym_state, max_entangled, random_state, rho_alpha, sigma_r, tensor_state
 
 
 def random_hermitian(n, seed):
@@ -138,3 +139,59 @@ def test_bipartite_dims_reject_nonpositive():
         BipartiteDims(0, 2)
     with pytest.raises(InvalidDimsError):
         BipartiteDims(True, 2)
+
+
+def test_symmetry_pattern_of_a_random_state_keeps_every_entry():
+    assert symmetry_pattern(random_state(3, 4, 2, 7004).mat, 3, 4).sum() == 144
+
+
+@pytest.mark.parametrize(
+    "rho, kept",
+    [
+        (rho_alpha(0.5), 15),
+        (tensor_state(sigma_r(0.5), rho_alpha(0.3)), 240),
+    ],
+    ids=["rho_alpha", "sigma_r x rho_alpha"],
+)
+def test_symmetry_pattern_kept_entries(rho, kept):
+    assert symmetry_pattern(rho.mat, rho.d_a, rho.d_b).sum() == kept
+
+
+def test_symmetry_patterns_of_a_state_and_its_partial_transpose_differ():
+    rho = rho_alpha(0.5)
+    mask = symmetry_pattern(rho.mat, 3, 3)
+    mask_pt = symmetry_pattern(ptranspose_arr(rho.mat, 3, 3), 3, 3)
+    assert not np.array_equal(mask, mask_pt)
+    # the partial transpose only moves entries, so it moves the pattern too
+    assert np.array_equal(mask_pt, ptranspose_arr(mask, 3, 3))
+
+
+@pytest.mark.parametrize(
+    "mat, d_a, d_b",
+    [
+        (rho_alpha(0.3).mat, 3, 3),
+        (ptranspose_arr(rho_alpha(0.3).mat, 3, 3), 3, 3),
+        (sigma_r(0.5).mat, 2, 2),
+        (antisym_state().mat, 3, 3),
+        (max_entangled(3).mat, 3, 3),
+        (tensor_state(sigma_r(0.35), rho_alpha(0.25)).mat, 6, 6),
+        (np.diag(np.arange(1.0, 7.0)), 2, 3),
+        (np.zeros((4, 4)), 2, 2),
+    ],
+    ids=["rho_alpha", "rho_alpha-pt", "sigma_r", "antisym", "phi3", "tensor6", "diagonal", "zero"],
+)
+def test_symmetry_pattern_is_an_algebra_holding_the_matrix(mat, d_a, d_b):
+    mask = symmetry_pattern(mat, d_a, d_b)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, mask.T)
+    assert mask.diagonal().all()
+    assert mask[np.abs(mat) > 1e-13].all()
+    # products of matrices on the pattern stay on it
+    rng = np.random.default_rng(3)
+    x, y = (np.where(mask, rng.standard_normal(mask.shape), 0.0) for _ in range(2))
+    assert np.all((x @ y)[~mask] == 0.0)
+
+
+def test_symmetry_pattern_rejects_mismatched_dims():
+    with pytest.raises(InvalidDimsError):
+        symmetry_pattern(np.eye(4), 2, 3)

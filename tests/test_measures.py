@@ -361,6 +361,22 @@ def test_e_w_rejects_a_halved_dual_certificate(monkeypatch):
         e_w(rho_alpha(0.5))
 
 
+def test_e_w_certificate_rejects_the_pattern_of_rho(monkeypatch):
+    # R pairs with rho^PT; restricting it to the pattern of rho instead drops
+    # entries the optimum needs, and the full-program numpy check sees that
+    pattern = measures.symmetry_pattern
+
+    def pattern_of_rho(rho_pt, d_a, d_b):
+        return pattern(ptranspose_arr(rho_pt, d_a, d_b), d_a, d_b)
+
+    monkeypatch.setattr(measures, "symmetry_pattern", pattern_of_rho)
+    rho = rho_alpha(0.5)
+    problem = measures._w_max_form(rho)
+    assert np.array_equal(problem.patterns["R"], pattern(rho.mat, 3, 3))
+    with pytest.raises(ConsistencyError, match="W certificate sides disagree"):
+        e_w(rho)
+
+
 def test_e_w_sides_agree_to_a_loose_gap_tolerance():
     # the solve stops at a 1e-5 relative gap, so the two certificate sides
     # differ by more than PRIMAL_DUAL_AGREE_TOL but within 10x the gap

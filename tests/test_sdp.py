@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from entbound import ipm, measures
-from entbound.errors import CapacityError, InvalidDimsError, InvalidStateError, NumericError
+from entbound.errors import CapacityError, InvalidDimsError, InvalidStateError, NumericError, SolverError
 from entbound.linalg import HermitianMatrix, ptranspose_arr
 from entbound.sdp import (
     EqConstraint,
@@ -272,9 +272,10 @@ def test_concurrent_solves_restore_the_callers_blas_threads(caller_blas_threads)
 
 def test_large_reduced_newton_matrix_is_factored_on_the_callers_threads(caller_blas_threads, monkeypatch):
     # the whole solve runs on the caller's threads from the threshold on, and
-    # on one thread below it
+    # on one thread below it; the state has no symmetry, so the e0 program
+    # keeps more coordinates than equality rows
     caller_blas_threads(2)
-    rho = rho_alpha(0.3)
+    rho = random_state(3, 3, 2, 7017)
     comp = ipm.compile_problem(_measure_program(measures.det_distill_one_copy, rho))
     order = comp.m - comp.A.shape[0]
     assemble, factor = ipm._assemble_M, ipm._factor_kkt
@@ -317,7 +318,7 @@ def test_small_solve_beside_a_large_one_runs_on_one_thread(caller_blas_threads, 
         return factor(Mr)
 
     monkeypatch.setattr(ipm, "_factor_kkt", beside)
-    assert measures.det_distill_one_copy(rho_alpha(0.3)).iterations > 0
+    assert measures.det_distill_one_copy(random_state(3, 3, 2, 7017)).iterations > 0
     assert statuses == ["optimal"]
     assert small_seen == {1}
     assert set(ipm._blas_threads()) == {2}
@@ -570,6 +571,26 @@ def test_model_validation_rejects_non_integer_dims(dim):
         PsdConstraint(dim=dim, terms=())
 
 
+_EYE2 = np.eye(2, dtype=bool)
+
+
+@pytest.mark.parametrize(
+    "patterns, error",
+    [
+        ({"Y": _EYE2}, InvalidStateError),
+        ({"X": np.eye(3, dtype=bool)}, InvalidDimsError),
+        ({"X": np.array([[True, True], [False, True]])}, InvalidStateError),
+        ({"X": np.array([[True, False], [False, False]])}, InvalidStateError),
+        ({"X": np.eye(2)}, InvalidStateError),
+    ],
+    ids=["unknown-variable", "wrong-shape", "asymmetric", "false-diagonal", "not-boolean"],
+)
+def test_model_validation_rejects_bad_patterns(patterns, error):
+    assert np.array_equal(_one_block_problem(patterns={"X": _EYE2}).patterns["X"], _EYE2)
+    with pytest.raises(error, match="pattern"):
+        _one_block_problem(patterns=patterns)
+
+
 @pytest.mark.parametrize("rhs", [np.nan, np.inf, "1"])
 def test_model_validation_rejects_bad_equality_rhs(rhs):
     with pytest.raises(InvalidStateError, match="rhs"):
@@ -802,3 +823,35 @@ def test_coordinate_basis_is_orthonormal(real_mode):
             assert not np.any(E.imag)
         assert np.max(np.abs(np.einsum("aij,bji->ab", E, E).real - np.eye(k))) <= 1e-15
         assert np.max(np.abs(np.array([ipm._hvec(Eb, i, j, u) for Eb in E]) - np.eye(k))) <= 1e-15
+
+
+def test_pattern_restricts_the_compiled_coordinates():
+    # rho_alpha's phases leave 12 of 45 real coordinates of R and, with mu,
+    # 13 coordinates under 24 pinning rows
+    comp = ipm.compile_problem(_measure_program(measures.det_distill_one_copy, rho_alpha(0.3)))
+    assert (comp.m, comp.A.shape[0]) == (13, 24)
+    # a state without symmetry gets the full pattern, which compiles exactly
+    # like no pattern at all
+    problem = measures._w_max_form(random_state(3, 3, 2, 7017))
+    assert problem.patterns["R"].all()
+    full, bare = ipm.compile_problem(problem), ipm.compile_problem(replace(problem, patterns={}))
+    assert full.m == bare.m == 81
+    for name in full.bases:
+        assert all(np.array_equal(a, b) for a, b in zip(full.bases[name], bare.bases[name]))
+
+
+def test_iteration_cap_names_its_stop_rule():
+    cfg = SolverConfig(max_iterations=2)
+    sol = solve(measures._w_max_form(rho_alpha(0.3)), cfg)
+    assert (sol.status, sol.stop) == ("numeric-failure", "max-iterations")
+    with pytest.raises(SolverError, match="stop rule max-iterations"):
+        measures.e_w(rho_alpha(0.3), cfg)
+
+
+def test_kkt_factor_failure_names_its_stop_rule(monkeypatch):
+    assert solve(diag_lp([2.0, 1.0], 1.0)).stop == "optimal"
+    monkeypatch.setattr(ipm, "_factor_kkt", lambda Mr: None)
+    sol = solve(measures._w_max_form(rho_alpha(0.3)))
+    assert (sol.status, sol.stop) == ("numeric-failure", "kkt-factor")
+    with pytest.raises(SolverError, match="stop rule kkt-factor"):
+        measures.e_w(rho_alpha(0.3))

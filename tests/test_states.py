@@ -258,3 +258,23 @@ def test_state_ensemble_rejects_non_numeric_probabilities(prob):
     phi = max_entangled(2)
     with pytest.raises(DomainError):
         StateEnsemble(((prob, phi), (0.5, phi)))
+
+
+_I2 = np.eye(2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: LocalKrausChannel((_I2,), (_I2,), 5),
+        lambda: LocalKrausChannel(5, (_I2,), ((0, 0),)),
+        lambda: StateEnsemble(5),
+        lambda: StateEnsemble(((1.0,),)),
+        lambda: apply_local_channel(sigma_r(0.5), "x"),
+    ],
+    ids=["pairing-not-a-sequence", "kraus-family-not-a-sequence", "members-not-a-sequence",
+         "member-not-a-pair", "channel-not-a-channel"],
+)
+def test_malformed_containers_raise_domain_error(build):
+    with pytest.raises(DomainError):
+        build()
