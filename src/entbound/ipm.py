@@ -34,17 +34,24 @@ Coordinate a of a variable is one entry pair (i_a, j_a, u_a), the basis
 matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|. Every structural
 constraint term is c X or c X^PT; a block stores each as (variable slice,
 c, i, j, u) with (i, j) remapped by the partial transpose, and that one
-format drives the block image (apply_block), its adjoint (gather_block)
-and the Schur assembly (kernels.schur_pairs). A trace term c tr(P X) K is
-kept beside it as (variable slice, c, p, K), with p the coordinates of P
-on that slice, so its rank-one updates touch only the slice's rows and
-columns.
+format drives the Schur assembly (kernels.schur_pairs, block by block).
+A trace term c tr(P X) K is kept beside it as (variable slice, c, p, K),
+with p the coordinates of P on that slice, so its rank-one updates touch
+only the slice's rows and columns.
+
+The loop holds the blocks of each size as one (nb, n, n) stack (the
+measures' programs have one size), so S, Z, the NT scaling, the scaled
+directions, the step lengths and the corrector targets take one stacked
+numpy call per stack.  Each stack's entry pairs are flattened once to
+(block, i, j, weight, coordinate) arrays: its image (apply_block) is one
+scatter and its adjoint (gather_block) one gather.
 
 When every datum in the problem is real, variables are restricted to real
-symmetric coordinates. The imaginary coordinates decouple exactly in that
-case (conjugating any solution by entrywise complex conjugation preserves
-feasibility and objective), so the restriction is lossless and the reduced
-dual certificates remain certificates for the full problem.
+symmetric coordinates and the loop runs in float64. The imaginary
+coordinates decouple exactly in that case (conjugating any solution by
+entrywise complex conjugation preserves feasibility and objective), so the
+restriction is lossless and the reduced dual certificates remain
+certificates for the full problem.
 
 A variable with a symmetry pattern (SdpProblem.patterns) keeps only the
 coordinates whose entry pair the pattern marks.  The pattern stands for a
@@ -67,7 +74,7 @@ import scipy.linalg as sla
 
 from . import kernels
 from .errors import CapacityError, InvalidStateError, NumericError
-from .linalg import ZERO_ENTRY_ATOL, hermitize, ptranspose_arr
+from .linalg import ZERO_ENTRY_ATOL, dagger, hermitize, ptranspose_arr
 from .sdp import LinTerm, PsdConstraint, SdpProblem
 
 # Total variable dimension cap, counted after real embedding (2n per n-dim
@@ -123,13 +130,56 @@ def _pt_map(i, j, d_a, d_b):
 @dataclass
 class CompiledBlock:
     n: int
-    m: int
     const: np.ndarray
     label: str
     lterms: tuple  # of (variable slice, coeff, i, j, u): LinTerms as entry pairs
     tterms: tuple  # of (variable slice, coeff, p, K (n, n)), p local to the slice
     sem_terms: tuple  # original model terms, for basis-free evaluation
-    dnorm: float = 0.0
+
+
+@dataclass
+class BlockStack:
+    """The blocks of one size n as one (nb, n, n) stack, in constraint order.
+    Entry e of their flattened entry pairs adds w_e y[coord_e] at stack
+    position flat_e = (b, i, j) and its conjugate at flat_t_e = (b, j, i),
+    with w = coeff * u.  Trace terms stay (slot b, slice, coeff, p, K)."""
+
+    n: int
+    m: int
+    pos: np.ndarray  # the blocks' indices in Compiled.blocks
+    const: np.ndarray  # (nb, n, n), in the loop's dtype
+    dnorm: np.ndarray  # (nb,) spectral norms of the constants
+    flat: np.ndarray
+    flat_t: np.ndarray
+    w: np.ndarray
+    coord: np.ndarray
+    tterms: tuple
+
+
+def _stack(blocks, pos, m, real_mode) -> BlockStack:
+    n = blocks[pos[0]].n
+    ent = [(b, sl, coeff * u, i, j) for b, p in enumerate(pos) for sl, coeff, i, j, u in blocks[p].lterms]
+
+    def cat(parts):
+        return np.concatenate(parts) if parts else np.zeros(0, int)
+
+    const = np.array([blocks[p].const for p in pos])
+    return BlockStack(
+        n=n,
+        m=m,
+        pos=np.array(pos),
+        const=const.real.copy() if real_mode else const,
+        dnorm=np.array([float(np.linalg.norm(c, 2)) if n else 0.0 for c in const]),
+        flat=cat([(b * n + i) * n + j for b, _, _, i, j in ent]),
+        flat_t=cat([(b * n + j) * n + i for b, _, _, i, j in ent]),
+        w=cat([w for _, _, w, _, _ in ent]),
+        coord=cat([np.arange(sl.start, sl.stop) for _, sl, _, _, _ in ent]),
+        tterms=tuple(
+            (b, sl, coeff, pv, K.real if real_mode else K)
+            for b, p in enumerate(pos)
+            for sl, coeff, pv, K in blocks[p].tterms
+        ),
+    )
 
 
 @dataclass
@@ -143,6 +193,7 @@ class Compiled:
     sense_mult: float
     constant: float
     blocks: list
+    stacks: list  # one BlockStack per block size, in order of first appearance
     A: np.ndarray
     b: np.ndarray
     real_mode: bool
@@ -225,15 +276,15 @@ def compile_problem(problem: SdpProblem) -> Compiled:
         blocks.append(
             CompiledBlock(
                 n=con.dim,
-                m=m,
                 const=con.const.astype(np.complex128),
                 label=con.label,
                 lterms=tuple(lterms),
                 tterms=tuple(tterms),
                 sem_terms=tuple(con.terms),
-                dnorm=float(np.linalg.norm(con.const, 2)) if con.dim else 0.0,
             )
         )
+    sizes = dict.fromkeys(blk.n for blk in blocks)
+    stacks = [_stack(blocks, [p for p, blk in enumerate(blocks) if blk.n == n], m, real_mode) for n in sizes]
 
     p = len(problem.equalities)
     A = np.zeros((p, m))
@@ -253,6 +304,7 @@ def compile_problem(problem: SdpProblem) -> Compiled:
         sense_mult=sense_mult,
         constant=problem.constant,
         blocks=blocks,
+        stacks=stacks,
         A=A,
         b=b,
         real_mode=real_mode,
@@ -264,29 +316,34 @@ def compile_problem(problem: SdpProblem) -> Compiled:
 # evaluation helpers
 
 
-def apply_block(blk: CompiledBlock, y: np.ndarray) -> np.ndarray:
-    """Structural + trace-term image F_j(y), without the constant."""
-    mat = np.zeros((blk.n, blk.n), dtype=np.complex128)
-    for sl, coeff, i, j, u in blk.lterms:
-        mat += _unhvec(coeff * y[sl], i, j, u, blk.n)
-    for sl, coeff, pv, K in blk.tterms:
-        mat += (coeff * float(pv @ y[sl])) * K
+def apply_block(st: BlockStack, y: np.ndarray) -> np.ndarray:
+    """Structural + trace-term image F_j(y) of every block of a stack, without
+    the constants: one scatter of the flattened entry pairs."""
+    v = st.w * y[st.coord]
+    half = np.bincount(st.flat, v.real, st.const.size)
+    if np.iscomplexobj(v):
+        half = half + 1j * np.bincount(st.flat, v.imag, st.const.size)
+    half = half.reshape(st.const.shape)
+    mat = (half + dagger(half)).astype(st.const.dtype, copy=False)
+    for b, sl, coeff, pv, K in st.tterms:
+        mat[b] += (coeff * float(pv @ y[sl])) * K
     return mat
 
 
-def _gather_lterms(blk: CompiledBlock, Amat: np.ndarray) -> np.ndarray:
-    """The LinTerm part of gather_block."""
-    out = np.zeros(blk.m)
-    for sl, coeff, i, j, u in blk.lterms:
-        out[sl] += coeff * _hvec(Amat, i, j, u)
-    return out
+def _gather_lterms(st: BlockStack, X: np.ndarray) -> np.ndarray:
+    """The entry-pair part of gather_block: one gather of the flattened
+    entry pairs."""
+    Xf = X.reshape(-1)
+    out = np.bincount(st.coord, np.real(st.w * Xf[st.flat_t] + np.conj(st.w) * Xf[st.flat]), st.m)
+    return out.astype(float, copy=False)  # bincount of no entries is integer
 
 
-def gather_block(blk: CompiledBlock, Amat: np.ndarray) -> np.ndarray:
-    """Adjoint: vector of <F_i, A> over all coordinates for one block."""
-    out = _gather_lterms(blk, Amat)
-    for sl, coeff, pv, K in blk.tterms:
-        out[sl] += (coeff * float(np.real(np.trace(K @ Amat)))) * pv
+def gather_block(st: BlockStack, X: np.ndarray) -> np.ndarray:
+    """Adjoint of apply_block: the vector of sum_j <F_ja, X_j> over all
+    coordinates for a stack X of the blocks' matrices."""
+    out = _gather_lterms(st, X)
+    for b, sl, coeff, pv, K in st.tterms:
+        out[sl] += (coeff * float(np.real(np.trace(K @ X[b])))) * pv
     return out
 
 
@@ -323,10 +380,10 @@ def _eigh(mat):
 
 @dataclass
 class _Scaling:
-    """One block's NT scaling at the current iterate, shared by every
-    direction of the iteration, in the G form of Todd, Toh & Tütüncü: the
-    scaling matrix G and its inverse Gi, with G⁻¹ S G⁻ᴴ = Gᴴ Z G = diag(d),
-    and the NT matrix V = Giᴴ Gi (V S V = Z)."""
+    """The NT scaling of each block of a stack at the current iterate, shared
+    by every direction of the iteration, in the G form of Todd, Toh &
+    Tütüncü: the scaling matrices G and their inverses Gi, with
+    G⁻¹ S G⁻ᴴ = Gᴴ Z G = diag(d), and the NT matrices V = Giᴴ Gi (V S V = Z)."""
 
     V: np.ndarray
     G: np.ndarray
@@ -335,25 +392,26 @@ class _Scaling:
 
 
 def _nt_scaling(S, Z) -> _Scaling:
-    """G from two Cholesky factors and one SVD (module docstring)."""
+    """G from two Cholesky factors and one SVD (module docstring), on
+    (..., n, n) stacks of S and Z."""
     try:
         LS = np.linalg.cholesky(S)
         LZ = np.linalg.cholesky(Z)
-        U, d, Wh = np.linalg.svd(LZ.conj().T @ LS)
+        U, d, Wh = np.linalg.svd(dagger(LZ) @ LS)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"NT scaling failed: {exc}") from exc
-    if not d[-1] > 0.0:
+    if not np.all(d[..., -1] > 0.0):
         raise NumericError("iterate lost positive definiteness")
     rd = 1.0 / np.sqrt(d)
-    G = (LS @ Wh.conj().T) * rd
-    Gi = rd[:, None] * (U.conj().T @ LZ.conj().T)
-    return _Scaling(hermitize(Gi.conj().T @ Gi), G, Gi, d)
+    G = (LS @ dagger(Wh)) * rd[..., None, :]
+    Gi = rd[..., :, None] * (dagger(U) @ dagger(LZ))
+    return _Scaling(hermitize(dagger(Gi) @ Gi), G, Gi, d)
 
 
 def _scale(sc: _Scaling, dS, dZ):
     """The scaled pair (Gi dS Giᴴ, Gᴴ dZ G) of a direction: S + t dS and
     Z + t dZ map to diag(d) + t times each."""
-    return hermitize(sc.Gi @ dS @ sc.Gi.conj().T), hermitize(sc.G.conj().T @ dZ @ sc.G)
+    return hermitize(sc.Gi @ dS @ dagger(sc.Gi)), hermitize(dagger(sc.G) @ dZ @ sc.G)
 
 
 def _pull_back(sc: _Scaling, T):
@@ -361,8 +419,8 @@ def _pull_back(sc: _Scaling, T):
     equation (W D + D W)/2 = T against the diagonal scaled point
     D = diag(d) entrywise, W = 2T / (d_i + d_j), and map W back to the dual
     space as Giᴴ W Gi.  For T = c I this is c S⁻¹."""
-    W = 2.0 * T / (sc.d[:, None] + sc.d[None, :])
-    return hermitize(sc.Gi.conj().T @ W @ sc.Gi)
+    W = 2.0 * T / (sc.d[..., :, None] + sc.d[..., None, :])
+    return hermitize(dagger(sc.Gi) @ W @ sc.Gi)
 
 
 def _second_order_term(sc: _Scaling, dSt, dZt):
@@ -375,25 +433,25 @@ def _gondzio_target(sc: _Scaling, dSt, dZt, ap, ad, smu):
     """Product-space correction herding the tentative complementarity
     eigenvalues, those of (D + ap dSt)(D + ad dZt) with D = diag(d), into
     [0.1 smu, 10 smu], pulled back like the Mehrotra term.  Returns the
-    extra target and the largest outlier magnitude."""
-    D = np.diag(sc.d)
+    extra target and the largest outlier magnitude over the stack."""
+    D = sc.d[..., :, None] * np.eye(sc.d.shape[-1])
     P = hermitize((D + ap * dSt) @ (D + ad * dZt))
     pe, Pu = _eigh(P)
     lo, hi = 0.1 * smu, 10.0 * smu
     t = np.where(pe < lo, lo - pe, np.where(pe > hi, hi - pe, 0.0))
     if not np.any(t):
         return np.zeros_like(P), 0.0
-    return _pull_back(sc, (Pu * t) @ Pu.conj().T), float(np.max(np.abs(t)))
+    return _pull_back(sc, (Pu * t[..., None, :]) @ dagger(Pu)), float(np.max(np.abs(t)))
 
 
 def _max_step(d, dXt):
-    """Largest t with diag(d) + t dXt >= 0, the step length of a scaled
-    direction; inf when dXt >= 0."""
+    """Largest t with diag(d) + t dXt >= 0 in every block of a stack, the
+    step length of a scaled direction; inf when dXt >= 0."""
     if not np.all(np.isfinite(dXt)):
         raise NumericError("step length computation failed: non-finite direction")
     r = 1.0 / np.sqrt(d)
     try:
-        lmin = float(np.linalg.eigvalsh(r[:, None] * dXt * r[None, :])[0])
+        lmin = float(np.min(np.linalg.eigvalsh(r[..., :, None] * dXt * r[..., None, :])[..., 0]))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"step length computation failed: {exc}") from exc
     if lmin >= -1e-16:
@@ -402,17 +460,23 @@ def _max_step(d, dXt):
 
 
 def _assemble_M(comp: Compiled, Vs):
+    """M[a, b] = sum_j Re tr(F_ja V_j F_jb V_j) from one stack of NT
+    matrices V per block size."""
     M = np.zeros((comp.m, comp.m))
-    for blk, V in zip(comp.blocks, Vs):
-        kernels.schur_pairs(M, V.real if comp.real_mode else V, blk.lterms)
-        for sl, coeff, pv, K in blk.tterms:
-            w = _gather_lterms(blk, V @ K @ V)
+    for st, V in zip(comp.stacks, Vs):
+        for p, Vj in zip(st.pos, V):
+            kernels.schur_pairs(M, Vj, comp.blocks[p].lterms)
+        for b, sl, coeff, pv, K in st.tterms:
+            VKV = np.zeros_like(V)
+            VKV[b] = V[b] @ K @ V[b]
+            w = _gather_lterms(st, VKV)
             M[sl] += coeff * np.outer(pv, w)
             M[:, sl] += coeff * np.outer(w, pv)
-        for sr, cr, pr, Kr in blk.tterms:
-            for ss, cs, ps, Ks in blk.tterms:
-                t = float(np.real(np.trace(Kr @ V @ Ks @ V)))
-                M[sr, ss] += (cr * cs * t) * np.outer(pr, ps)
+        for br, sr, cr, pr, Kr in st.tterms:
+            for bs, ss, cs, ps, Ks in st.tterms:
+                if br == bs:
+                    t = float(np.real(np.trace(Kr @ V[br] @ Ks @ V[br])))
+                    M[sr, ss] += (cr * cs * t) * np.outer(pr, ps)
     return M
 
 
@@ -588,23 +652,24 @@ def run(comp: Compiled, cfg) -> dict:
         return _iterate(comp, cfg)
 
 
+def _inners(X, Y):
+    """Re <X_j, Y_j> for every block j of two stacks."""
+    return np.real(np.sum(X.conj() * Y, axis=(-2, -1)))
+
+
 def _iterate(comp: Compiled, cfg) -> dict:
-    m = comp.m
-    blocks = comp.blocks
-    nb = len(blocks)
-    Ntot = sum(blk.n for blk in blocks)
+    stacks = comp.stacks
+    Ntot = sum(st.const.shape[0] * st.n for st in stacks)
 
     A = comp.A
     b = comp.b
 
     def user_vals(pobj_lin, dobj_lin):
-        return (
-            comp.sense_mult * pobj_lin + comp.constant,
-            comp.sense_mult * dobj_lin + comp.constant,
-        )
+        return comp.sense_mult * pobj_lin + comp.constant, comp.sense_mult * dobj_lin + comp.constant
 
     def result(status, stop, snap):
         pv, dv = user_vals(snap["pobj"], snap["dobj"])
+        dual = {p: Zj for st, Zk in zip(stacks, snap["Z"]) for p, Zj in zip(st.pos, hermitize(Zk))}
         return {
             "status": status,
             "stop": stop,
@@ -612,7 +677,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
             "dual_value": dv,
             "assignments": assignments_from(comp, snap["y"]),
             "iterations": snap["it"],
-            "dual_blocks": [hermitize(Zj) for Zj in snap["Z"]],
+            "dual_blocks": [dual[p] for p in range(len(comp.blocks))],
             "eq_duals": snap["lam"],
             "trace": trace,
         }
@@ -621,19 +686,19 @@ def _iterate(comp: Compiled, cfg) -> dict:
     eq = _split_equalities(A)  # A is fixed for the whole run
     binf = 1.0 + float(np.max(np.abs(b), initial=0.0))
     y = eq.pinv(b)
-    S = [max(1.0, blk.dnorm) * np.eye(blk.n, dtype=np.complex128) for blk in blocks]
+    S = [np.maximum(1.0, st.dnorm)[:, None, None] * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
     zscale = max(1.0, float(np.max(np.abs(comp.c))))
-    Z = [zscale * np.eye(blk.n, dtype=np.complex128) for blk in blocks]
+    Z = [np.full(st.dnorm.shape + (1, 1), zscale) * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
 
     snap0 = {"y": y, "lam": np.zeros(b.size), "Z": Z, "pobj": float("nan"), "dobj": float("nan"), "it": 0}
     if comp.static_infeasible or float(np.max(np.abs(A @ y - b), initial=0.0)) > cfg.feas_tol * binf:
         return result("infeasible", "static-infeasible", snap0)
-    if nb == 0:
+    if not stacks:
         # No cone at all: the problem is a pure linear program over equalities;
         # out of scope for the measures here, treat as numeric failure.
         return result("numeric-failure", "no-cone", snap0)
 
-    znorm0 = sum(float(np.trace(Zj).real) for Zj in Z) + 1.0
+    znorm0 = sum(float(Zk.diagonal(0, -2, -1).real.sum()) for Zk in Z) + 1.0
     cinf = 1.0 + float(np.max(np.abs(comp.c)))
     mu0 = None
 
@@ -647,22 +712,19 @@ def _iterate(comp: Compiled, cfg) -> dict:
 
     for it in range(1, cfg.max_iterations + 1):
         it_done = it
-        Rp = [hermitize(blk.const + apply_block(blk, y)) - S[j] for j, blk in enumerate(blocks)]
-        adjZ = np.zeros(m)
-        for j, blk in enumerate(blocks):
-            adjZ += gather_block(blk, Z[j])
+        Rp = [hermitize(st.const + apply_block(st, y)) - Sk for st, Sk in zip(stacks, S)]
+        adjZ = sum(gather_block(st, Zk) for st, Zk in zip(stacks, Z))
         lam = eq.pinv_t(comp.c + adjZ)
         rd = -comp.c - adjZ + A.T @ lam
 
-        mu = sum(float(np.real(np.vdot(Z[j], S[j]))) for j in range(nb)) / Ntot
+        mu = sum(float(_inners(Zk, Sk).sum()) for Zk, Sk in zip(Z, S)) / Ntot
         if mu0 is None:
             mu0 = mu
         pobj_lin = float(comp.c @ y)
-        dobj_lin = sum(float(np.real(np.vdot(Z[j], blocks[j].const))) for j in range(nb)) + float(lam @ b)
+        dobj_lin = sum(float(_inners(Zk, st.const).sum()) for st, Zk in zip(stacks, Z)) + float(lam @ b)
 
-        pinf = max(
-            float(np.linalg.norm(Rp[j], "fro")) / (1.0 + blocks[j].dnorm) for j in range(nb)
-        )
+        rnorm = [np.linalg.norm(Rk, axis=(-2, -1)) for Rk in Rp]
+        pinf = max(float(np.max(rn / (1.0 + st.dnorm))) for st, rn in zip(stacks, rnorm))
         dinf = float(np.max(np.abs(rd))) / cinf
         pu, du = user_vals(pobj_lin, dobj_lin)
         relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
@@ -671,7 +733,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
             stop = "non-finite"
             break
         # the residuals before the noise floor below
-        slack = sum((abs(float(np.real(np.vdot(Z[j], Rp[j])))) for j in range(nb)), abs(float(rd @ y)))
+        slack = sum((float(np.abs(_inners(Zk, Rk)).sum()) for Zk, Rk in zip(Z, Rp)), abs(float(rd @ y)))
         trace.append(
             {
                 "iteration": it,
@@ -691,9 +753,8 @@ def _iterate(comp: Compiled, cfg) -> dict:
         # Residuals at float-noise level carry no signal, but V Rp V amplifies
         # them by ~1/mu in the step equations; treat the iterate as exactly
         # feasible there once the honest residual is below the noise floor.
-        for j in range(nb):
-            if float(np.linalg.norm(Rp[j], "fro")) <= 1e-13 * (1.0 + blocks[j].dnorm):
-                Rp[j] = np.zeros_like(Rp[j])
+        for st, Rk, rn in zip(stacks, Rp, rnorm):
+            Rk[rn <= 1e-13 * (1.0 + st.dnorm)] = 0.0
 
         # y and Z are rebound, never changed in place, so the snapshot
         # needs no copies
@@ -721,7 +782,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
             stop = "stalled"
             break
 
-        znorm = sum(float(np.trace(Zj).real) for Zj in Z) + float(np.sum(np.abs(lam)))
+        znorm = sum(float(Zk.diagonal(0, -2, -1).real.sum()) for Zk in Z) + float(np.sum(np.abs(lam)))
         if znorm > 1e7 * znorm0:
             ray_res = float(np.max(np.abs(adjZ - A.T @ lam))) / znorm
             if ray_res <= 1e-8 and dobj_lin / znorm < -1e-8:
@@ -735,42 +796,37 @@ def _iterate(comp: Compiled, cfg) -> dict:
             break
 
         try:
-            sc = [_nt_scaling(S[j], Z[j]) for j in range(nb)]
+            sc = [_nt_scaling(Sk, Zk) for Sk, Zk in zip(S, Z)]
             M = _assemble_M(comp, [s.V for s in sc])
             M = eq.reduce(M)  # frees the full M before the factor
             kkt = _factor_kkt(M)
             if kkt is None:
                 stop = "kkt-factor"
                 break
+            VRV = [s.V @ Rk @ s.V for s, Rk in zip(sc, Rp)]
 
             def direction(G, tau):
-                """Newton direction for the right-hand-side blocks G on the
-                current factorization, each block's scaled pair and the
-                damped step lengths.  dZ is rebuilt from G: G already folds
-                in -V Rp V, so only the linear part of dS may be scaled back
-                out; using dS itself would double-count Rp and leak
-                sum_j F*(V Rp V) into the dual residual every step."""
-                g = -rd.copy()
-                for j, blk in enumerate(blocks):
-                    g += gather_block(blk, G[j])
+                """Newton direction for the right-hand-side stacks G on the
+                current factorization, its scaled pairs and the damped step
+                lengths.  dZ is rebuilt from G: G already folds in -V Rp V,
+                so only the linear part of dS may be scaled back out; using
+                dS itself would double-count Rp and leak sum_j F*(V Rp V)
+                into the dual residual every step."""
+                g = -rd + sum(gather_block(st, Gk) for st, Gk in zip(stacks, G))
                 dy = eq.extend(kkt(eq.restrict(g)))
-                dS = [hermitize(Rp[j] + apply_block(blocks[j], dy)) for j in range(nb)]
-                dZ = [hermitize(G[j] - sc[j].V @ (dS[j] - Rp[j]) @ sc[j].V) for j in range(nb)]
-                scaled = [_scale(sc[j], dS[j], dZ[j]) for j in range(nb)]
-                ap = min(1.0, tau * min((_max_step(s.d, t[0]) for s, t in zip(sc, scaled)), default=np.inf))
-                ad = min(1.0, tau * min((_max_step(s.d, t[1]) for s, t in zip(sc, scaled)), default=np.inf))
+                dS = [hermitize(Rk + apply_block(st, dy)) for st, Rk in zip(stacks, Rp)]
+                dZ = [hermitize(Gk - s.V @ (dSk - Rk) @ s.V) for s, Gk, dSk, Rk in zip(sc, G, dS, Rp)]
+                scaled = [_scale(s, dSk, dZk) for s, dSk, dZk in zip(sc, dS, dZ)]
+                ap = min(1.0, tau * min(_max_step(s.d, t[0]) for s, t in zip(sc, scaled)))
+                ad = min(1.0, tau * min(_max_step(s.d, t[1]) for s, t in zip(sc, scaled)))
                 return dy, dS, dZ, scaled, ap, ad
 
             # predictor: pure Newton step toward feasibility and zero product
-            Ga = [hermitize(-Z[j] - sc[j].V @ Rp[j] @ sc[j].V) for j in range(nb)]
+            Ga = [hermitize(-Zk - VRVk) for Zk, VRVk in zip(Z, VRV)]
             _, dS_a, dZ_a, scaled_a, ap_a, ad_a = direction(Ga, 1.0)
-            mu_aff = (
-                sum(
-                    float(np.real(np.vdot(Z[j] + ad_a * dZ_a[j], S[j] + ap_a * dS_a[j])))
-                    for j in range(nb)
-                )
-                / Ntot
-            )
+            mu_aff = sum(
+                float(_inners(Zk + ad_a * dZk, Sk + ap_a * dSk).sum()) for Zk, dZk, Sk, dSk in zip(Z, dZ_a, S, dS_a)
+            ) / Ntot
             mu_aff = max(mu_aff, 0.0)
             sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.1
             # never aim below the barrier level the gap tolerance needs:
@@ -781,12 +837,8 @@ def _iterate(comp: Compiled, cfg) -> dict:
 
             # corrector: recenter and absorb the second-order product term
             Gc = [
-                hermitize(
-                    _pull_back(sc[j], (sigma * mu) * np.eye(blocks[j].n))
-                    - Z[j] - sc[j].V @ Rp[j] @ sc[j].V
-                    - _second_order_term(sc[j], *scaled_a[j])
-                )
-                for j in range(nb)
+                hermitize(_pull_back(s, (sigma * mu) * np.eye(st.n)) - Zk - VRVk - _second_order_term(s, *sa))
+                for st, s, Zk, VRVk, sa in zip(stacks, sc, Z, VRV, scaled_a)
             ]
             tau = 0.98  # share of the way to the cone boundary a corrector step takes
             dy, dS, dZ, scaled, ap, ad = direction(Gc, tau)
@@ -799,15 +851,12 @@ def _iterate(comp: Compiled, cfg) -> dict:
                 if min(ap, ad) >= 0.85:
                     break
                 smu = sigma * mu
-                extra = []
-                worst = 0.0
-                for j in range(nb):
-                    Tj, out = _gondzio_target(sc[j], *scaled[j], min(1.0, ap + 0.3), min(1.0, ad + 0.3), smu)
-                    extra.append(Tj)
-                    worst = max(worst, out)
-                if worst <= 1e-16 * max(smu, 1e-300):
+                targets = [
+                    _gondzio_target(s, *t, min(1.0, ap + 0.3), min(1.0, ad + 0.3), smu) for s, t in zip(sc, scaled)
+                ]
+                if max(out for _, out in targets) <= 1e-16 * max(smu, 1e-300):
                     break
-                Gg = [hermitize(Gc[j] + extra[j]) for j in range(nb)]
+                Gg = [hermitize(Gk + Tk) for Gk, (Tk, _) in zip(Gc, targets)]
                 dy2, dS2, dZ2, scaled2, ap2, ad2 = direction(Gg, tau)
                 if min(ap2, ad2) < min(ap, ad) + 0.02:
                     break
@@ -817,8 +866,8 @@ def _iterate(comp: Compiled, cfg) -> dict:
             break
 
         y = y + ap * dy
-        S = [hermitize(S[j] + ap * dS[j]) for j in range(nb)]
-        Z = [hermitize(Z[j] + ad * dZ[j]) for j in range(nb)]
+        S = [hermitize(Sk + ap * dSk) for Sk, dSk in zip(S, dS)]
+        Z = [hermitize(Zk + ad * dZk) for Zk, dZk in zip(Z, dZ)]
         last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma}
 
     if best is None:

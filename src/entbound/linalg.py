@@ -44,9 +44,15 @@ def is_finite_real(x) -> bool:
     return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
 
 
+def dagger(mat: np.ndarray) -> np.ndarray:
+    """m†, over the last two axes of a stack of matrices."""
+    return np.swapaxes(mat.conj(), -1, -2)
+
+
 def hermitize(mat: np.ndarray) -> np.ndarray:
-    """Return (m + m†)/2 without validating how asymmetric m was."""
-    return 0.5 * (mat + mat.conj().T)
+    """Return (m + m†)/2, slice by slice on a stack of matrices, without
+    validating how asymmetric m was."""
+    return 0.5 * (mat + dagger(mat))
 
 
 def checked_hermitian(mat, what: str = "matrix") -> np.ndarray:

@@ -52,9 +52,11 @@ class MeasureResult:
 def _solved(problem: SdpProblem, config: SolverConfig | None, what: str):
     sol = solve(problem, config)
     if sol.status != "optimal":
-        raise SolverError(
-            f"{what}: solver finished with status {sol.status} (stop rule {sol.stop})", status=sol.status
-        )
+        msg = f"{what}: solver finished with status {sol.status} (stop rule {sol.stop})"
+        best = [row for row in sol.trace if row["iteration"] == sol.iterations]
+        if best:
+            msg += "; best iterate {iteration}: relgap {relgap:.3e}, pinf {pinf:.3e}, dinf {dinf:.3e}".format(**best[0])
+        raise SolverError(msg, status=sol.status)
     return sol
 
 

@@ -280,8 +280,8 @@ def check_certificate(
             dobj_lin += float(lam @ comp.b)
         dual = comp.sense_mult * dobj_lin + comp.constant
         adj = comp.c.copy()
-        for z, blk in zip(zs, comp.blocks):
-            adj += ipm.gather_block(blk, z)
+        for st in comp.stacks:
+            adj += ipm.gather_block(st, np.array([zs[p] for p in st.pos]))
         if lam.size:
             adj -= comp.A.T @ lam
         dual_feas = float(np.max(np.abs(adj))) if adj.size else 0.0

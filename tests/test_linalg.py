@@ -8,6 +8,7 @@ from entbound.linalg import (
     BipartiteDims,
     HermitianMatrix,
     eigh_desc,
+    hermitize,
     make_state,
     negative_projector,
     op_norm_arr,
@@ -30,6 +31,16 @@ def test_hermitian_matrix_symmetrizes_small_noise():
     noisy = base + 1e-14 * np.triu(np.ones((4, 4)), k=1)
     m = HermitianMatrix(noisy)
     assert np.max(np.abs(m.mat - m.mat.conj().T)) == 0.0
+
+
+def test_hermitize_symmetrizes_each_matrix_of_a_stack():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
+    got = hermitize(stack)
+    assert got.shape == (2, 3, 3)
+    for g, m in zip(got, stack):
+        assert np.array_equal(g, hermitize(m))
+        assert np.array_equal(g, 0.5 * (m + m.conj().T))
 
 
 def test_hermitian_matrix_rejects_large_asymmetry():

@@ -683,13 +683,35 @@ def _trace_term_program(real):
     )
 
 
+def _mixed_size_program(real):
+    """max tr(C X) + tr(D Y) over -I <= X <= I (2x2) and -I <= Y <= I (3x3),
+    the blocks interleaved by size as 2, 3, 2, 3, and a trace term of Y in
+    the last 2x2 block: two stacks whose blocks alternate in constraint
+    order."""
+    rng = np.random.default_rng(5)
+    C, D, P = _random_hermitian(rng, 2, real), _random_hermitian(rng, 3, real), _random_hermitian(rng, 3, real)
+    return SdpProblem(
+        sense="max",
+        variables=[("X", 2, "hermitian"), ("Y", 3, "hermitian")],
+        objective=[("X", C), ("Y", D)],
+        constraints=[
+            PsdConstraint(dim=2, const=eye(2), terms=(LinTerm("X", -1.0),), label="I - X"),
+            PsdConstraint(dim=3, const=eye(3), terms=(LinTerm("Y", -1.0),), label="I - Y"),
+            PsdConstraint(dim=2, const=eye(2), terms=(LinTerm("X", 1.0),), label="I + X"),
+            PsdConstraint(dim=3, const=eye(3), terms=(LinTerm("Y", 1.0),), label="I + Y"),
+            PsdConstraint(dim=2, const=4.0 * eye(2), terms=(LinTerm("X", 1.0), TraceTerm("Y", P, 0.1 * eye(2)))),
+        ],
+    )
+
+
 def _state(real):
     return rho_alpha(0.3) if real else random_state(2, 3, 2, 8101)
 
 
 # e_w's max form, w_dual's two-variable (U - V)^PT block, e0's TraceTerm
 # blocks (mu upper / mu lower) on 1x1 variables, a block with two terms on
-# one variable and a TraceTerm on a 4x4 variable, each real and complex
+# one variable, a TraceTerm on a 4x4 variable and blocks of two sizes, each
+# real and complex
 _PROGRAMS = [
     pytest.param(build, real, id=f"{name}-{'real' if real else 'complex'}")
     for name, build in (
@@ -698,6 +720,7 @@ _PROGRAMS = [
         ("e0", lambda real: _measure_program(measures.det_distill_one_copy, _state(real))),
         ("x_plus_pt", _x_plus_pt_program),
         ("trace_term", _trace_term_program),
+        ("mixed_sizes", _mixed_size_program),
     )
     for real in (True, False)
 ]
@@ -709,25 +732,30 @@ def _compiled(build, real):
     return comp
 
 
+def _hermitian_stack(rng, nb, n, real, psd=False):
+    a = rng.standard_normal((nb, n, n))
+    if not real:
+        a = a + 1j * rng.standard_normal((nb, n, n))
+    ah = np.swapaxes(a.conj(), -1, -2)
+    return a @ ah + 0.1 * np.eye(n) if psd else a + ah
+
+
 @pytest.mark.parametrize("build, real", _PROGRAMS)
 def test_assemble_M_matches_dense_oracle(build, real):
     comp = _compiled(build, real)
     rng = np.random.default_rng(2024)
-    Vs = []
-    for blk in comp.blocks:
-        a = rng.standard_normal((blk.n, blk.n))
-        if not real:
-            a = a + 1j * rng.standard_normal((blk.n, blk.n))
-        Vs.append((a @ a.conj().T + np.eye(blk.n)).astype(complex))
+    Vs = [_hermitian_stack(rng, len(st.pos), st.n, real, psd=True) for st in comp.stacks]
 
     # M[i,k] = sum_j Re tr(F_ji V_j F_jk V_j), each F_ji evaluated densely
     # from the model terms (partial transposes by ptranspose_arr) at the
     # i-th unit coordinate, constant removed
     units = [ipm.assignments_from(comp, e) for e in np.eye(comp.m)]
     want = np.zeros((comp.m, comp.m))
-    for blk, V in zip(comp.blocks, Vs):
-        FV = np.array([(ipm.block_matrix(blk, xs) - blk.const) @ V for xs in units])
-        want += np.einsum("iab,kba->ik", FV, FV).real
+    for st, V in zip(comp.stacks, Vs):
+        for p, Vj in zip(st.pos, V):
+            blk = comp.blocks[p]
+            FV = np.array([(ipm.block_matrix(blk, xs) - blk.const) @ Vj for xs in units])
+            want += np.einsum("iab,kba->ik", FV, FV).real
 
     got = ipm._assemble_M(comp, Vs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -735,15 +763,49 @@ def test_assemble_M_matches_dense_oracle(build, real):
 
 @pytest.mark.parametrize("build, real", _PROGRAMS)
 def test_gather_block_is_the_adjoint_of_apply_block(build, real):
+    # one scatter images every block of a stack as the dense model terms
+    # do, and one gather is its adjoint
     comp = _compiled(build, real)
     rng = np.random.default_rng(7)
-    for blk in comp.blocks:
-        y = rng.standard_normal(comp.m)
-        a = rng.standard_normal((blk.n, blk.n)) + 1j * rng.standard_normal((blk.n, blk.n))
-        X = a + a.conj().T
-        lhs = float(y @ ipm.gather_block(blk, X))
-        rhs = float(np.real(np.trace(ipm.apply_block(blk, y) @ X)))
+    y = rng.standard_normal(comp.m)
+    xs = ipm.assignments_from(comp, y)
+    for st in comp.stacks:
+        img = ipm.apply_block(st, y)
+        for F, p in zip(img, st.pos):
+            blk = comp.blocks[p]
+            want = ipm.block_matrix(blk, xs) - blk.const
+            assert np.max(np.abs(F - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        X = _hermitian_stack(rng, len(st.pos), st.n, False)
+        lhs = float(y @ ipm.gather_block(st, X))
+        rhs = float(np.real(np.sum(img * np.swapaxes(X, -1, -2))))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+def test_w_dual_terms_collide_in_the_scatter():
+    # U and V enter (U - V)^PT at the same entries, so the image's scatter
+    # sums colliding entries; the adjoint test above checks their values
+    comp = ipm.compile_problem(_measure_program(measures.w_dual, _state(False)))
+    (st,) = comp.stacks
+    assert np.unique(st.flat).size < st.flat.size
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_mixed_block_sizes_keep_the_constraint_order(real):
+    problem = _mixed_size_program(real)
+    comp = ipm.compile_problem(problem)
+    assert [(st.n, list(st.pos)) for st in comp.stacks] == [(2, [0, 2, 4]), (3, [1, 3])]
+    sol = solve(problem)
+    assert sol.status == "optimal"
+    assert [z.shape for z in sol.dual_blocks] == [(2, 2), (3, 3), (2, 2), (3, 3), (2, 2)]
+    report = check_certificate(problem, sol)
+    assert report.ok, report.failures
+    # stationarity in Y pairs the 3x3 blocks in order: D = Z(I - Y) - Z(I + Y)
+    # plus the trace term's 0.1 tr(Z_4) P
+    rng = np.random.default_rng(5)
+    _, D, P = (_random_hermitian(rng, k, real) for k in (2, 3, 3))
+    z = sol.dual_blocks
+    got = z[1] - z[3] - 0.1 * np.trace(z[4]).real * P
+    assert np.max(np.abs(got - D)) <= 1e-6 * np.max(np.abs(D))
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
@@ -812,6 +874,55 @@ def test_max_step_of_the_scaled_direction_is_the_largest_feasible_step(n, real):
             assert np.isinf(ipm._max_step(sc.d, dPt))
 
 
+@pytest.mark.parametrize("real", [True, False])
+def test_stacked_numerics_agree_with_each_slice(real):
+    # a (nb, n, n) stack is nb independent blocks: every helper of the loop
+    # gives, slice by slice, what it gives on each 2-D slice
+    rng = np.random.default_rng(31 + real)
+    nb, n = 3, 4
+    S, Z = _hermitian_stack(rng, nb, n, real, psd=True), _hermitian_stack(rng, nb, n, real, psd=True)
+    dS, dZ, T = (_hermitian_stack(rng, nb, n, real) for _ in range(3))
+    sc = ipm._nt_scaling(S, Z)
+    dSt, dZt = ipm._scale(sc, dS, dZ)
+    target, worst = ipm._gondzio_target(sc, dSt, dZt, 0.5, 0.5, 1.0)
+    slices = [ipm._nt_scaling(S[k], Z[k]) for k in range(nb)]
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))
+
+    for k, sk in enumerate(slices):
+        assert all(close(getattr(sc, f)[k], getattr(sk, f)) for f in ("V", "G", "Gi", "d"))
+        dSk, dZk = ipm._scale(sk, dS[k], dZ[k])
+        assert close(dSt[k], dSk) and close(dZt[k], dZk)
+        assert close(ipm._pull_back(sc, T)[k], ipm._pull_back(sk, T[k]))
+        assert close(target[k], ipm._gondzio_target(sk, dSk, dZk, 0.5, 0.5, 1.0)[0])
+    assert worst == max(ipm._gondzio_target(sk, *ipm._scale(sk, dS[k], dZ[k]), 0.5, 0.5, 1.0)[1] for k, sk in enumerate(slices))
+    # the step length of a stack is the shortest of its slices'
+    for dXt in (dSt, dZt):
+        want = min(ipm._max_step(sk.d, dXt[k]) for k, sk in enumerate(slices))
+        assert abs(ipm._max_step(sc.d, dXt) - want) <= 1e-12 * want
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_stacked_numerics_reject_one_bad_slice():
+    rng = np.random.default_rng(3)
+    S, Z = _hermitian_stack(rng, 3, 3, False, psd=True), _hermitian_stack(rng, 3, 3, False, psd=True)
+    ipm._nt_scaling(S, Z)
+    indefinite = S.copy()
+    indefinite[1] = np.diag([1.0, -1.0, 1.0])
+    with pytest.raises(NumericError):
+        ipm._nt_scaling(indefinite, Z)
+    for bad in (np.nan, np.inf):
+        broken = Z.copy()
+        broken[2, 0, 1] = broken[2, 1, 0] = bad
+        with pytest.raises(NumericError):
+            ipm._nt_scaling(S, broken)
+        dXt = _hermitian_stack(rng, 3, 3, False)
+        dXt[1, 2, 2] = bad
+        with pytest.raises(NumericError):
+            ipm._max_step(np.ones((3, 3)), dXt)
+
+
 @pytest.mark.parametrize("real_mode", [True, False])
 def test_coordinate_basis_is_orthonormal(real_mode):
     for n in (1, 2, 3, 5):
@@ -844,8 +955,12 @@ def test_iteration_cap_names_its_stop_rule():
     cfg = SolverConfig(max_iterations=2)
     sol = solve(measures._w_max_form(rho_alpha(0.3)), cfg)
     assert (sol.status, sol.stop) == ("numeric-failure", "max-iterations")
-    with pytest.raises(SolverError, match="stop rule max-iterations"):
+    # the error also gives the residuals of the iterate the solve returned
+    (best,) = [row for row in sol.trace if row["iteration"] == sol.iterations]
+    with pytest.raises(SolverError, match="stop rule max-iterations") as err:
         measures.e_w(rho_alpha(0.3), cfg)
+    want = f"best iterate {sol.iterations}: relgap {best['relgap']:.3e}, pinf {best['pinf']:.3e}, dinf {best['dinf']:.3e}"
+    assert want in str(err.value)
 
 
 def test_kkt_factor_failure_names_its_stop_rule(monkeypatch):
