@@ -34,7 +34,7 @@ Coordinate a of a variable is one entry pair (i_a, j_a, u_a), the basis
 matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|. Every structural
 constraint term is c X or c X^PT; a block stores each as (variable slice,
 c, i, j, u) with (i, j) remapped by the partial transpose, and that one
-format drives the Schur assembly (kernels.schur_pairs, block by block).
+format drives the Schur assembly (kernels.schur_stack, once per stack).
 A trace term c tr(P X) K is kept beside it as (variable slice, c, p, K),
 with p the coordinates of P on that slice, so its rank-one updates touch
 only the slice's rows and columns.
@@ -92,17 +92,15 @@ def _basis_pairs(n: int, real_mode: bool):
     """Entry pairs (i, j, u) of an orthonormal Hermitian basis of dimension n.
 
     Coordinate a is the matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|:
-    diagonal units first (u = 1/2), then real (u = sqrt(1/2)) and, unless
-    real_mode, imaginary (u = i sqrt(1/2)) off-diagonal pairs in
-    lexicographic order.  u is real in real_mode.
+    diagonal units first (u = 1/2), then the real (u = sqrt(1/2)) and, unless
+    real_mode, the imaginary (u = i sqrt(1/2)) off-diagonal pairs, each in
+    lexicographic order, as kernels.schur_stack needs.  u is real in real_mode.
     """
     p, q = np.triu_indices(n, 1)
-    off = np.full(p.size, 1.0 / _RT2)
-    if not real_mode:
-        p, q = np.repeat(p, 2), np.repeat(q, 2)
-        off = np.stack([off, 1j * off], axis=1).ravel()
-    diag = np.arange(n)
-    return np.concatenate([diag, p]), np.concatenate([diag, q]), np.concatenate([np.full(n, 0.5), off])
+    offs = (1.0,) if real_mode else (1.0, 1j)
+    i = np.concatenate([np.arange(n), *(p for _ in offs)])
+    j = np.concatenate([np.arange(n), *(q for _ in offs)])
+    return i, j, np.concatenate([np.full(n, 0.5), *(np.full(p.size, w / _RT2) for w in offs)])
 
 
 def _hvec(X, i, j, u):
@@ -153,7 +151,23 @@ class BlockStack:
     flat_t: np.ndarray
     w: np.ndarray
     coord: np.ndarray
+    groups: tuple  # kernels.schur_stack's (_schur_groups)
     tterms: tuple
+
+
+def _schur_groups(blocks, pos) -> tuple:
+    """kernels.schur_stack's groups.  A term's real-part entries, those with
+    real u, come first in its basis (_basis_pairs)."""
+    groups = {}
+    for b, p in enumerate(pos):
+        terms = [(sl, c, *(a[u.real != 0] for a in (i, j, np.abs(u)))) for sl, c, i, j, u in blocks[p].lterms]
+        for t, (sl_t, c_t, i_t, j_t, r_t) in enumerate(terms):
+            for s, (sl_s, c_s, i_s, j_s, r_s) in enumerate(terms):
+                key = (sl_t.start, sl_s.start)
+                if key not in groups:
+                    groups[key] = (sl_t, sl_s, 2.0 * np.outer(r_t, r_s), [])
+                groups[key][3].append((b, c_t * c_s, t == s, i_t, j_t, i_s, j_s))
+    return tuple(groups.values())
 
 
 def _stack(blocks, pos, m, real_mode) -> BlockStack:
@@ -174,6 +188,7 @@ def _stack(blocks, pos, m, real_mode) -> BlockStack:
         flat_t=cat([(b * n + j) * n + i for b, _, _, i, j in ent]),
         w=cat([w for _, _, w, _, _ in ent]),
         coord=cat([np.arange(sl.start, sl.stop) for _, sl, _, _, _ in ent]),
+        groups=_schur_groups(blocks, pos),
         tterms=tuple(
             (b, sl, coeff, pv, K.real if real_mode else K)
             for b, p in enumerate(pos)
@@ -464,8 +479,7 @@ def _assemble_M(comp: Compiled, Vs):
     matrices V per block size."""
     M = np.zeros((comp.m, comp.m))
     for st, V in zip(comp.stacks, Vs):
-        for p, Vj in zip(st.pos, V):
-            kernels.schur_pairs(M, Vj, comp.blocks[p].lterms)
+        kernels.schur_stack(M, V, st.groups)
         for b, sl, coeff, pv, K in st.tterms:
             VKV = np.zeros_like(V)
             VKV[b] = V[b] @ K @ V[b]

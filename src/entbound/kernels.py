@@ -1,20 +1,25 @@
 """Schur-complement assembly kernel for the interior-point solver.
 
-Per iteration the solver forms M[a,b] = sum_j Re tr(F_ja V_j F_jb V_j).
-Every structural term of a constraint block is c X or c X^Γ of one
-variable, so coordinate a of that variable enters the block as the entry
-pair c E_a with E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|; the partial
-transpose only remaps (i_a, j_a).  For two terms t and s of a block, with
-u and w their pair weights times their coefficients, the four products of
-tr(E_a V E_b V) form two complex-conjugate pairs, so
+Per iteration the solver forms M[a,b] = sum_j Re tr(F_ja V_j F_jb V_j) by
+the svec / symmetric-Kronecker formula of SDPT3 (Toh, Todd & Tütüncü,
+Optim. Methods Softw. 11, 1999).  A structural term c X or c X^Γ of a block
+enters it as c E_a, E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|, for each
+coordinate a of X (the partial transpose only remaps (i_a, j_a)).  A
+variable's real-part coordinates (u = r > 0, diagonal first) come before
+its imaginary ones (u = i r), imaginary k on the entry of real-part n + k,
+so each V product is formed once per entry, not per coordinate (Fujisawa,
+Kojima & Nakata, Math. Program. 79, 1997).  For terms t and s, with α and
+β the sums over a stack's blocks of c_t c_s V[i_t, j_s] ∘ V[i_s, j_t]ᵀ and
+c_t c_s V[i_t, i_s] ∘ conj V[j_t, j_s] on their real-part entries, and
+R = 2 r_t r_sᵀ, M[sl_t, sl_s] is, on
 
-    M[sl_t, sl_s] += 2 Re[(ū w̄ᵀ) ∘ V[i_t, j_s] ∘ V[i_s, j_t]ᵀ
-                          + (ū wᵀ) ∘ V[i_t, i_s] ∘ conj V[j_t, j_s]]
+    real rows, real columns            R ∘ Re(α + β)
+    real rows, imaginary columns       R ∘ (Im α − Im β)
+    imaginary rows, real columns       R ∘ (Im α + Im β)
+    imaginary rows, imaginary columns  R ∘ Re(β − α)
 
-with every V[x, y] an outer gather over the two terms' index arrays: the
-svec / symmetric-Kronecker Schur formula of SDPT3 (Toh, Todd & Tütüncü,
-Optim. Methods Softw. 11, 1999).  With real data the weights and V are
-real and the same expression runs in float64.
+the imaginary slices taking R, α and β from row or column n on.  With real
+data only the first slice exists, computed in float64.
 """
 
 from __future__ import annotations
@@ -26,15 +31,26 @@ def kernel_name() -> str:
     return "numpy"
 
 
-def schur_pairs(M, V, lterms) -> None:
-    """Add one block's entry-pair terms Re tr(F_a V F_b V) into M in place.
-
-    lterms holds (variable slice, coeff, i, j, u) per term; V is the block's
-    scaling matrix, real when the weights u are.
-    """
-    terms = [(sl, coeff * u, V[i], np.conj(V[j]), i, j) for sl, coeff, i, j, u in lterms]
-    for sl_t, u, Vi_t, cVj_t, i_t, j_t in terms:
-        ubar = np.conj(u)[:, None]
-        for sl_s, w, Vi_s, _, i_s, j_s in terms:
-            P = np.conj(w) * (Vi_t[:, j_s] * Vi_s[:, j_t].T) + w * (Vi_t[:, i_s] * cVj_t[:, j_s])
-            M[sl_t, sl_s] += 2.0 * (ubar * P).real
+def schur_stack(M, V, groups) -> None:
+    """Add the entry-pair terms of every block k of a stack, Re tr(F_a V_k
+    F_b V_k), into M in place.  V is the (nb, n, n) stack, groups one
+    (slice_t, slice_s, R, entries) per pair of variables, entries one
+    (block, c_t c_s, same term, i_t, j_t, i_s, j_s) per pair of terms."""
+    n = V.shape[-1]
+    cV = np.conj(V)
+    for sl_t, sl_s, R, entries in groups:
+        alpha = beta = 0.0
+        for b, cc, same, i_t, j_t, i_s, j_s in entries:
+            Vi_t = V[b][i_t]
+            X = Vi_t[:, j_s]
+            alpha = alpha + cc * X * (X if same else V[b][i_s][:, j_t]).T
+            beta = beta + cc * Vi_t[:, i_s] * cV[b][j_t][:, j_s]
+        t0, s0 = sl_t.start, sl_s.start
+        t1, s1 = t0 + R.shape[0], s0 + R.shape[1]  # the first imaginary row and column
+        S = R * (alpha + beta)
+        M[t0:t1, s0:s1] += S.real
+        if t1 < sl_t.stop or s1 < sl_s.stop:
+            D = R * (beta - alpha)
+            M[t0:t1, s1 : sl_s.stop] -= D.imag[:, n:]
+            M[t1 : sl_t.stop, s0:s1] += S.imag[n:]
+            M[t1 : sl_t.stop, s1 : sl_s.stop] += D.real[n:, n:]

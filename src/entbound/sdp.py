@@ -71,7 +71,7 @@ class PsdConstraint:
     label: str = ""
 
     def __post_init__(self):
-        _check_dim(self.dim, f"constraint '{self.label}' dim", least=0)
+        _check_dim(self.dim, f"constraint '{self.label}' dim")
         if self.const is None:
             object.__setattr__(self, "const", np.zeros((self.dim, self.dim), dtype=np.complex128))
         else:

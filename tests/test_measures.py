@@ -377,6 +377,18 @@ def test_e_w_certificate_rejects_the_pattern_of_rho(monkeypatch):
         e_w(rho)
 
 
+def test_local_phases_leave_the_bounds_unchanged():
+    # conjugating by a diagonal local unitary leaves every measure fixed but
+    # makes the data complex, and the programs then run on patterns that keep
+    # an imaginary coordinate beside some off-diagonal entries only
+    u = np.exp(1j * np.add.outer([0.0, 0.7, 1.9], [0.3, -1.1, 2.5]).ravel())
+    rho = rho_alpha(0.3)
+    phased = make_state(u[:, None] * rho.mat * u.conj(), 3, 3)
+    assert np.any(phased.mat.imag)
+    for f in (e_w, det_distill_one_copy, w0, lambda r: fidelity_ppt(r, 2)):
+        assert abs(f(phased).value_log2 - f(rho).value_log2) <= 1e-9
+
+
 def test_e_w_sides_agree_to_a_loose_gap_tolerance():
     # the solve stops at a 1e-5 relative gap, so the two certificate sides
     # differ by more than PRIMAL_DUAL_AGREE_TOL but within 10x the gap

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from entbound import ipm, measures
 from entbound.errors import CapacityError, InvalidDimsError, InvalidStateError, NumericError, SolverError
-from entbound.linalg import HermitianMatrix, ptranspose_arr
+from entbound.linalg import HermitianMatrix, make_state, ptranspose_arr
 from entbound.sdp import (
     EqConstraint,
     LinTerm,
@@ -571,6 +571,19 @@ def test_model_validation_rejects_non_integer_dims(dim):
         PsdConstraint(dim=dim, terms=())
 
 
+def test_model_validation_rejects_an_empty_constraint_block():
+    # min x over a 1x1 PSD x with x = 1 and a 0x0 block is refused by the
+    # model, not left to fail in compile_problem
+    with pytest.raises(InvalidDimsError, match="dim"):
+        SdpProblem(
+            sense="min",
+            variables=[("x", 1, "hermitian-psd")],
+            objective=[("x", eye(1))],
+            constraints=[PsdConstraint(dim=0, terms=())],
+            equalities=[EqConstraint(terms=(("x", eye(1)),), rhs=1.0)],
+        )
+
+
 _EYE2 = np.eye(2, dtype=bool)
 
 
@@ -708,10 +721,20 @@ def _state(real):
     return rho_alpha(0.3) if real else random_state(2, 3, 2, 8101)
 
 
+def _phased_rho_alpha():
+    """rho_alpha(0.3) conjugated by the diagonal local phase unitary with
+    phases (0, 0.7, 1.9) x (0.3, -1.1, 2.5): complex data on a pattern that
+    keeps some off-diagonal entries of R, not all."""
+    u = np.exp(1j * np.add.outer([0.0, 0.7, 1.9], [0.3, -1.1, 2.5]).ravel())
+    return make_state(u[:, None] * rho_alpha(0.3).mat * u.conj(), 3, 3)
+
+
 # e_w's max form, w_dual's two-variable (U - V)^PT block, e0's TraceTerm
 # blocks (mu upper / mu lower) on 1x1 variables, a block with two terms on
 # one variable, a TraceTerm on a 4x4 variable and blocks of two sizes, each
-# real and complex
+# real and complex; and e_w's max form on a complex pattern that drops some
+# off-diagonal pairs (m = 15), which checks that each imaginary coordinate
+# meets its own entry
 _PROGRAMS = [
     pytest.param(build, real, id=f"{name}-{'real' if real else 'complex'}")
     for name, build in (
@@ -723,7 +746,7 @@ _PROGRAMS = [
         ("mixed_sizes", _mixed_size_program),
     )
     for real in (True, False)
-]
+] + [pytest.param(lambda real: measures._w_max_form(_phased_rho_alpha()), False, id="e_w_phased-complex")]
 
 
 def _compiled(build, real):
@@ -923,6 +946,18 @@ def test_stacked_numerics_reject_one_bad_slice():
             ipm._max_step(np.ones((3, 3)), dXt)
 
 
+def _check_basis_order(n, i, j, u):
+    # the Schur kernel's invariant: the diagonal, then the other real-part
+    # coordinates (u real), then one imaginary coordinate (u imaginary) per
+    # off-diagonal one, imaginary coordinate k on the entry of coordinate n + k
+    ne = np.count_nonzero(u.real)
+    assert np.array_equal(i[:n], np.arange(n)) and np.array_equal(j[:n], np.arange(n))
+    assert np.all(i[n:] < j[n:])
+    assert not np.any(u[:ne].imag) and np.all(u[:ne].real > 0)
+    assert not np.any(u[ne:].real) and np.all(u[ne:].imag > 0)
+    assert np.array_equal(i[ne:], i[n : n + u.size - ne]) and np.array_equal(j[ne:], j[n : n + u.size - ne])
+
+
 @pytest.mark.parametrize("real_mode", [True, False])
 def test_coordinate_basis_is_orthonormal(real_mode):
     for n in (1, 2, 3, 5):
@@ -934,6 +969,14 @@ def test_coordinate_basis_is_orthonormal(real_mode):
             assert not np.any(E.imag)
         assert np.max(np.abs(np.einsum("aij,bji->ab", E, E).real - np.eye(k))) <= 1e-15
         assert np.max(np.abs(np.array([ipm._hvec(Eb, i, j, u) for Eb in E]) - np.eye(k))) <= 1e-15
+        _check_basis_order(n, i, j, u)
+        assert np.count_nonzero(u.real) == n * (n + 1) // 2
+    if not real_mode:
+        # a pattern keeps or drops an entry's two coordinates together
+        comp = ipm.compile_problem(measures._w_max_form(_phased_rho_alpha()))
+        i, j, u = comp.bases["R"]
+        assert not comp.real_mode and (u.size, np.count_nonzero(u.real)) == (15, 12)
+        _check_basis_order(9, i, j, u)
 
 
 def test_pattern_restricts_the_compiled_coordinates():
