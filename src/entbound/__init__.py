@@ -26,7 +26,6 @@ from .measures import (
     log_negativity,
     multi_copy,
     npt_witness_bound,
-    ppt_classification,
     w0,
     w_dual,
 )

@@ -31,20 +31,23 @@ exactly when diag(d) + t dS̃ ⪰ 0, and the complementarity product of the
 tentative point is (D + t dS̃)(D + t' dZ̃) with D = diag(d).
 
 Coordinate a of a variable is one entry pair (i_a, j_a, u_a), the basis
-matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|. Every structural
-constraint term is c X or c X^PT; a block stores each as (variable slice,
-c, i, j, u) with (i, j) remapped by the partial transpose, and that one
-format drives the Schur assembly (kernels.schur_stack, once per stack).
-A trace term c tr(P X) K is kept beside it as (variable slice, c, p, K),
-with p the coordinates of P on that slice, so its rank-one updates touch
-only the slice's rows and columns.
+matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|.  compile_problem turns
+each block of SdpProblem.blocks() straight into its place in the stack of
+its size (the measures' programs have one size); this compiled layout is
+known to this module alone.  Every structural term c X or c X^PT becomes
+the variable's entry pairs with (i, j) remapped by the partial transpose,
+and that one format drives the Schur assembly (kernels.schur_stack, once
+per stack).  A trace term c tr(P X) K is kept beside it as (slot, variable
+slice, c, p, K), with p the coordinates of P on that slice, so its
+rank-one updates touch only the slice's rows and columns.
 
-The loop holds the blocks of each size as one (nb, n, n) stack (the
-measures' programs have one size), so S, Z, the NT scaling, the scaled
-directions, the step lengths and the corrector targets take one stacked
-numpy call per stack.  Each stack's entry pairs are flattened once to
-(block, i, j, weight, coordinate) arrays: its image (apply_block) is one
-scatter and its adjoint (gather_block) one gather.
+S, Z, the NT scaling, the scaled directions, the step lengths and the
+corrector targets take one stacked numpy call per (nb, n, n) stack.  Each
+stack's entry pairs are flattened once to (block, i, j, weight,
+coordinate) arrays: its image (apply_block) is one scatter and its adjoint
+(gather_block) one gather.  The image is exactly Hermitian (half +
+half†), so the loop's sums of images, constants and hermitize outputs need
+no re-symmetrizing.
 
 When every datum in the problem is real, variables are restricted to real
 symmetric coordinates and the loop runs in float64. The imaginary
@@ -74,8 +77,8 @@ import scipy.linalg as sla
 
 from . import kernels
 from .errors import CapacityError, InvalidStateError, NumericError
-from .linalg import ZERO_ENTRY_ATOL, dagger, hermitize, ptranspose_arr
-from .sdp import LinTerm, PsdConstraint, SdpProblem
+from .linalg import ZERO_ENTRY_ATOL, dagger, hermitize
+from .sdp import LinTerm, SdpProblem
 
 # Total variable dimension cap, counted after real embedding (2n per n-dim
 # Hermitian variable). Keeps dense Schur assembly and factorization tractable.
@@ -126,16 +129,6 @@ def _pt_map(i, j, d_a, d_b):
 
 
 @dataclass
-class CompiledBlock:
-    n: int
-    const: np.ndarray
-    label: str
-    lterms: tuple  # of (variable slice, coeff, i, j, u): LinTerms as entry pairs
-    tterms: tuple  # of (variable slice, coeff, p, K (n, n)), p local to the slice
-    sem_terms: tuple  # original model terms, for basis-free evaluation
-
-
-@dataclass
 class BlockStack:
     """The blocks of one size n as one (nb, n, n) stack, in constraint order.
     Entry e of their flattened entry pairs adds w_e y[coord_e] at stack
@@ -144,7 +137,7 @@ class BlockStack:
 
     n: int
     m: int
-    pos: np.ndarray  # the blocks' indices in Compiled.blocks
+    pos: np.ndarray  # the blocks' indices in SdpProblem.blocks()
     const: np.ndarray  # (nb, n, n), in the loop's dtype
     dnorm: np.ndarray  # (nb,) spectral norms of the constants
     flat: np.ndarray
@@ -155,12 +148,12 @@ class BlockStack:
     tterms: tuple
 
 
-def _schur_groups(blocks, pos) -> tuple:
+def _schur_groups(lterms) -> tuple:
     """kernels.schur_stack's groups.  A term's real-part entries, those with
     real u, come first in its basis (_basis_pairs)."""
     groups = {}
-    for b, p in enumerate(pos):
-        terms = [(sl, c, *(a[u.real != 0] for a in (i, j, np.abs(u)))) for sl, c, i, j, u in blocks[p].lterms]
+    for b, lt in enumerate(lterms):
+        terms = [(sl, c, *(a[u.real != 0] for a in (i, j, np.abs(u)))) for sl, c, i, j, u in lt]
         for t, (sl_t, c_t, i_t, j_t, r_t) in enumerate(terms):
             for s, (sl_s, c_s, i_s, j_s, r_s) in enumerate(terms):
                 key = (sl_t.start, sl_s.start)
@@ -170,14 +163,27 @@ def _schur_groups(blocks, pos) -> tuple:
     return tuple(groups.values())
 
 
-def _stack(blocks, pos, m, real_mode) -> BlockStack:
-    n = blocks[pos[0]].n
-    ent = [(b, sl, coeff * u, i, j) for b, p in enumerate(pos) for sl, coeff, i, j, u in blocks[p].lterms]
+def _stack(cons, pos, bases, var_slices, m, real_mode) -> BlockStack:
+    """The stack of the constraints cons[p] for p in pos, all of one size.
+    A LinTerm becomes its variable's entry pairs, moved by the partial
+    transpose; a TraceTerm becomes the coordinates of its probe."""
+    n = cons[pos[0]].dim
+    lterms, tterms = [[] for _ in pos], []
+    for b, p in enumerate(pos):
+        for t in cons[p].terms:
+            sl, (i, j, u) = var_slices[t.var], bases[t.var]
+            if not isinstance(t, LinTerm):
+                tterms.append((b, sl, float(t.coeff), _hvec(t.probe, i, j, u), t.gain.real if real_mode else t.gain))
+            elif t.pt_dims is None:
+                lterms[b].append((sl, float(t.coeff), i, j, u))
+            else:
+                lterms[b].append((sl, float(t.coeff), *_pt_map(i, j, *t.pt_dims), u))
+    ent = [(b, sl, coeff * u, i, j) for b, lt in enumerate(lterms) for sl, coeff, i, j, u in lt]
 
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, int)
 
-    const = np.array([blocks[p].const for p in pos])
+    const = np.array([cons[p].const for p in pos])
     return BlockStack(
         n=n,
         m=m,
@@ -188,12 +194,8 @@ def _stack(blocks, pos, m, real_mode) -> BlockStack:
         flat_t=cat([(b * n + j) * n + i for b, _, _, i, j in ent]),
         w=cat([w for _, _, w, _, _ in ent]),
         coord=cat([np.arange(sl.start, sl.stop) for _, sl, _, _, _ in ent]),
-        groups=_schur_groups(blocks, pos),
-        tterms=tuple(
-            (b, sl, coeff, pv, K.real if real_mode else K)
-            for b, p in enumerate(pos)
-            for sl, coeff, pv, K in blocks[p].tterms
-        ),
+        groups=_schur_groups(lterms),
+        tterms=tuple(tterms),
     )
 
 
@@ -207,7 +209,6 @@ class Compiled:
     c: np.ndarray
     sense_mult: float
     constant: float
-    blocks: list
     stacks: list  # one BlockStack per block size, in order of first appearance
     A: np.ndarray
     b: np.ndarray
@@ -267,39 +268,15 @@ def compile_problem(problem: SdpProblem) -> Compiled:
     sense_mult = 1.0 if problem.sense == "max" else -1.0
     c = sense_mult * c_user
 
-    cons = list(problem.constraints)
-    for name, dim, kind in problem.variables:
-        if kind == "hermitian-psd":
-            cons.append(PsdConstraint(dim=dim, terms=(LinTerm(name),), label=f"{name} >= 0"))
-
-    blocks = []
-    static_infeasible = False
-    for con in cons:
-        lterms = []
-        tterms = []
-        for t in con.terms:
-            sl = var_slices[t.var]
-            i, j, u = bases[t.var]
-            if isinstance(t, LinTerm):
-                if t.pt_dims is not None:
-                    i, j = _pt_map(i, j, *t.pt_dims)
-                lterms.append((sl, float(t.coeff), i, j, u))
-            else:
-                tterms.append((sl, float(t.coeff), _hvec(t.probe, i, j, u), t.gain.copy()))
-        if not con.terms and float(np.linalg.eigvalsh(con.const)[0]) < -1e-12:
-            static_infeasible = True
-        blocks.append(
-            CompiledBlock(
-                n=con.dim,
-                const=con.const.astype(np.complex128),
-                label=con.label,
-                lterms=tuple(lterms),
-                tterms=tuple(tterms),
-                sem_terms=tuple(con.terms),
-            )
-        )
-    sizes = dict.fromkeys(blk.n for blk in blocks)
-    stacks = [_stack(blocks, [p for p, blk in enumerate(blocks) if blk.n == n], m, real_mode) for n in sizes]
+    cons = problem.blocks()
+    static_infeasible = any(
+        not con.terms and float(np.linalg.eigvalsh(con.const)[0]) < -1e-12 for con in cons
+    )
+    sizes = dict.fromkeys(con.dim for con in cons)
+    stacks = [
+        _stack(cons, [p for p, con in enumerate(cons) if con.dim == n], bases, var_slices, m, real_mode)
+        for n in sizes
+    ]
 
     p = len(problem.equalities)
     A = np.zeros((p, m))
@@ -318,7 +295,6 @@ def compile_problem(problem: SdpProblem) -> Compiled:
         c=c,
         sense_mult=sense_mult,
         constant=problem.constant,
-        blocks=blocks,
         stacks=stacks,
         A=A,
         b=b,
@@ -360,19 +336,6 @@ def gather_block(st: BlockStack, X: np.ndarray) -> np.ndarray:
     for b, sl, coeff, pv, K in st.tterms:
         out[sl] += (coeff * float(np.real(np.trace(K @ X[b])))) * pv
     return out
-
-
-def block_matrix(blk: CompiledBlock, xs: dict) -> np.ndarray:
-    """Basis-free evaluation of const + terms at explicit variable matrices."""
-    mat = blk.const.copy()
-    for t in blk.sem_terms:
-        X = np.asarray(xs[t.var], dtype=np.complex128)
-        if isinstance(t, LinTerm):
-            img = X if t.pt_dims is None else ptranspose_arr(X, *t.pt_dims)
-            mat = mat + t.coeff * img
-        else:
-            mat = mat + t.coeff * float(np.real(np.trace(t.probe @ X))) * t.gain
-    return hermitize(mat)
 
 
 def assignments_from(comp: Compiled, y: np.ndarray) -> dict:
@@ -683,7 +646,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
 
     def result(status, stop, snap):
         pv, dv = user_vals(snap["pobj"], snap["dobj"])
-        dual = {p: Zj for st, Zk in zip(stacks, snap["Z"]) for p, Zj in zip(st.pos, hermitize(Zk))}
+        dual = {p: Zj for st, Zk in zip(stacks, snap["Z"]) for p, Zj in zip(st.pos, Zk)}
         return {
             "status": status,
             "stop": stop,
@@ -691,7 +654,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
             "dual_value": dv,
             "assignments": assignments_from(comp, snap["y"]),
             "iterations": snap["it"],
-            "dual_blocks": [dual[p] for p in range(len(comp.blocks))],
+            "dual_blocks": [dual[p] for p in sorted(dual)],
             "eq_duals": snap["lam"],
             "trace": trace,
         }
@@ -726,7 +689,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
 
     for it in range(1, cfg.max_iterations + 1):
         it_done = it
-        Rp = [hermitize(st.const + apply_block(st, y)) - Sk for st, Sk in zip(stacks, S)]
+        Rp = [st.const + apply_block(st, y) - Sk for st, Sk in zip(stacks, S)]
         adjZ = sum(gather_block(st, Zk) for st, Zk in zip(stacks, Z))
         lam = eq.pinv_t(comp.c + adjZ)
         rd = -comp.c - adjZ + A.T @ lam
@@ -828,7 +791,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
                 into the dual residual every step."""
                 g = -rd + sum(gather_block(st, Gk) for st, Gk in zip(stacks, G))
                 dy = eq.extend(kkt(eq.restrict(g)))
-                dS = [hermitize(Rk + apply_block(st, dy)) for st, Rk in zip(stacks, Rp)]
+                dS = [Rk + apply_block(st, dy) for st, Rk in zip(stacks, Rp)]
                 dZ = [hermitize(Gk - s.V @ (dSk - Rk) @ s.V) for s, Gk, dSk, Rk in zip(sc, G, dS, Rp)]
                 scaled = [_scale(s, dSk, dZk) for s, dSk, dZk in zip(sc, dS, dZ)]
                 ap = min(1.0, tau * min(_max_step(s.d, t[0]) for s, t in zip(sc, scaled)))
@@ -870,7 +833,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
                 ]
                 if max(out for _, out in targets) <= 1e-16 * max(smu, 1e-300):
                     break
-                Gg = [hermitize(Gk + Tk) for Gk, (Tk, _) in zip(Gc, targets)]
+                Gg = [Gk + Tk for Gk, (Tk, _) in zip(Gc, targets)]
                 dy2, dS2, dZ2, scaled2, ap2, ad2 = direction(Gg, tau)
                 if min(ap2, ad2) < min(ap, ad) + 0.02:
                     break
@@ -880,8 +843,8 @@ def _iterate(comp: Compiled, cfg) -> dict:
             break
 
         y = y + ap * dy
-        S = [hermitize(Sk + ap * dSk) for Sk, dSk in zip(S, dS)]
-        Z = [hermitize(Zk + ad * dZk) for Zk, dZk in zip(Z, dZ)]
+        S = [Sk + ap * dSk for Sk, dSk in zip(S, dS)]
+        Z = [Zk + ad * dZk for Zk, dZk in zip(Z, dZ)]
         last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma}
 
     if best is None:

@@ -33,7 +33,6 @@ from .linalg import (
 from .sdp import EqConstraint, LinTerm, PsdConstraint, SdpProblem, SolverConfig, TraceTerm, solve
 from .states import kron_power_state
 
-NPPT_EIG_THRESHOLD = -1e-8
 PRIMAL_DUAL_AGREE_TOL = 1e-6
 MULTI_COPY_DIM_CAP = 100
 _ADDITIVITY_TOL = 1e-5
@@ -391,14 +390,3 @@ def multi_copy(
             )
     return result
 
-
-def ppt_classification(rho: BipartiteState) -> str:
-    """'ppt', 'nppt', or 'boundary' for the band just below zero where the
-    sign of the smallest partial-transpose eigenvalue is not trustworthy."""
-    pt = ptranspose_arr(rho.mat, rho.dims.d_a, rho.dims.d_b)
-    lmin = float(np.linalg.eigvalsh(pt)[0])
-    if lmin >= 0.0:
-        return "ppt"
-    if lmin < NPPT_EIG_THRESHOLD:
-        return "nppt"
-    return "boundary"

@@ -3,8 +3,10 @@
 A problem holds named Hermitian variables, a real-linear objective
 sum_i Re tr(C_i X_i) + constant, affine matrix inequalities
 D + L(X_1..X_k) >= 0 built from identity / partial-transpose / trace-scaled
-terms, and affine scalar equalities. The engine in ipm.py solves the
-compiled form; solve() and check_certificate() are the public entry points.
+terms, and affine scalar equalities.  solve() hands it to ipm.py, which
+alone knows the compiled form.  check_certificate() evaluates both sides
+from the model terms and the solution's matrices over every entry, so it
+certifies the unrestricted program even when the solve ran on a pattern.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidDimsError, InvalidStateError
-from .linalg import HermitianMatrix, checked_hermitian, is_finite_real, is_integer
+from .linalg import HermitianMatrix, checked_hermitian, hermitize, is_finite_real, is_integer, ptranspose_arr
 
 VALID_KINDS = ("hermitian", "hermitian-psd")
 
@@ -155,6 +157,14 @@ class SdpProblem:
                     raise InvalidDimsError(f"equality '{eq.label}': probe dim mismatch for {v!r}")
         self.patterns = {name: self._pattern(name, mask, dims) for name, mask in self.patterns.items()}
 
+    def blocks(self) -> list:
+        """The PSD blocks in the order of SdpSolution.dual_blocks: the
+        constraints, then X >= 0 for each hermitian-psd variable."""
+        return list(self.constraints) + [
+            PsdConstraint(dim=dim, terms=(LinTerm(name),), label=f"{name} >= 0")
+            for name, dim, kind in self.variables if kind == "hermitian-psd"
+        ]
+
     @staticmethod
     def _pattern(name, mask, dims):
         if name not in dims:
@@ -202,6 +212,8 @@ class SdpSolution:
     # kkt-factor, numeric-error, infeasible, unbounded, max-iterations, or at
     # iteration 0 static-infeasible or no-cone
     stop: str
+    # one dual matrix per PSD block, in the order of SdpProblem.blocks(): the
+    # constraints, then X >= 0 for each hermitian-psd variable
     dual_blocks: tuple = ()
     eq_duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # one dict per iterate evaluated: iteration, mu, objectives, relgap, pinf,
@@ -245,61 +257,93 @@ def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolutio
     )
 
 
+def _tr(a, b) -> float:
+    return float(np.real(np.trace(a @ b)))
+
+
+def block_matrix(con: PsdConstraint, xs: dict) -> np.ndarray:
+    """const + terms of one PSD block at explicit variable matrices."""
+    mat = con.const.copy()
+    for t in con.terms:
+        X = np.asarray(xs[t.var], dtype=np.complex128)
+        if isinstance(t, LinTerm):
+            mat = mat + t.coeff * (X if t.pt_dims is None else ptranspose_arr(X, *t.pt_dims))
+        else:
+            mat = mat + t.coeff * _tr(t.probe, X) * t.gain
+    return hermitize(mat)
+
+
+def _dual_residual(problem: SdpProblem, zs, lam) -> dict:
+    """sense C + sum_j F_j*(Z_j) - sum_r lam_r P_r for each variable, with F*
+    taken term by term from the model: coeff Z (or Z^PT) for a LinTerm and
+    coeff Re tr(gain Z) probe for a TraceTerm."""
+    sense = 1.0 if problem.sense == "max" else -1.0
+    res = {name: np.zeros((dim, dim), dtype=np.complex128) for name, dim, _ in problem.variables}
+    for name, C in problem.objective:
+        res[name] += sense * C
+    for con, Z in zip(problem.blocks(), zs):
+        for t in con.terms:
+            if isinstance(t, LinTerm):
+                res[t.var] += t.coeff * (Z if t.pt_dims is None else ptranspose_arr(Z, *t.pt_dims))
+            else:
+                res[t.var] += (t.coeff * _tr(t.gain, Z)) * t.probe
+    for eq, lr in zip(problem.equalities, lam):
+        for v, p in eq.terms:
+            res[v] -= lr * p
+    return res
+
+
 def check_certificate(
     problem: SdpProblem, solution: SdpSolution, config: SolverConfig | None = None
 ) -> CertificateReport:
-    """Re-evaluate every residual and both objectives from the assignments alone."""
-    from . import ipm
-
+    """Re-evaluate every residual and both objectives from the model and the
+    solution's matrices alone.  Assignments, dual blocks or equality
+    multipliers whose count or shapes differ from the problem's raise
+    InvalidDimsError."""
     cfg = config or SolverConfig()
-    comp = ipm.compile_problem(problem)
-    xs = {name: solution.assignments[name].mat for name, _, _ in problem.variables}
+    blocks = problem.blocks()
+    zs = [np.asarray(z, dtype=np.complex128) for z in solution.dual_blocks]
+    lam = np.asarray(solution.eq_duals, dtype=float)
+    shapes = [(con.dim, con.dim) for con in blocks]
+    if [z.shape for z in zs] != shapes:
+        raise InvalidDimsError(f"dual blocks have shapes {[z.shape for z in zs]}, the PSD blocks {shapes}")
+    if lam.shape != (len(problem.equalities),):
+        raise InvalidDimsError(f"{lam.size} equality multipliers for {len(problem.equalities)} equalities")
+    xs = {name: x.mat for name, x in solution.assignments.items()}
+    want = {name: (dim, dim) for name, dim, _ in problem.variables}
+    if {name: x.shape for name, x in xs.items()} != want:
+        raise InvalidDimsError(f"assignments {sorted(xs)} do not match the variables' shapes {want}")
 
-    con_res = []
-    for blk in comp.blocks:
-        mat = ipm.block_matrix(blk, xs)
-        lmin = float(np.linalg.eigvalsh(mat)[0])
-        con_res.append(max(0.0, -lmin))
-    eq_res = []
-    for eq in problem.equalities:
-        val = sum(float(np.real(np.trace(p @ xs[v]))) for v, p in eq.terms)
-        eq_res.append(abs(val - eq.rhs))
-
-    primal = comp.constant + sum(
-        float(np.real(np.trace(C @ xs[name]))) for name, C in problem.objective
-    )
-
-    dual_feas = 0.0
-    dual_psd_min = 0.0
-    dual = float("nan")
-    if solution.dual_blocks:
-        zs = [np.asarray(z) for z in solution.dual_blocks]
-        lam = np.asarray(solution.eq_duals, dtype=float)
-        dobj_lin = sum(float(np.real(np.trace(z @ blk.const))) for z, blk in zip(zs, comp.blocks))
-        if lam.size:
-            dobj_lin += float(lam @ comp.b)
-        dual = comp.sense_mult * dobj_lin + comp.constant
-        adj = comp.c.copy()
-        for st in comp.stacks:
-            adj += ipm.gather_block(st, np.array([zs[p] for p in st.pos]))
-        if lam.size:
-            adj -= comp.A.T @ lam
-        dual_feas = float(np.max(np.abs(adj))) if adj.size else 0.0
-        dual_psd_min = min(
-            (float(np.linalg.eigvalsh(z)[0]) for z in zs), default=0.0
-        )
+    con_res = [max(0.0, -float(np.linalg.eigvalsh(block_matrix(con, xs))[0])) for con in blocks]
+    eq_res = [abs(sum(_tr(p, xs[v]) for v, p in eq.terms) - eq.rhs) for eq in problem.equalities]
+    primal = problem.constant + sum(_tr(C, xs[name]) for name, C in problem.objective)
+    dobj_lin = sum(_tr(z, con.const) for z, con in zip(zs, blocks))
+    dobj_lin += float(lam @ np.array([eq.rhs for eq in problem.equalities], dtype=float))
+    dual = (1.0 if problem.sense == "max" else -1.0) * dobj_lin + problem.constant
+    res = _dual_residual(problem, zs, lam)
+    dual_feas = max((float(np.max(np.abs(r))) for r in res.values()), default=0.0)
+    dual_psd_min = min((float(np.linalg.eigvalsh(z)[0]) for z in zs), default=0.0)
 
     gap = abs(primal - dual)
     max_res = max(con_res + eq_res, default=0.0)
     failures = []
     for i, r in enumerate(con_res):
         if r > cfg.feas_tol:
-            label = comp.blocks[i].label or f"constraint[{i}]"
+            label = blocks[i].label or f"constraint[{i}]"
             failures.append(f"{label}: PSD violation {r:.3e} > {cfg.feas_tol:.0e}")
     for i, r in enumerate(eq_res):
         if r > cfg.feas_tol:
             failures.append(f"equality[{i}]: residual {r:.3e} > {cfg.feas_tol:.0e}")
-    if gap > cfg.gap_tol * max(1.0, abs(primal)):
+    # the solver's own dual stop rule: max(feas_tol, 10 gap_tol) times 1 + the
+    # largest objective coordinate, at most sqrt(2) times cmax below
+    cmax = sum(float(np.max(np.abs(C))) for _, C in problem.objective)
+    dual_tol = max(cfg.feas_tol, 10.0 * cfg.gap_tol) * (1.0 + np.sqrt(2.0) * cmax)
+    if not dual_feas <= dual_tol:
+        failures.append(f"dual residual {dual_feas:.3e} > {dual_tol:.1e}")
+    if dual_psd_min < -cfg.feas_tol:
+        failures.append(f"dual blocks: PSD violation {-dual_psd_min:.3e} > {cfg.feas_tol:.0e}")
+    # a nan gap fails too
+    if not gap <= cfg.gap_tol * max(1.0, abs(primal)):
         failures.append(f"gap {gap:.3e} exceeds {cfg.gap_tol:.0e}*max(1,|primal|)")
     return CertificateReport(
         constraint_residuals=con_res,

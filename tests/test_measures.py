@@ -17,7 +17,6 @@ from entbound.measures import (
     log_negativity,
     multi_copy,
     npt_witness_bound,
-    ppt_classification,
     w0,
     w_dual,
 )
@@ -233,7 +232,7 @@ def test_npt_witness_bound_lower_bounds_solver():
     found = 0
     for i in range(6):
         rho = random_state(3, 3, rank=2, seed=800 + i)
-        if ppt_classification(rho) != "nppt":
+        if np.linalg.eigvalsh(ptranspose_arr(rho.mat, 3, 3))[0] >= -1e-8:
             continue
         found += 1
         value, _ = npt_witness_bound(rho)
@@ -411,16 +410,6 @@ def test_witness_tight_when_bound_matches_log_negativity():
         pt = ptranspose_arr(rho.mat, rho.dims.d_a, rho.dims.d_b)
         assert np.linalg.eigvalsh(ptranspose_arr(r, rho.dims.d_a, rho.dims.d_b))[0] >= -1e-7
         assert abs(np.real(np.trace(pt @ r)) - trace_norm_arr(pt)) <= 1e-6
-
-
-def test_ppt_classification_labels():
-    assert ppt_classification(random_separable(2, 2, terms=4, seed=900)) == "ppt"
-    assert ppt_classification(max_entangled(2)) == "nppt"
-    # mixing weight tuned so the smallest PT eigenvalue (1 - 3p)/4 lands
-    # inside the inconclusive band just below zero
-    p = 1 / 3 + 1.2e-8
-    mix = (1 - p) * np.eye(4) / 4 + p * max_entangled(2).mat
-    assert ppt_classification(make_state(mix, 2, 2)) == "boundary"
 
 
 @settings(max_examples=8, deadline=None)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from entbound import ipm, measures
+from entbound import ipm, measures, sdp
 from entbound.errors import CapacityError, InvalidDimsError, InvalidStateError, NumericError, SolverError
 from entbound.linalg import HermitianMatrix, make_state, ptranspose_arr
 from entbound.sdp import (
@@ -358,6 +358,57 @@ def test_certificate_flags_psd_violation():
     report = check_certificate(problem, replace(sol, assignments={"X": HermitianMatrix(bad)}))
     assert not report.ok
     assert any("PSD" in f for f in report.failures)
+
+
+def test_certificate_refuses_a_solution_of_the_wrong_count_or_shape():
+    problem = measures._w_max_form(rho_alpha(0.3))
+    sol = solve(problem)
+    assert len(sol.dual_blocks) == len(problem.blocks()) == 3
+    with pytest.raises(InvalidDimsError, match="dual blocks"):
+        check_certificate(problem, replace(sol, dual_blocks=sol.dual_blocks[:2]))
+    with pytest.raises(InvalidDimsError, match="dual blocks"):
+        check_certificate(problem, replace(sol, dual_blocks=(np.eye(2),) + sol.dual_blocks[1:]))
+    with pytest.raises(InvalidDimsError, match="equality multipliers"):
+        check_certificate(problem, replace(sol, eq_duals=np.zeros(1)))
+    # the primal side is held to the same rule
+    for xs in ({}, {"R": HermitianMatrix(np.eye(4))}):
+        with pytest.raises(InvalidDimsError, match="assignments"):
+            check_certificate(problem, replace(sol, assignments=xs))
+
+
+def test_certificate_fails_a_solve_without_a_dual():
+    # no PSD block at all: the solve stops at no-cone before any dual exists
+    problem = SdpProblem(
+        sense="max",
+        variables=[("x", 1, "hermitian")],
+        objective=[("x", np.eye(1))],
+        equalities=[EqConstraint(terms=(("x", np.eye(1)),), rhs=1.0)],
+    )
+    sol = solve(problem)
+    assert (sol.stop, sol.dual_blocks) == ("no-cone", ())
+    report = check_certificate(problem, sol)
+    assert not report.ok
+    assert any("gap" in f for f in report.failures)
+    # a non-finite multiplier gives a non-finite gap, which fails too
+    report = check_certificate(problem, replace(sol, eq_duals=np.array([np.nan])))
+    assert np.isnan(report.gap)
+    assert any("gap nan" in f for f in report.failures)
+
+
+def test_certificate_checks_the_unrestricted_program():
+    # rho_alpha(0.3)'s own pattern keeps a certificate of the whole program;
+    # a diagonal-only pattern solves, but its dual is not feasible there
+    problem = measures._w_max_form(rho_alpha(0.3))
+    report = check_certificate(problem, solve(problem))
+    assert report.ok, report.failures
+    assert report.dual_feas_residual <= 1e-9
+    diag = replace(problem, patterns={"R": np.eye(9, dtype=bool)})
+    sol = solve(diag)
+    assert sol.status == "optimal"
+    report = check_certificate(diag, sol)
+    assert report.dual_feas_residual > 0.1
+    assert not report.ok
+    assert any("dual residual" in f for f in report.failures)
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -750,9 +801,10 @@ _PROGRAMS = [
 
 
 def _compiled(build, real):
-    comp = ipm.compile_problem(build(real))
+    problem = build(real)
+    comp = ipm.compile_problem(problem)
     assert comp.real_mode == real
-    return comp
+    return problem, comp
 
 
 def _hermitian_stack(rng, nb, n, real, psd=False):
@@ -765,7 +817,8 @@ def _hermitian_stack(rng, nb, n, real, psd=False):
 
 @pytest.mark.parametrize("build, real", _PROGRAMS)
 def test_assemble_M_matches_dense_oracle(build, real):
-    comp = _compiled(build, real)
+    problem, comp = _compiled(build, real)
+    blocks = problem.blocks()
     rng = np.random.default_rng(2024)
     Vs = [_hermitian_stack(rng, len(st.pos), st.n, real, psd=True) for st in comp.stacks]
 
@@ -776,8 +829,8 @@ def test_assemble_M_matches_dense_oracle(build, real):
     want = np.zeros((comp.m, comp.m))
     for st, V in zip(comp.stacks, Vs):
         for p, Vj in zip(st.pos, V):
-            blk = comp.blocks[p]
-            FV = np.array([(ipm.block_matrix(blk, xs) - blk.const) @ Vj for xs in units])
+            blk = blocks[p]
+            FV = np.array([(sdp.block_matrix(blk, xs) - blk.const) @ Vj for xs in units])
             want += np.einsum("iab,kba->ik", FV, FV).real
 
     got = ipm._assemble_M(comp, Vs)
@@ -788,20 +841,36 @@ def test_assemble_M_matches_dense_oracle(build, real):
 def test_gather_block_is_the_adjoint_of_apply_block(build, real):
     # one scatter images every block of a stack as the dense model terms
     # do, and one gather is its adjoint
-    comp = _compiled(build, real)
+    problem, comp = _compiled(build, real)
+    blocks = problem.blocks()
     rng = np.random.default_rng(7)
     y = rng.standard_normal(comp.m)
     xs = ipm.assignments_from(comp, y)
     for st in comp.stacks:
         img = ipm.apply_block(st, y)
         for F, p in zip(img, st.pos):
-            blk = comp.blocks[p]
-            want = ipm.block_matrix(blk, xs) - blk.const
+            blk = blocks[p]
+            want = sdp.block_matrix(blk, xs) - blk.const
             assert np.max(np.abs(F - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         X = _hermitian_stack(rng, len(st.pos), st.n, False)
         lhs = float(y @ ipm.gather_block(st, X))
         rhs = float(np.real(np.sum(img * np.swapaxes(X, -1, -2))))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+
+
+@pytest.mark.parametrize("build, real", _PROGRAMS)
+def test_model_dual_residual_matches_the_stacked_gathers(build, real):
+    # the certificate check's term-by-term dual residual, in the solver's
+    # coordinates, is c + the sum of the stacks' gathers - A^T lam
+    problem, comp = _compiled(build, real)
+    rng = np.random.default_rng(13)
+    zs = [_hermitian_stack(rng, 1, con.dim, real)[0] for con in problem.blocks()]
+    lam = rng.standard_normal(len(problem.equalities))
+    res = sdp._dual_residual(problem, zs, lam)
+    got = np.concatenate([ipm._hvec(res[name], *comp.bases[name]) for name in comp.var_names])
+    want = comp.c + sum(ipm.gather_block(st, np.array([zs[p] for p in st.pos])) for st in comp.stacks)
+    want -= comp.A.T @ lam
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_w_dual_terms_collide_in_the_scatter():
