@@ -46,8 +46,12 @@ corrector targets take one stacked numpy call per (nb, n, n) stack.  Each
 stack's entry pairs are flattened once to (block, i, j, weight,
 coordinate) arrays: its image (apply_block) is one scatter and its adjoint
 (gather_block) one gather.  The image is exactly Hermitian (half +
-half†), so the loop's sums of images, constants and hermitize outputs need
-no re-symmetrizing.
+half†), and S and Z are sums of images, constants and dual directions dZ.
+Hermitian parts are taken only where a reader needs one: the NT matrix V,
+the Gondzio product P (eigh) and dZ.  Other products may carry rounding
+skew: a right-hand-side stack G is read only by gather_block and the dZ
+formula, which both see its Hermitian part alone, and _max_step's eigvalsh
+reads one triangle.
 
 When every datum in the problem is real, variables are restricted to real
 symmetric coordinates and the loop runs in float64. The imaginary
@@ -80,8 +84,8 @@ from .errors import CapacityError, InvalidStateError, NumericError
 from .linalg import ZERO_ENTRY_ATOL, dagger, hermitize
 from .sdp import LinTerm, SdpProblem
 
-# Total variable dimension cap, counted after real embedding (2n per n-dim
-# Hermitian variable). Keeps dense Schur assembly and factorization tractable.
+# Cap on the total variable dimension, counted as 2 * dim per variable. Keeps
+# dense Schur assembly and factorization tractable.
 EMBEDDED_DIM_CAP = 208
 
 _RT2 = np.sqrt(2.0)
@@ -241,7 +245,7 @@ def compile_problem(problem: SdpProblem) -> Compiled:
     embedded = sum(2 * dim for _, dim, _ in problem.variables)
     if embedded > EMBEDDED_DIM_CAP:
         raise CapacityError(
-            f"total variable dimension after real embedding is {embedded}, "
+            f"total variable dimension, counted as 2 * dim per variable, is {embedded}, "
             f"exceeding the solver cap of {EMBEDDED_DIM_CAP}"
         )
 
@@ -389,7 +393,7 @@ def _nt_scaling(S, Z) -> _Scaling:
 def _scale(sc: _Scaling, dS, dZ):
     """The scaled pair (Gi dS Giᴴ, Gᴴ dZ G) of a direction: S + t dS and
     Z + t dZ map to diag(d) + t times each."""
-    return hermitize(sc.Gi @ dS @ dagger(sc.Gi)), hermitize(dagger(sc.G) @ dZ @ sc.G)
+    return sc.Gi @ dS @ dagger(sc.Gi), dagger(sc.G) @ dZ @ sc.G
 
 
 def _pull_back(sc: _Scaling, T):
@@ -398,13 +402,13 @@ def _pull_back(sc: _Scaling, T):
     D = diag(d) entrywise, W = 2T / (d_i + d_j), and map W back to the dual
     space as Giᴴ W Gi.  For T = c I this is c S⁻¹."""
     W = 2.0 * T / (sc.d[..., :, None] + sc.d[..., None, :])
-    return hermitize(dagger(sc.Gi) @ W @ sc.Gi)
+    return dagger(sc.Gi) @ W @ sc.Gi
 
 
 def _second_order_term(sc: _Scaling, dSt, dZt):
     """Mehrotra correction: the pulled-back product of the predictor's
     scaled pair."""
-    return _pull_back(sc, hermitize(dSt @ dZt))
+    return _pull_back(sc, dSt @ dZt)
 
 
 def _gondzio_target(sc: _Scaling, dSt, dZt, ap, ad, smu):
@@ -509,22 +513,19 @@ def _factor_kkt(Mr):
     definite, whereas an LU solve of the saddle system [[M, Aᵀ], [A, 0]]
     loses the dual equation in the endgame and stalls the iterates.
 
-    Near the optimum Mr's diagonal spans many orders of magnitude, so it is
-    symmetrically equilibrated first: without that, kappa can pass 1/eps
-    and refinement stops converging.  Iterative refinement matters once mu
+    Mr is factored as it is: Cholesky's error is small relative to
+    sqrt(M_ii M_jj), so equilibrating Mr first changes only rounding.  A
+    failed factor retries on a ladder of jitters relative to Mr's largest
+    diagonal entry.  Up to four refinement steps against Mr matter once mu
     pushes Mr's conditioning toward the float64 cliff near convergence."""
     k = Mr.shape[0]
     dscale = max(float(np.max(np.diag(Mr), initial=0.0)), 1e-300)
     for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
-        Mj = Mr + (jit * dscale) * np.eye(k)
-        d = np.sqrt(np.maximum(np.abs(Mj).max(axis=1, initial=0.0), 1e-300))
         try:
-            ch = sla.cho_factor(Mj / d[:, None] / d[None, :], lower=True, check_finite=False)
+            ch = sla.cho_factor(Mr + (jit * dscale) * np.eye(k), lower=True, check_finite=False)
         except (np.linalg.LinAlgError, ValueError):
             continue
-
-        def base(r, ch=ch, d=d):
-            return sla.cho_solve(ch, r / d, check_finite=False) / d
+        base = functools.partial(sla.cho_solve, ch, check_finite=False)
 
         def solve(g, base=base):
             z = base(g)
@@ -700,8 +701,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
         pobj_lin = float(comp.c @ y)
         dobj_lin = sum(float(_inners(Zk, st.const).sum()) for st, Zk in zip(stacks, Z)) + float(lam @ b)
 
-        rnorm = [np.linalg.norm(Rk, axis=(-2, -1)) for Rk in Rp]
-        pinf = max(float(np.max(rn / (1.0 + st.dnorm))) for st, rn in zip(stacks, rnorm))
+        pinf = max(float(np.max(np.linalg.norm(Rk, axis=(-2, -1)) / (1.0 + st.dnorm))) for st, Rk in zip(stacks, Rp))
         dinf = float(np.max(np.abs(rd))) / cinf
         pu, du = user_vals(pobj_lin, dobj_lin)
         relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
@@ -709,7 +709,6 @@ def _iterate(comp: Compiled, cfg) -> dict:
         if not (np.isfinite(mu) and np.isfinite(pobj_lin) and np.isfinite(dobj_lin)):
             stop = "non-finite"
             break
-        # the residuals before the noise floor below
         slack = sum((float(np.abs(_inners(Zk, Rk)).sum()) for Zk, Rk in zip(Z, Rp)), abs(float(rd @ y)))
         trace.append(
             {
@@ -726,12 +725,6 @@ def _iterate(comp: Compiled, cfg) -> dict:
                 **last_step,
             }
         )
-
-        # Residuals at float-noise level carry no signal, but V Rp V amplifies
-        # them by ~1/mu in the step equations; treat the iterate as exactly
-        # feasible there once the honest residual is below the noise floor.
-        for st, Rk, rn in zip(stacks, Rp, rnorm):
-            Rk[rn <= 1e-13 * (1.0 + st.dnorm)] = 0.0
 
         # y and Z are rebound, never changed in place, so the snapshot
         # needs no copies
@@ -799,7 +792,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
                 return dy, dS, dZ, scaled, ap, ad
 
             # predictor: pure Newton step toward feasibility and zero product
-            Ga = [hermitize(-Zk - VRVk) for Zk, VRVk in zip(Z, VRV)]
+            Ga = [-Zk - VRVk for Zk, VRVk in zip(Z, VRV)]
             _, dS_a, dZ_a, scaled_a, ap_a, ad_a = direction(Ga, 1.0)
             mu_aff = sum(
                 float(_inners(Zk + ad_a * dZk, Sk + ap_a * dSk).sum()) for Zk, dZk, Sk, dSk in zip(Z, dZ_a, S, dS_a)
@@ -814,7 +807,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
 
             # corrector: recenter and absorb the second-order product term
             Gc = [
-                hermitize(_pull_back(s, (sigma * mu) * np.eye(st.n)) - Zk - VRVk - _second_order_term(s, *sa))
+                _pull_back(s, (sigma * mu) * np.eye(st.n)) - Zk - VRVk - _second_order_term(s, *sa)
                 for st, s, Zk, VRVk, sa in zip(stacks, sc, Z, VRV, scaled_a)
             ]
             tau = 0.98  # share of the way to the cone boundary a corrector step takes

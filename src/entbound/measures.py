@@ -233,35 +233,40 @@ def _support_split(rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
     return vecs[:, mask], vecs[:, ~mask]
 
 
-def _pinning_probes(supp: np.ndarray, ker: np.ndarray) -> list[tuple[np.ndarray, float]]:
-    """Hermitian probes (with target values) that fix a matrix to the identity
-    on span(supp): the support block itself plus every support-kernel cross
-    component.  Imaginary-direction probes are dropped for real bases; they
-    constrain nothing once the problem is restricted to real symmetric
-    matrices, and keeping the restriction is lossless for real data."""
+def _support_pinning(rho: BipartiteState, scale: str | None = None):
+    """(P, equalities): the support projector P of rho and the equalities
+    that fix R to the identity on span(P), or to t I when scale names the
+    variable t; None for a full-rank state.  Each equality probes R with the
+    support block itself or a support-kernel cross component.
+    Imaginary-direction probes are dropped for real bases; they constrain
+    nothing once the problem is restricted to real symmetric matrices, and
+    keeping the restriction is lossless for real data."""
+    supp, ker = _support_split(rho)
+    if supp.shape[1] == rho.dims.total:
+        return None
     real_basis = (
         float(np.max(np.abs(supp.imag))) <= 1e-13
         and (ker.size == 0 or float(np.max(np.abs(ker.imag))) <= 1e-13)
     )
+    label = "R pinned on support" if scale is None else f"R pinned to {scale} on support"
+
+    def pin(probe, diagonal=False):
+        # tr(probe R) is 1 (or t) on the support's diagonal and 0 elsewhere
+        if diagonal and scale is not None:
+            return EqConstraint(terms=(("R", probe), (scale, -np.ones((1, 1)))), rhs=0.0, label=label)
+        return EqConstraint(terms=(("R", probe),), rhs=float(diagonal), label=label)
+
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
-    probes = []
-    r = supp.shape[1]
-    for i in range(r):
+    equalities = []
+    for i in range(supp.shape[1]):
         vi = supp[:, i]
-        probes.append((np.outer(vi, vi.conj()), 1.0))
-        for j in range(i + 1, r):
-            vj = supp[:, j]
-            cross = np.outer(vi, vj.conj())
-            probes.append(((cross + cross.conj().T) * inv_sqrt2, 0.0))
+        equalities.append(pin(np.outer(vi, vi.conj()), diagonal=True))
+        for w in [*supp[:, i + 1 :].T, *ker.T]:
+            cross = np.outer(vi, w.conj())
+            equalities.append(pin((cross + cross.conj().T) * inv_sqrt2))
             if not real_basis:
-                probes.append((1j * (cross - cross.conj().T) * inv_sqrt2, 0.0))
-        for k in range(ker.shape[1]):
-            wk = ker[:, k]
-            cross = np.outer(vi, wk.conj())
-            probes.append(((cross + cross.conj().T) * inv_sqrt2, 0.0))
-            if not real_basis:
-                probes.append((1j * (cross - cross.conj().T) * inv_sqrt2, 0.0))
-    return probes
+                equalities.append(pin(1j * (cross - cross.conj().T) * inv_sqrt2))
+    return hermitize(supp @ supp.conj().T), equalities
 
 
 def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
@@ -276,11 +281,11 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
     problem is strictly feasible."""
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
-    supp, ker = _support_split(rho)
-    eye = _eye(n)
-    if supp.shape[1] == n:
+    pinning = _support_pinning(rho)
+    if pinning is None:
         return _full_rank_result(n)
-    p_supp = hermitize(supp @ supp.conj().T)
+    p_supp, equalities = pinning
+    eye = _eye(n)
     one = np.array([[1.0]], dtype=np.complex128)
     problem = SdpProblem(
         sense="min",
@@ -304,10 +309,7 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
                 label="mu lower",
             ),
         ],
-        equalities=[
-            EqConstraint(terms=(("R", probe),), rhs=target, label="R pinned on support")
-            for probe, target in _pinning_probes(supp, ker)
-        ],
+        equalities=equalities,
         patterns={"R": symmetry_pattern(rho.mat, *pt_dims)},
     )
     sol = _solved(problem, config, "det_distill_one_copy")
@@ -326,27 +328,12 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
     into t(I + P) - R >= 0, which is strictly feasible on the pinned set."""
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
-    supp, ker = _support_split(rho)
-    eye = _eye(n)
-    if supp.shape[1] == n:
+    pinning = _support_pinning(rho, scale="t")
+    if pinning is None:
         return _full_rank_result(n)
-    p_supp = hermitize(supp @ supp.conj().T)
+    p_supp, equalities = pinning
+    eye = _eye(n)
     one = np.array([[1.0]], dtype=np.complex128)
-    equalities = []
-    for probe, target in _pinning_probes(supp, ker):
-        if target:
-            # diagonal support probe: tr(probe R) must track t itself
-            equalities.append(
-                EqConstraint(
-                    terms=(("R", probe), ("t", -target * one)),
-                    rhs=0.0,
-                    label="R pinned to t on support",
-                )
-            )
-        else:
-            equalities.append(
-                EqConstraint(terms=(("R", probe),), rhs=0.0, label="R pinned to t on support")
-            )
     problem = SdpProblem(
         sense="max",
         variables=[("R", n, "hermitian-psd"), ("t", 1, "hermitian")],

@@ -31,6 +31,23 @@ def _check_dim(dim, what: str, least: int = 1) -> None:
         raise InvalidDimsError(f"{what} must be an integer >= {least}, got {dim!r}")
 
 
+def _entries(items, ok, what: str) -> tuple:
+    """items as a tuple; InvalidStateError names the first entry ok refuses."""
+    try:
+        items = tuple(items)
+    except TypeError:
+        raise InvalidStateError(f"{what} must be a sequence, got {items!r}") from None
+    bad = [item for item in items if not ok(item)]
+    if bad:
+        raise InvalidStateError(f"{what}: malformed entry {bad[0]!r}")
+    return items
+
+
+def _named(size: int):
+    """The test for a size-tuple that starts with a variable name (a str)."""
+    return lambda item: isinstance(item, (tuple, list)) and len(item) == size and isinstance(item[0], str)
+
+
 @dataclass(frozen=True)
 class LinTerm:
     """coeff * X_var, optionally partially transposed over pt_dims first."""
@@ -83,7 +100,8 @@ class PsdConstraint:
                     f"constraint '{self.label}' constant dim {c.shape[0]} != {self.dim}"
                 )
             object.__setattr__(self, "const", c)
-        object.__setattr__(self, "terms", tuple(self.terms))
+        terms = _entries(self.terms, lambda t: isinstance(t, (LinTerm, TraceTerm)), f"constraint '{self.label}' terms")
+        object.__setattr__(self, "terms", terms)
 
 
 @dataclass(frozen=True)
@@ -96,7 +114,8 @@ class EqConstraint:
 
     def __post_init__(self):
         _check_coeff(self.rhs, f"equality '{self.label}' rhs")
-        checked = tuple((v, checked_hermitian(p, f"equality '{self.label}' probe")) for v, p in self.terms)
+        terms = _entries(self.terms, _named(2), f"equality '{self.label}' terms")
+        checked = tuple((v, checked_hermitian(p, f"equality '{self.label}' probe")) for v, p in terms)
         object.__setattr__(self, "terms", checked)
 
 
@@ -117,7 +136,7 @@ class SdpProblem:
             raise InvalidStateError(f"sense must be 'max' or 'min', got {self.sense!r}")
         _check_coeff(self.constant, "problem constant")
         dims: dict[str, int] = {}
-        for name, dim, kind in self.variables:
+        for name, dim, kind in _entries(self.variables, _named(3), "variables"):
             if name in dims:
                 raise InvalidStateError(f"duplicate variable name {name!r}")
             if kind not in VALID_KINDS:
@@ -125,9 +144,9 @@ class SdpProblem:
             _check_dim(dim, f"variable {name!r} dim")
             dims[name] = dim
         self.objective = [
-            (name, self._obj_coeff(name, C, dims)) for name, C in self.objective
+            (name, self._obj_coeff(name, C, dims)) for name, C in _entries(self.objective, _named(2), "objective")
         ]
-        for con in self.constraints:
+        for con in _entries(self.constraints, lambda c: isinstance(c, PsdConstraint), "constraints"):
             for t in con.terms:
                 if t.var not in dims:
                     raise InvalidStateError(f"constraint '{con.label}' references unknown variable {t.var!r}")
@@ -149,7 +168,7 @@ class SdpProblem:
                         raise InvalidDimsError(
                             f"constraint '{con.label}': gain dim {t.gain.shape[0]} != {con.dim}"
                         )
-        for eq in self.equalities:
+        for eq in _entries(self.equalities, lambda e: isinstance(e, EqConstraint), "equalities"):
             for v, p in eq.terms:
                 if v not in dims:
                     raise InvalidStateError(f"equality '{eq.label}' references unknown variable {v!r}")

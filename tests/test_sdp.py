@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from entbound import ipm, measures, sdp
 from entbound.errors import CapacityError, InvalidDimsError, InvalidStateError, NumericError, SolverError
-from entbound.linalg import HermitianMatrix, make_state, ptranspose_arr
+from entbound.linalg import HermitianMatrix, hermitize, make_state, ptranspose_arr
 from entbound.sdp import (
     EqConstraint,
     LinTerm,
@@ -488,6 +488,29 @@ def test_split_equalities_invariants():
     assert ipm._split_equalities(np.zeros((0, 8))).N is None
 
 
+def test_factor_kkt_solves_badly_scaled_and_singular_matrices():
+    # Mr = diag(s) Q diag(lam) Q^T diag(s): eigenvalues from 1 down to 1e-12
+    # and a diagonal from about 1e-8 up to 1e8, factored without equilibration
+    k = 40
+    rng = np.random.default_rng(17)
+    Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    s = np.logspace(-4, 4, k)
+    Mr = s[:, None] * (Q * np.logspace(0, -12, k)) @ Q.T * s[None, :]
+    Mr = 0.5 * (Mr + Mr.T)
+    g = rng.standard_normal(k)
+    z = ipm._factor_kkt(Mr)(g)
+    backward = np.abs(Mr @ z - g) / (np.abs(Mr) @ np.abs(z) + np.abs(g))
+    assert np.max(backward) <= 1e-14
+
+    # a singular matrix factors on a jitter rung; a negative definite one not
+    singular = np.diag([2.0, 1.0, 0.0])
+    with pytest.raises(np.linalg.LinAlgError):
+        sla.cho_factor(singular)
+    z = ipm._factor_kkt(singular)(np.array([2.0, 1.0, 0.0]))
+    assert np.all(np.isfinite(z)) and np.allclose(z[:2], 1.0)
+    assert ipm._factor_kkt(-np.eye(3)) is None
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -653,6 +676,36 @@ def test_model_validation_rejects_bad_patterns(patterns, error):
     assert np.array_equal(_one_block_problem(patterns={"X": _EYE2}).patterns["X"], _EYE2)
     with pytest.raises(error, match="pattern"):
         _one_block_problem(patterns=patterns)
+
+
+@pytest.mark.parametrize(
+    "build, item",
+    [
+        (lambda: EqConstraint(terms=(("X",),), rhs=0.0), r"\('X',\)"),
+        (lambda: EqConstraint(terms=5, rhs=0.0), "5"),
+        (lambda: PsdConstraint(dim=2, terms=5), "5"),
+        (lambda: _one_block_problem(constraints=[PsdConstraint(dim=2, terms=(object(),))]), "object"),
+        (lambda: SdpProblem("max", [("X", 2)], []), r"\('X', 2\)"),
+        (lambda: SdpProblem("max", [("X", 2, "hermitian")], [("X",)]), r"\('X',\)"),
+        (lambda: SdpProblem("max", [(["X"], 2, "hermitian")], []), r"\['X'\]"),
+        (lambda: _one_block_problem(constraints=[5]), "5"),
+        (lambda: _one_block_problem(equalities=[(("X", eye(2)),)]), "array"),
+    ],
+    ids=[
+        "eq-term-too-short",
+        "eq-terms-not-a-sequence",
+        "psd-terms-not-a-sequence",
+        "psd-term-not-a-term",
+        "variable-too-short",
+        "objective-too-short",
+        "variable-name-not-a-str",
+        "constraint-not-a-psd-constraint",
+        "equality-not-an-eq-constraint",
+    ],
+)
+def test_model_validation_rejects_malformed_structure(build, item):
+    with pytest.raises(InvalidStateError, match=item):
+        build()
 
 
 @pytest.mark.parametrize("rhs", [np.nan, np.inf, "1"])
@@ -856,6 +909,11 @@ def test_gather_block_is_the_adjoint_of_apply_block(build, real):
         lhs = float(y @ ipm.gather_block(st, X))
         rhs = float(np.real(np.sum(img * np.swapaxes(X, -1, -2))))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
+        # the gather sees only the Hermitian part of its argument, so the
+        # loop's right-hand-side stacks need no symmetrizing
+        X = rng.standard_normal(X.shape) if real else rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
+        got, want = ipm.gather_block(st, X), ipm.gather_block(st, hermitize(X))
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 @pytest.mark.parametrize("build, real", _PROGRAMS)

@@ -49,7 +49,7 @@ def test_stress_corpus_solves_every_measure():
 
 
 def test_stress_corpus_solves_every_measure_at_tight_gap():
-    # the safeguards that only pay at tight tolerances (the mu_needed floor,
-    # residual zeroing, refinement, equilibration) must keep this at zero
+    # the safeguards that pay at tight tolerances (the mu_needed floor,
+    # iterative refinement, the KKT jitter ladder) must keep this at zero
     problems = stress_problems(SolverConfig(gap_tol=1e-10))
     assert not problems, "\n".join(problems)
