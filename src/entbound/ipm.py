@@ -239,15 +239,20 @@ def _problem_is_real(problem: SdpProblem) -> bool:
     return True
 
 
-def compile_problem(problem: SdpProblem) -> Compiled:
-    if not problem.variables:
-        raise InvalidStateError("problem has no variables")
-    embedded = sum(2 * dim for _, dim, _ in problem.variables)
+def check_capacity(variables) -> None:
+    """Refuse (name, dim, kind) variables beyond EMBEDDED_DIM_CAP."""
+    embedded = sum(2 * dim for _, dim, _ in variables)
     if embedded > EMBEDDED_DIM_CAP:
         raise CapacityError(
             f"total variable dimension, counted as 2 * dim per variable, is {embedded}, "
             f"exceeding the solver cap of {EMBEDDED_DIM_CAP}"
         )
+
+
+def compile_problem(problem: SdpProblem) -> Compiled:
+    if not problem.variables:
+        raise InvalidStateError("problem has no variables")
+    check_capacity(problem.variables)
 
     real_mode = _problem_is_real(problem)
     var_names = [name for name, _, _ in problem.variables]
@@ -623,9 +628,9 @@ def _one_blas_thread():
 
 def run(comp: Compiled, cfg) -> dict:
     """Pick the BLAS thread policy once.  The equality row count stands in for
-    rank(A), whose SVD must run under the policy.  Dependent rows (the
-    measures' pinning rows on a symmetry pattern) only make the order look
-    smaller, and such programs are far below the threshold anyway."""
+    rank(A), whose SVD must run under the policy.  The measures' pinning
+    rows are independent, since they pin R per symmetry class; dependent
+    rows a model program poses only make the order look smaller."""
     with contextlib.nullcontext() if comp.m - comp.A.shape[0] >= _THREADED_ORDER else _one_blas_thread():
         return _iterate(comp, cfg)
 

@@ -11,7 +11,6 @@ since R = I is feasible for the distillation program).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +18,11 @@ import numpy as np
 from .errors import CapacityError, ConsistencyError, DomainError, SolverError
 from .linalg import (
     RANK_TOL,
+    ZERO_ENTRY_ATOL,
     BipartiteState,
     HermitianMatrix,
     hermitize,
+    is_finite_real,
     is_integer,
     negative_projector,
     op_norm_arr,
@@ -179,7 +180,7 @@ def e_w(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResul
 def fidelity_ppt(rho: BipartiteState, k: float, config: SolverConfig | None = None) -> MeasureResult:
     """Best overlap with a k-level maximally entangled target over PPT
     operations: max Re tr(rho Q), 0 <= Q <= I, -(1/k)I <= Q^PT <= (1/k)I."""
-    if not (isinstance(k, numbers.Real) and math.isfinite(k) and k >= 1.0):
+    if not (is_finite_real(k) and k >= 1.0):
         raise DomainError(f"fidelity_ppt requires a finite k >= 1, got {k!r}")
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
@@ -218,36 +219,31 @@ def npt_witness_bound(rho: BipartiteState) -> tuple[float, HermitianMatrix]:
     return value, HermitianMatrix(r)
 
 
-def _support_split(rho: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the support and kernel of rho (columns): the
-    support keeps eigenvalues above RANK_TOL times the largest, and the
-    vectors are real-valued whenever rho itself is real."""
-    mat = rho.mat
-    if float(np.max(np.abs(mat.imag))) <= 1e-13:
-        vals, vecs = np.linalg.eigh(mat.real)
-        vecs = vecs.astype(np.complex128)
-    else:
-        vals, vecs = np.linalg.eigh(mat)
-    cutoff = RANK_TOL * max(float(vals[-1]), 0.0)
-    mask = vals > cutoff
-    return vecs[:, mask], vecs[:, ~mask]
-
-
-def _support_pinning(rho: BipartiteState, scale: str | None = None):
+def _support_pinning(rho: BipartiteState, pattern: np.ndarray, scale: str | None = None):
     """(P, equalities): the support projector P of rho and the equalities
     that fix R to the identity on span(P), or to t I when scale names the
-    variable t; None for a full-rank state.  Each equality probes R with the
-    support block itself or a support-kernel cross component.
-    Imaginary-direction probes are dropped for real bases; they constrain
-    nothing once the problem is restricted to real symmetric matrices, and
-    keeping the restriction is lossless for real data."""
-    supp, ker = _support_split(rho)
-    if supp.shape[1] == rho.dims.total:
+    variable t; None for a full-rank state.  R lives on the symmetry
+    pattern, block-diagonal on its classes, so each class block of rho gets
+    its own eigh and each equality probes R within one class: a support
+    diagonal, or a cross part with a later support or a kernel vector.  The
+    support keeps eigenvalues above RANK_TOL times rho's largest.  Real rho
+    drops the imaginary-direction probes: they constrain nothing on real
+    symmetric matrices, a restriction that is lossless for real data."""
+    mat, n = rho.mat, rho.dims.total
+    real = float(np.max(np.abs(mat.imag))) <= ZERO_ENTRY_ATOL
+    classes = []
+    # the pattern's distinct rows are its classes, ordered by first index
+    for idx in map(list, sorted({tuple(np.flatnonzero(row)) for row in pattern})):
+        block = mat[np.ix_(idx, idx)]
+        vals, vecs = np.linalg.eigh(block.real if real else block)
+        full = np.zeros((n, len(idx)), dtype=np.complex128)
+        full[idx] = vecs
+        classes.append((vals, full))
+    cutoff = RANK_TOL * max(max(float(vals[-1]) for vals, _ in classes), 0.0)
+    splits = [(vecs[:, vals > cutoff], vecs[:, vals <= cutoff]) for vals, vecs in classes]
+    supp = np.hstack([s for s, _ in splits])
+    if supp.shape[1] == n:
         return None
-    real_basis = (
-        float(np.max(np.abs(supp.imag))) <= 1e-13
-        and (ker.size == 0 or float(np.max(np.abs(ker.imag))) <= 1e-13)
-    )
     label = "R pinned on support" if scale is None else f"R pinned to {scale} on support"
 
     def pin(probe, diagonal=False):
@@ -258,14 +254,15 @@ def _support_pinning(rho: BipartiteState, scale: str | None = None):
 
     inv_sqrt2 = 1.0 / math.sqrt(2.0)
     equalities = []
-    for i in range(supp.shape[1]):
-        vi = supp[:, i]
-        equalities.append(pin(np.outer(vi, vi.conj()), diagonal=True))
-        for w in [*supp[:, i + 1 :].T, *ker.T]:
-            cross = np.outer(vi, w.conj())
-            equalities.append(pin((cross + cross.conj().T) * inv_sqrt2))
-            if not real_basis:
-                equalities.append(pin(1j * (cross - cross.conj().T) * inv_sqrt2))
+    for cls_supp, cls_ker in splits:
+        for i in range(cls_supp.shape[1]):
+            vi = cls_supp[:, i]
+            equalities.append(pin(np.outer(vi, vi.conj()), diagonal=True))
+            for w in [*cls_supp[:, i + 1 :].T, *cls_ker.T]:
+                cross = np.outer(vi, w.conj())
+                equalities.append(pin((cross + cross.conj().T) * inv_sqrt2))
+                if not real:
+                    equalities.append(pin(1j * (cross - cross.conj().T) * inv_sqrt2))
     return hermitize(supp @ supp.conj().T), equalities
 
 
@@ -281,7 +278,11 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
     problem is strictly feasible."""
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
-    pinning = _support_pinning(rho)
+    variables = [("R", n, "hermitian-psd"), ("mu", 1, "hermitian")]
+    from . import ipm  # deferred, as in sdp.solve: ipm loads scipy
+    ipm.check_capacity(variables)
+    pattern = symmetry_pattern(rho.mat, *pt_dims)
+    pinning = _support_pinning(rho, pattern)
     if pinning is None:
         return _full_rank_result(n)
     p_supp, equalities = pinning
@@ -289,7 +290,7 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
     one = np.array([[1.0]], dtype=np.complex128)
     problem = SdpProblem(
         sense="min",
-        variables=[("R", n, "hermitian-psd"), ("mu", 1, "hermitian")],
+        variables=variables,
         objective=[("mu", one)],
         constraints=[
             PsdConstraint(
@@ -310,7 +311,7 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
             ),
         ],
         equalities=equalities,
-        patterns={"R": symmetry_pattern(rho.mat, *pt_dims)},
+        patterns={"R": pattern},
     )
     sol = _solved(problem, config, "det_distill_one_copy")
     # mu* is at most 1 (R = I attains it) and at least 1/n (trace bound on
@@ -328,7 +329,11 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
     into t(I + P) - R >= 0, which is strictly feasible on the pinned set."""
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
-    pinning = _support_pinning(rho, scale="t")
+    variables = [("R", n, "hermitian-psd"), ("t", 1, "hermitian")]
+    from . import ipm  # deferred, as in sdp.solve: ipm loads scipy
+    ipm.check_capacity(variables)
+    pattern = symmetry_pattern(rho.mat, *pt_dims)
+    pinning = _support_pinning(rho, pattern, scale="t")
     if pinning is None:
         return _full_rank_result(n)
     p_supp, equalities = pinning
@@ -336,7 +341,7 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
     one = np.array([[1.0]], dtype=np.complex128)
     problem = SdpProblem(
         sense="max",
-        variables=[("R", n, "hermitian-psd"), ("t", 1, "hermitian")],
+        variables=variables,
         objective=[("t", one)],
         constraints=[
             PsdConstraint(
@@ -348,7 +353,7 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
             PsdConstraint(dim=n, const=eye, terms=(LinTerm("R", 1.0, pt_dims),), label="pt lower"),
         ],
         equalities=equalities,
-        patterns={"R": symmetry_pattern(rho.mat, *pt_dims)},
+        patterns={"R": pattern},
     )
     sol = _solved(problem, config, "w0")
     return _result(sol, sol.assignments["R"])

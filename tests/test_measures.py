@@ -204,6 +204,8 @@ def test_fidelity_rejects_k_below_one():
         fidelity_ppt(rho, float("inf"))
     with pytest.raises(DomainError):
         fidelity_ppt(rho, "2")
+    with pytest.raises(DomainError):
+        fidelity_ppt(rho, True)
 
 
 def test_fidelity_stays_in_unit_interval():
@@ -333,6 +335,17 @@ def test_e_w_refuses_an_oversized_state_before_solving(monkeypatch):
     monkeypatch.setattr(ipm, "run", no_run)
     with pytest.raises(CapacityError):
         e_w(random_state(10, 11, rank=1, seed=950))  # 110-dim
+
+
+@pytest.mark.parametrize("measure", [det_distill_one_copy, w0], ids=["e0", "w0"])
+def test_e0_and_w0_refuse_an_oversized_state_before_pinning(measure, monkeypatch):
+    # a rank-deficient 110-dim state would need thousands of dense probes
+    def no_pinning(*args, **kwargs):
+        raise AssertionError("pinning rows built")
+
+    monkeypatch.setattr(measures, "_support_pinning", no_pinning)
+    with pytest.raises(CapacityError):
+        measure(random_state(10, 11, rank=1, seed=950))
 
 
 def test_e_w_solves_once(monkeypatch):

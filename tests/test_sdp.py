@@ -19,7 +19,7 @@ from entbound.sdp import (
     check_certificate,
     solve,
 )
-from entbound.states import max_entangled, random_state, rho_alpha
+from entbound.states import kron_power_state, max_entangled, random_state, rho_alpha, sigma_r, tensor_state
 
 
 def eye(n):
@@ -1108,9 +1108,10 @@ def test_coordinate_basis_is_orthonormal(real_mode):
 
 def test_pattern_restricts_the_compiled_coordinates():
     # rho_alpha's phases leave 12 of 45 real coordinates of R and, with mu,
-    # 13 coordinates under 24 pinning rows
+    # 13 coordinates under 6 pinning rows: a diagonal and a support-kernel
+    # row in each of the three two-index classes that hold its support
     comp = ipm.compile_problem(_measure_program(measures.det_distill_one_copy, rho_alpha(0.3)))
-    assert (comp.m, comp.A.shape[0]) == (13, 24)
+    assert (comp.m, comp.A.shape[0]) == (13, 6)
     # a state without symmetry gets the full pattern, which compiles exactly
     # like no pattern at all
     problem = measures._w_max_form(random_state(3, 3, 2, 7017))
@@ -1119,6 +1120,23 @@ def test_pattern_restricts_the_compiled_coordinates():
     assert full.m == bare.m == 81
     for name in full.bases:
         assert all(np.array_equal(a, b) for a, b in zip(full.bases[name], bare.bases[name]))
+
+
+@pytest.mark.parametrize("measure", [measures.det_distill_one_copy, measures.w0], ids=["e0", "w0"])
+@pytest.mark.parametrize(
+    "rho, rows",
+    [
+        pytest.param(rho_alpha(0.3), 6, id="rho_alpha"),
+        pytest.param(tensor_state(sigma_r(0.4), rho_alpha(0.3)), 45, id="tensor6"),
+        pytest.param(kron_power_state(rho_alpha(0.5), 2), 36, id="two-copy"),
+        pytest.param(random_state(3, 4, 2, 1007), 44, id="rs3x4"),
+    ],
+)
+def test_pinning_rows_have_full_row_rank(measure, rho, rows):
+    # pinned per symmetry class, no row depends on the others (one global
+    # eigh gave 24, 201 and 693 rows of ranks 6, 45 and 36)
+    A = ipm.compile_problem(_measure_program(measure, rho)).A
+    assert A.shape[0] == np.linalg.matrix_rank(A) == rows
 
 
 def test_iteration_cap_names_its_stop_rule():
