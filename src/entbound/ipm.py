@@ -32,14 +32,15 @@ tentative point is (D + t dS̃)(D + t' dZ̃) with D = diag(d).
 
 Coordinate a of a variable is one entry pair (i_a, j_a, u_a), the basis
 matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|.  compile_problem turns
-each block of SdpProblem.blocks() straight into its place in the stack of
-its size (the measures' programs have one size); this compiled layout is
-known to this module alone.  Every structural term c X or c X^PT becomes
-the variable's entry pairs with (i, j) remapped by the partial transpose,
-and that one format drives the Schur assembly (kernels.schur_stack, once
-per stack).  A trace term c tr(P X) K is kept beside it as (slot, variable
-slice, c, p, K), with p the coordinates of P on that slice, so its
-rank-one updates touch only the slice's rows and columns.
+each block of SdpProblem.blocks(), or each class block of a split one
+(below), straight into its place in the stack of its size; this compiled
+layout is known to this module alone.  Every structural term c X or c X^PT
+becomes the variable's entry pairs with (i, j) remapped by the partial
+transpose, and that one format drives the Schur assembly
+(kernels.schur_stack, once per stack).  A trace term c tr(P X) K is kept
+beside it as (slots, variable slice, c, p, K), with p the coordinates of P
+on that slice, so its rank-one updates touch only the slice's rows and
+columns.
 
 S, Z, the NT scaling, the scaled directions, the step lengths and the
 corrector targets take one stacked numpy call per (nb, n, n) stack.  Each
@@ -65,6 +66,22 @@ coordinates whose entry pair the pattern marks.  The pattern stands for a
 group under which the program is invariant, and it spans the algebra that
 group fixes: the NT scaling, the Newton direction and every iterate stay in
 that algebra, so nothing after compile_problem reads it.
+
+That algebra is block-diagonal on the pattern's classes (Gatermann &
+Parrilo, J. Pure Appl. Algebra 192 (2004)), so a constraint of at least
+_SPLIT_ORDER rows is split into class blocks: the connected components of
+the entries its entry pairs, constant and trace gains reach, which on a
+pattern are its classes.  Each class block joins the stack of its size
+with local indices, so the NT scaling, the step lengths, the corrector
+products and the Schur assembly run on blocks of those sizes (σ_r⊗ρ_α's
+36-row blocks on blocks of 12, 8 and 4 rows), and the Schur kernel forms
+sum_b m_b² entries per constraint instead of m².  Every stack costs its
+own numpy calls, so smaller constraints stay whole: splitting lost at 9,
+16 and 24 rows and won at 36.  The iterates are the same up to rounding:
+each class block keeps its constraint's constant norm for the starting
+point and the primal residual, which takes each constraint's Frobenius
+norm over all its blocks, and the dual blocks are put back together as
+n×n matrices.
 """
 
 from __future__ import annotations
@@ -73,8 +90,10 @@ import contextlib
 import ctypes
 import functools
 import importlib
+import inspect
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -87,6 +106,16 @@ from .sdp import LinTerm, SdpProblem
 # Cap on the total variable dimension, counted as 2 * dim per variable. Keeps
 # dense Schur assembly and factorization tractable.
 EMBEDDED_DIM_CAP = 208
+
+# Constraints of at least this many rows are split into their class blocks.
+# Every stack costs its own numpy calls per iteration, so splitting small
+# blocks loses.  Measured on 2 cores (process CPU time per e_w, e0 or w0,
+# interleaved rounds, each program split everywhere against nowhere):
+# splitting loses at 9 rows (rho_alpha(0.3)), at 16 (Phi(2)^2,
+# sigma_r(0.4) x Phi(2)) and on one of two 24-row states, and wins at 36
+# (sigma_r(0.4) x rho_alpha(0.3), Phi(2) x rho_alpha(0.3)); see
+# BENCH_19_class_blocks.json for the figures.
+_SPLIT_ORDER = 30
 
 _RT2 = np.sqrt(2.0)
 
@@ -135,15 +164,18 @@ def _pt_map(i, j, d_a, d_b):
 @dataclass
 class BlockStack:
     """The blocks of one size n as one (nb, n, n) stack, in constraint order.
-    Entry e of their flattened entry pairs adds w_e y[coord_e] at stack
-    position flat_e = (b, i, j) and its conjugate at flat_t_e = (b, j, i),
-    with w = coeff * u.  Trace terms stay (slot b, slice, coeff, p, K)."""
+    A block is a whole constraint or one class block of a split one: block b
+    holds rows[b] of constraint pos[b].  Entry e of their flattened entry
+    pairs adds w_e y[coord_e] at stack position flat_e = (b, i, j) and its
+    conjugate at flat_t_e = (b, j, i), with w = coeff * u.  A trace term
+    keeps its constraint's blocks here as (blocks, slice, coeff, p, gains,
+    constraint)."""
 
     n: int
     m: int
-    pos: np.ndarray  # the blocks' indices in SdpProblem.blocks()
+    pos: np.ndarray  # the blocks' constraints, indices into SdpProblem.blocks()
+    rows: np.ndarray  # (nb, n)
     const: np.ndarray  # (nb, n, n), in the loop's dtype
-    dnorm: np.ndarray  # (nb,) spectral norms of the constants
     flat: np.ndarray
     flat_t: np.ndarray
     w: np.ndarray
@@ -152,53 +184,179 @@ class BlockStack:
     tterms: tuple
 
 
-def _schur_groups(lterms) -> tuple:
-    """kernels.schur_stack's groups.  A term's real-part entries, those with
-    real u, come first in its basis (_basis_pairs)."""
+def _class_labels(con, lterms, tterms) -> np.ndarray:
+    """Each row's class block, numbered in order of least row: the connected
+    components of the entries a constraint's entry pairs, constant and trace
+    gains reach.  A constraint below _SPLIT_ORDER rows is one block."""
+    n = con.dim
+    if n < _SPLIT_ORDER:
+        return np.zeros(n, int)
+    adj = (con.const != 0) | np.eye(n, dtype=bool)
+    for *_, K in tterms:
+        adj |= K != 0
+    for _, _, i, j, _, _ in lterms:
+        adj[i, j] = adj[j, i] = True
+    label = np.arange(n)
+    while True:  # every row takes the least label among its neighbours
+        nxt = np.where(adj, label, n).min(axis=1)
+        if np.array_equal(nxt, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = nxt
+
+
+def _targets(co_t, co_s, kr_t, kr_s, m):
+    """Where kernels.schur_stack adds a pair of terms in M: real-part rows
+    (a term's first kr coordinates) against real-part columns, real against
+    imaginary, imaginary against real and imaginary against imaginary.  A
+    whole constraint's are pairs of slices of its variables' coordinates; a
+    batch's are flat positions in M, one row of coordinates per block."""
+    if co_t.ndim == 1:
+        t0, s0 = co_t[0], co_s[0]
+        rows = slice(t0, t0 + kr_t), slice(t0 + kr_t, t0 + co_t.size)
+        cols = slice(s0, s0 + kr_s), slice(s0 + kr_s, s0 + co_s.size)
+        return tuple((r, c) for r in rows for c in cols)
+    rows = co_t[:, :kr_t, None], co_t[:, kr_t:, None]
+    cols = co_s[:, None, :kr_s], co_s[:, None, kr_s:]
+    return tuple(r * m + c for r in rows for c in cols)
+
+
+def _schur_groups(batches, n, m) -> tuple:
+    """kernels.schur_stack's groups from (blocks, terms) batches: a whole
+    constraint (an int block) or class blocks of one constraint sharing
+    their local entry pairs (an index array, coordinates one row per
+    block).  A batch's entries gather from the flattened stack at
+    precomputed positions.  A term's real-part entries, those with real u,
+    come first in its basis (_basis_pairs) and so in every class block."""
+
+    def flat(b, rows, cols):
+        return ((b * n)[:, None, None] + rows) * n + cols
+
     groups = {}
-    for b, lt in enumerate(lterms):
-        terms = [(sl, c, *(a[u.real != 0] for a in (i, j, np.abs(u)))) for sl, c, i, j, u in lt]
-        for t, (sl_t, c_t, i_t, j_t, r_t) in enumerate(terms):
-            for s, (sl_s, c_s, i_s, j_s, r_s) in enumerate(terms):
-                key = (sl_t.start, sl_s.start)
+    for b, lt in batches:
+        terms = []
+        for sl, c, i, j, u, coord in lt:
+            real = u.real != 0
+            terms.append((sl, c, i[real], j[real], np.abs(u[real]), coord))
+        for t, (sl_t, c_t, i_t, j_t, r_t, co_t) in enumerate(terms):
+            for s, (sl_s, c_s, i_s, j_s, r_s, co_s) in enumerate(terms):
+                key = (sl_t.start, sl_s.start, co_t.shape, co_s.shape, co_t.tobytes(), co_s.tobytes())
                 if key not in groups:
-                    groups[key] = (sl_t, sl_s, 2.0 * np.outer(r_t, r_s), [])
-                groups[key][3].append((b, c_t * c_s, t == s, i_t, j_t, i_s, j_s))
+                    imag = co_t.shape[-1] > r_t.size or co_s.shape[-1] > r_s.size
+                    targets = _targets(co_t, co_s, r_t.size, r_s.size, m)
+                    groups[key] = (co_t.ndim > 1, targets, imag, 2.0 * np.outer(r_t, r_s), [])
+                if np.ndim(b) == 0:
+                    entry = (b, t == s, i_t, j_t, i_s, j_s)
+                else:
+                    i_tc, j_tc = i_t[:, None], j_t[:, None]
+                    y = None if t == s else flat(b, i_s, j_tc)
+                    entry = (flat(b, i_tc, j_s), y, flat(b, i_tc, i_s), flat(b, j_tc, j_s))
+                groups[key][4].append((c_t * c_s, *entry))
     return tuple(groups.values())
 
 
-def _stack(cons, pos, bases, var_slices, m, real_mode) -> BlockStack:
-    """The stack of the constraints cons[p] for p in pos, all of one size.
-    A LinTerm becomes its variable's entry pairs, moved by the partial
-    transpose; a TraceTerm becomes the coordinates of its probe."""
-    n = cons[pos[0]].dim
-    lterms, tterms = [[] for _ in pos], []
-    for b, p in enumerate(pos):
-        for t in cons[p].terms:
-            sl, (i, j, u) = var_slices[t.var], bases[t.var]
-            if not isinstance(t, LinTerm):
-                tterms.append((b, sl, float(t.coeff), _hvec(t.probe, i, j, u), t.gain.real if real_mode else t.gain))
-            elif t.pt_dims is None:
-                lterms[b].append((sl, float(t.coeff), i, j, u))
-            else:
-                lterms[b].append((sl, float(t.coeff), *_pt_map(i, j, *t.pt_dims), u))
-    ent = [(b, sl, coeff * u, i, j) for b, lt in enumerate(lterms) for sl, coeff, i, j, u in lt]
+def _constraint_terms(con, bases, var_slices, real_mode):
+    """A constraint's LinTerms as their variable's entry pairs, moved by the
+    partial transpose, (slice, coeff, i, j, u, coordinates), and its
+    TraceTerms as the coordinates of their probe, (slice, coeff, p, K)."""
+    lterms, tterms = [], []
+    for t in con.terms:
+        sl, (i, j, u) = var_slices[t.var], bases[t.var]
+        if not isinstance(t, LinTerm):
+            tterms.append((sl, float(t.coeff), _hvec(t.probe, i, j, u), t.gain.real if real_mode else t.gain))
+            continue
+        if t.pt_dims is not None:
+            i, j = _pt_map(i, j, *t.pt_dims)
+        lterms.append((sl, float(t.coeff), i, j, u, np.arange(sl.start, sl.stop)))
+    return lterms, tterms
+
+
+class _Block(NamedTuple):
+    """Rows of constraint p as one block of a stack, with its constant and
+    terms in local indices (_constraint_terms' formats); whole when the
+    block is the entire constraint."""
+
+    p: int
+    rows: np.ndarray
+    const: np.ndarray
+    lterms: list
+    tterms: list
+    whole: bool
+
+
+def _slices(counts) -> list:
+    """Consecutive slices of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [slice(a, b) for a, b in zip([0] + ends, ends)]
+
+
+def _split(p, con, lterms, tterms) -> list:
+    """The class blocks (_Block) of constraint p, each term restricted to
+    its entry pairs in the block, in basis order.  Every entry pair lands in
+    exactly one block; a constraint of one block stays whole."""
+    label = _class_labels(con, lterms, tterms)
+    count = np.bincount(label)
+    if count.size == 1:
+        return [_Block(p, np.arange(con.dim), con.const, lterms, tterms, True)]
+    order = np.argsort(label, kind="stable")
+    loc = np.empty_like(order)
+    loc[order] = np.arange(order.size) - (np.cumsum(count) - count)[label[order]]
+    parts = []
+    for sl, c, i, j, u, coord in lterms:
+        o = np.argsort(label[i], kind="stable")
+        arrays = [x[o] for x in (loc[i], loc[j], u, coord)]
+        parts.append([(sl, c, *(x[k] for x in arrays)) for k in _slices(np.bincount(label[i], minlength=count.size))])
+    blocks = []
+    for b, k in enumerate(_slices(count)):
+        rows = order[k]
+        tt = [(sl, c, pv, K[rows[:, None], rows]) for sl, c, pv, K in tterms]
+        blocks.append(_Block(p, rows, con.const[rows[:, None], rows], [lt[b] for lt in parts], tt, False))
+    return blocks
+
+
+def _stack(blocks, m, real_mode) -> BlockStack:
+    """The stack of blocks (_Block) of one size.  A whole constraint is one
+    batch of the Schur kernel, and so are the class blocks of a constraint
+    whose terms share their local entry pairs.  Each trace term spans all
+    its constraint's blocks here."""
+    n = blocks[0].rows.size
+    ent = [(b, coeff * u, i, j, coord) for b, blk in enumerate(blocks) for _, coeff, i, j, u, coord in blk.lterms]
+    batches, tparts = {}, {}
+    for b, blk in enumerate(blocks):
+        local = () if blk.whole else tuple(a.tobytes() for _, _, i, j, u, _ in blk.lterms for a in (i, j, u))
+        batches.setdefault((blk.p, *local), []).append(b)
+        for k, term in enumerate(blk.tterms):
+            tparts.setdefault((blk.p, k), []).append((b, term))
+    schur = []
+    for bs in batches.values():
+        lt = blocks[bs[0]].lterms
+        if blocks[bs[0]].whole:
+            schur.append((bs[0], lt))
+        else:
+            coords = [np.array([blocks[b].lterms[k][5] for b in bs]) for k in range(len(lt))]
+            schur.append((np.array(bs), [(*term[:5], co) for term, co in zip(lt, coords)]))
+    tterms = []
+    for (p, _), parts in tparts.items():
+        b, (sl, coeff, pv, K) = parts[0]
+        if not blocks[b].whole:
+            b, K = np.array([b for b, _ in parts]), np.array([term[3] for _, term in parts])
+        tterms.append((b, sl, coeff, pv, K, p))
 
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, int)
 
-    const = np.array([cons[p].const for p in pos])
+    const = np.array([blk.const for blk in blocks])
+    pos = np.array([blk.p for blk in blocks])
     return BlockStack(
         n=n,
         m=m,
-        pos=np.array(pos),
+        pos=pos,
+        rows=np.array([blk.rows for blk in blocks]),
         const=const.real.copy() if real_mode else const,
-        dnorm=np.array([float(np.linalg.norm(c, 2)) if n else 0.0 for c in const]),
-        flat=cat([(b * n + i) * n + j for b, _, _, i, j in ent]),
-        flat_t=cat([(b * n + j) * n + i for b, _, _, i, j in ent]),
-        w=cat([w for _, _, w, _, _ in ent]),
-        coord=cat([np.arange(sl.start, sl.stop) for _, sl, _, _, _ in ent]),
-        groups=_schur_groups(lterms),
+        flat=cat([(b * n + i) * n + j for b, _, i, j, _ in ent]),
+        flat_t=cat([(b * n + j) * n + i for b, _, i, j, _ in ent]),
+        w=cat([w for _, w, _, _, _ in ent]),
+        coord=cat([coord for _, _, _, _, coord in ent]),
+        groups=_schur_groups(schur, n, m),
         tterms=tuple(tterms),
     )
 
@@ -214,6 +372,8 @@ class Compiled:
     sense_mult: float
     constant: float
     stacks: list  # one BlockStack per block size, in order of first appearance
+    dims: list  # the constraints' orders, in SdpProblem.blocks() order
+    dnorm: np.ndarray  # the constraints' constants' spectral norms
     A: np.ndarray
     b: np.ndarray
     real_mode: bool
@@ -281,11 +441,12 @@ def compile_problem(problem: SdpProblem) -> Compiled:
     static_infeasible = any(
         not con.terms and float(np.linalg.eigvalsh(con.const)[0]) < -1e-12 for con in cons
     )
-    sizes = dict.fromkeys(con.dim for con in cons)
-    stacks = [
-        _stack(cons, [p for p, con in enumerate(cons) if con.dim == n], bases, var_slices, m, real_mode)
-        for n in sizes
-    ]
+    dnorm = np.array([float(np.linalg.norm(con.const, 2)) for con in cons])
+    by_size = {}
+    for p, con in enumerate(cons):
+        for blk in _split(p, con, *_constraint_terms(con, bases, var_slices, real_mode)):
+            by_size.setdefault(blk.rows.size, []).append(blk)
+    stacks = [_stack(blocks, m, real_mode) for blocks in by_size.values()]
 
     p = len(problem.equalities)
     A = np.zeros((p, m))
@@ -305,6 +466,8 @@ def compile_problem(problem: SdpProblem) -> Compiled:
         sense_mult=sense_mult,
         constant=problem.constant,
         stacks=stacks,
+        dims=[con.dim for con in cons],
+        dnorm=dnorm,
         A=A,
         b=b,
         real_mode=real_mode,
@@ -325,7 +488,7 @@ def apply_block(st: BlockStack, y: np.ndarray) -> np.ndarray:
         half = half + 1j * np.bincount(st.flat, v.imag, st.const.size)
     half = half.reshape(st.const.shape)
     mat = (half + dagger(half)).astype(st.const.dtype, copy=False)
-    for b, sl, coeff, pv, K in st.tterms:
+    for b, sl, coeff, pv, K, _ in st.tterms:
         mat[b] += (coeff * float(pv @ y[sl])) * K
     return mat
 
@@ -342,8 +505,26 @@ def gather_block(st: BlockStack, X: np.ndarray) -> np.ndarray:
     """Adjoint of apply_block: the vector of sum_j <F_ja, X_j> over all
     coordinates for a stack X of the blocks' matrices."""
     out = _gather_lterms(st, X)
-    for b, sl, coeff, pv, K in st.tterms:
-        out[sl] += (coeff * float(np.real(np.trace(K @ X[b])))) * pv
+    for b, sl, coeff, pv, K, _ in st.tterms:
+        out[sl] += (coeff * _trace(K @ X[b])) * pv
+    return out
+
+
+def _trace(X) -> float:
+    """Re tr X, summed over the blocks of a stack."""
+    if X.ndim == 2:
+        return float(np.real(np.trace(X)))
+    return float(np.real(np.trace(X, axis1=-2, axis2=-1)).sum())
+
+
+def full_blocks(comp: Compiled, Xs) -> list:
+    """One matrix per constraint, in SdpProblem.blocks() order, from one
+    stack per block size: each block at its rows, zero between class
+    blocks."""
+    out = [np.zeros((n, n), dtype=Xs[0].dtype) for n in comp.dims]
+    for st, X in zip(comp.stacks, Xs):
+        for p, rows, Xb in zip(st.pos, st.rows, X):
+            out[p][np.ix_(rows, rows)] = Xb
     return out
 
 
@@ -452,16 +633,17 @@ def _assemble_M(comp: Compiled, Vs):
     M = np.zeros((comp.m, comp.m))
     for st, V in zip(comp.stacks, Vs):
         kernels.schur_stack(M, V, st.groups)
-        for b, sl, coeff, pv, K in st.tterms:
+        for b, sl, coeff, pv, K, _ in st.tterms:
             VKV = np.zeros_like(V)
             VKV[b] = V[b] @ K @ V[b]
             w = _gather_lterms(st, VKV)
             M[sl] += coeff * np.outer(pv, w)
             M[:, sl] += coeff * np.outer(w, pv)
-        for br, sr, cr, pr, Kr in st.tterms:
-            for bs, ss, cs, ps, Ks in st.tterms:
-                if br == bs:
-                    t = float(np.real(np.trace(Kr @ V[br] @ Ks @ V[br])))
+        # two trace terms of one constraint span the same blocks
+        for b, sr, cr, pr, Kr, con_r in st.tterms:
+            for _, ss, cs, ps, Ks, con_s in st.tterms:
+                if con_r == con_s:
+                    t = _trace(Kr @ V[b] @ Ks @ V[b])
                     M[sr, ss] += (cr * cs * t) * np.outer(pr, ps)
     return M
 
@@ -513,7 +695,8 @@ def _split_equalities(A) -> _EqSplit:
 
 def _factor_kkt(Mr):
     """Factor the reduced Newton matrix Mr = NᵀMN and return the solver of
-    Mr z = r, or None when no jittered Cholesky factor exists.  Equalities
+    Mr z = r, or None when no jittered Cholesky factor exists.  The solver's
+    jitter attribute is the rung it was factored on.  Equalities
     are eliminated (dy = N z) rather than bordered: Mr stays positive
     definite, whereas an LU solve of the saddle system [[M, Aᵀ], [A, 0]]
     loses the dual equation in the endgame and stalls the iterates.
@@ -550,6 +733,7 @@ def _factor_kkt(Mr):
                 z = z + e
             return z
 
+        solve.jitter = jit
         return solve
     return None
 
@@ -652,7 +836,6 @@ def _iterate(comp: Compiled, cfg) -> dict:
 
     def result(status, stop, snap):
         pv, dv = user_vals(snap["pobj"], snap["dobj"])
-        dual = {p: Zj for st, Zk in zip(stacks, snap["Z"]) for p, Zj in zip(st.pos, Zk)}
         return {
             "status": status,
             "stop": stop,
@@ -660,7 +843,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
             "dual_value": dv,
             "assignments": assignments_from(comp, snap["y"]),
             "iterations": snap["it"],
-            "dual_blocks": [dual[p] for p in sorted(dual)],
+            "dual_blocks": full_blocks(comp, snap["Z"]),
             "eq_duals": snap["lam"],
             "trace": trace,
         }
@@ -669,9 +852,10 @@ def _iterate(comp: Compiled, cfg) -> dict:
     eq = _split_equalities(A)  # A is fixed for the whole run
     binf = 1.0 + float(np.max(np.abs(b), initial=0.0))
     y = eq.pinv(b)
-    S = [np.maximum(1.0, st.dnorm)[:, None, None] * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
+    # every block starts from its constraint's constant norm
+    S = [np.maximum(1.0, comp.dnorm[st.pos])[:, None, None] * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
     zscale = max(1.0, float(np.max(np.abs(comp.c))))
-    Z = [np.full(st.dnorm.shape + (1, 1), zscale) * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
+    Z = [np.full(st.pos.shape + (1, 1), zscale) * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
 
     snap0 = {"y": y, "lam": np.zeros(b.size), "Z": Z, "pobj": float("nan"), "dobj": float("nan"), "it": 0}
     if comp.static_infeasible or float(np.max(np.abs(A @ y - b), initial=0.0)) > cfg.feas_tol * binf:
@@ -691,7 +875,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
     status = "numeric-failure"
     stop = "max-iterations"  # the rule that ended the loop
     it_done = 0
-    last_step = {"alpha_p": float("nan"), "alpha_d": float("nan"), "sigma": float("nan")}
+    last_step = dict.fromkeys(("alpha_p", "alpha_d", "sigma", "kkt_jitter"), float("nan"))
 
     for it in range(1, cfg.max_iterations + 1):
         it_done = it
@@ -706,7 +890,12 @@ def _iterate(comp: Compiled, cfg) -> dict:
         pobj_lin = float(comp.c @ y)
         dobj_lin = sum(float(_inners(Zk, st.const).sum()) for st, Zk in zip(stacks, Z)) + float(lam @ b)
 
-        pinf = max(float(np.max(np.linalg.norm(Rk, axis=(-2, -1)) / (1.0 + st.dnorm))) for st, Rk in zip(stacks, Rp))
+        # each constraint's Frobenius norm, over all its blocks
+        sq = sum(
+            np.bincount(st.pos, (Rk.conj() * Rk).real.sum(axis=(-2, -1)), comp.dnorm.size)
+            for st, Rk in zip(stacks, Rp)
+        )
+        pinf = float(np.max(np.sqrt(sq) / (1.0 + comp.dnorm)))
         dinf = float(np.max(np.abs(rd))) / cinf
         pu, du = user_vals(pobj_lin, dobj_lin)
         relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
@@ -843,7 +1032,8 @@ def _iterate(comp: Compiled, cfg) -> dict:
         y = y + ap * dy
         S = [Sk + ap * dSk for Sk, dSk in zip(S, dS)]
         Z = [Zk + ad * dZk for Zk, dZk in zip(Z, dZ)]
-        last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma}
+        # a tracer may wrap the solver; unwrap follows __wrapped__ to it
+        last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma, "kkt_jitter": inspect.unwrap(kkt).jitter}
 
     if best is None:
         best = snap0

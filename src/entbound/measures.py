@@ -372,7 +372,7 @@ def multi_copy(
         )
     big = kron_power_state(rho, n)
     result = measure(big, config=config)
-    if measure is e_w:
+    if measure is e_w and n >= 2:
         single = e_w(rho, config=config)
         expect = n * single.value_log2
         if abs(result.value_log2 - expect) > _ADDITIVITY_TOL:

@@ -236,7 +236,9 @@ class SdpSolution:
     dual_blocks: tuple = ()
     eq_duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # one dict per iterate evaluated: iteration, mu, objectives, relgap, pinf,
-    # dinf, residual_slack, and the alpha_p, alpha_d, sigma that led to it
+    # dinf, residual_slack, and the alpha_p, alpha_d, sigma and kkt_jitter
+    # (the jitter rung of the Newton matrix's factor, relative to its largest
+    # diagonal entry) of the step that led to it, NaN on the first row
     trace: tuple = ()
 
 

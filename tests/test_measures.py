@@ -307,6 +307,21 @@ def test_multi_copy_e_w_additive():
     assert abs(pair - single - np.log2(1.5)) <= 1e-5
 
 
+def test_multi_copy_of_one_copy_solves_once(monkeypatch):
+    # one copy is the state itself, so there is no additivity to check
+    solves = []
+
+    def counted(problem, config=None):
+        solves.append(problem)
+        return solve(problem, config)
+
+    solve = measures.solve
+    monkeypatch.setattr(measures, "solve", counted)
+    res = multi_copy(e_w, rho_alpha(0.3), 1)
+    assert len(solves) == 1
+    assert abs(res.value_log2 - e_w(rho_alpha(0.3)).value_log2) <= 1e-12
+
+
 def test_multi_copy_rejects_out_of_range_n():
     rho = max_entangled(2)
     with pytest.raises(DomainError):

@@ -8,7 +8,7 @@ import scipy.linalg as sla
 
 from entbound import ipm, measures, sdp
 from entbound.errors import CapacityError, InvalidDimsError, InvalidStateError, NumericError, SolverError
-from entbound.linalg import HermitianMatrix, hermitize, make_state, ptranspose_arr
+from entbound.linalg import HermitianMatrix, hermitize, make_state, ptranspose_arr, symmetry_pattern
 from entbound.sdp import (
     EqConstraint,
     LinTerm,
@@ -19,7 +19,15 @@ from entbound.sdp import (
     check_certificate,
     solve,
 )
-from entbound.states import kron_power_state, max_entangled, random_state, rho_alpha, sigma_r, tensor_state
+from entbound.states import (
+    antisym_state,
+    kron_power_state,
+    max_entangled,
+    random_state,
+    rho_alpha,
+    sigma_r,
+    tensor_state,
+)
 
 
 def eye(n):
@@ -156,7 +164,7 @@ def test_trace_term_scalar_coupling():
 
 _TRACE_KEYS = {
     "iteration", "mu", "primal_value", "dual_value", "pobj_lin", "dobj_lin", "relgap",
-    "pinf", "dinf", "residual_slack", "alpha_p", "alpha_d", "sigma",
+    "pinf", "dinf", "residual_slack", "alpha_p", "alpha_d", "sigma", "kkt_jitter",
 }
 
 
@@ -178,6 +186,9 @@ def test_weak_duality_holds_on_every_iterate():
     assert len(sol.trace) >= 5
     assert [row["iteration"] for row in sol.trace] == list(range(1, sol.iterations + 1))
     assert all(set(row) == _TRACE_KEYS for row in sol.trace)
+    # the step that led to each later row was solved on one jitter rung
+    assert np.isnan(sol.trace[0]["kkt_jitter"])
+    assert all(row["kkt_jitter"] in (0.0, 1e-14, 1e-12, 1e-10, 1e-8) for row in sol.trace[1:])
     for info in sol.trace:
         scale = 1.0 + abs(info["pobj_lin"]) + abs(info["dobj_lin"])
         assert info["pobj_lin"] <= info["dobj_lin"] + info["residual_slack"] + 1e-8 * scale
@@ -502,12 +513,16 @@ def test_factor_kkt_solves_badly_scaled_and_singular_matrices():
     backward = np.abs(Mr @ z - g) / (np.abs(Mr) @ np.abs(z) + np.abs(g))
     assert np.max(backward) <= 1e-14
 
-    # a singular matrix factors on a jitter rung; a negative definite one not
+    # a singular matrix factors on a jitter rung above 0, a positive
+    # definite one on rung 0, and a negative definite one not at all
     singular = np.diag([2.0, 1.0, 0.0])
     with pytest.raises(np.linalg.LinAlgError):
         sla.cho_factor(singular)
-    z = ipm._factor_kkt(singular)(np.array([2.0, 1.0, 0.0]))
+    kkt = ipm._factor_kkt(singular)
+    assert kkt.jitter > 0.0
+    z = kkt(np.array([2.0, 1.0, 0.0]))
     assert np.all(np.isfinite(z)) and np.allclose(z[:2], 1.0)
+    assert ipm._factor_kkt(np.array([[2.0, 1.0], [1.0, 2.0]])).jitter == 0.0
     assert ipm._factor_kkt(-np.eye(3)) is None
 
 
@@ -833,31 +848,66 @@ def _phased_rho_alpha():
     return make_state(u[:, None] * rho_alpha(0.3).mat * u.conj(), 3, 3)
 
 
+_TENSOR6 = tensor_state(sigma_r(0.4), rho_alpha(0.3))
+
+
 # e_w's max form, w_dual's two-variable (U - V)^PT block, e0's TraceTerm
 # blocks (mu upper / mu lower) on 1x1 variables, a block with two terms on
 # one variable, a TraceTerm on a 4x4 variable and blocks of two sizes, each
-# real and complex; and e_w's max form on a complex pattern that drops some
+# real and complex; e_w's max form on a complex pattern that drops some
 # off-diagonal pairs (m = 15), which checks that each imaginary coordinate
-# meets its own entry
-_PROGRAMS = [
-    pytest.param(build, real, id=f"{name}-{'real' if real else 'complex'}")
-    for name, build in (
-        ("e_w", lambda real: measures._w_max_form(_state(real))),
-        ("w_dual", lambda real: _measure_program(measures.w_dual, _state(real))),
-        ("e0", lambda real: _measure_program(measures.det_distill_one_copy, _state(real))),
-        ("x_plus_pt", _x_plus_pt_program),
-        ("trace_term", _trace_term_program),
-        ("mixed_sizes", _mixed_size_program),
-    )
-    for real in (True, False)
-] + [pytest.param(lambda real: measures._w_max_form(_phased_rho_alpha()), False, id="e_w_phased-complex")]
+# meets its own entry; the split tensor6 e_w and e0 programs; and the
+# rho_alpha and phased programs split into their class blocks down to one
+# row (split order 1)
+_PROGRAMS = (
+    [
+        pytest.param(build, real, None, id=f"{name}-{'real' if real else 'complex'}")
+        for name, build in (
+            ("e_w", lambda real: measures._w_max_form(_state(real))),
+            ("w_dual", lambda real: _measure_program(measures.w_dual, _state(real))),
+            ("e0", lambda real: _measure_program(measures.det_distill_one_copy, _state(real))),
+            ("x_plus_pt", _x_plus_pt_program),
+            ("trace_term", _trace_term_program),
+            ("mixed_sizes", _mixed_size_program),
+        )
+        for real in (True, False)
+    ]
+    + [pytest.param(lambda real: measures._w_max_form(_phased_rho_alpha()), False, None, id="e_w_phased-complex")]
+    + [
+        pytest.param(lambda real: measures._w_max_form(_TENSOR6), True, None, id="e_w_tensor6-real"),
+        pytest.param(
+            lambda real: _measure_program(measures.det_distill_one_copy, _TENSOR6), True, None, id="e0_tensor6-real"
+        ),
+    ]
+    + [
+        pytest.param(build, real, 1, id=f"{name}-split")
+        for name, build, real in (
+            ("e_w", lambda real: measures._w_max_form(rho_alpha(0.3)), True),
+            ("w_dual", lambda real: _measure_program(measures.w_dual, rho_alpha(0.3)), True),
+            ("e0", lambda real: _measure_program(measures.det_distill_one_copy, rho_alpha(0.3)), True),
+            ("w0", lambda real: _measure_program(measures.w0, rho_alpha(0.3)), True),
+            ("e_w_phased", lambda real: measures._w_max_form(_phased_rho_alpha()), False),
+        )
+    ]
+)
 
 
-def _compiled(build, real):
+def _compiled(build, real, split, monkeypatch):
+    """The program and its compiled form, split from `split` rows on when
+    given; every split-eligible constraint must then have class blocks."""
+    if split is not None:
+        monkeypatch.setattr(ipm, "_SPLIT_ORDER", split)
     problem = build(real)
     comp = ipm.compile_problem(problem)
     assert comp.real_mode == real
+    if split is not None:
+        assert sum(st.pos.size for st in comp.stacks) > len(problem.blocks())
     return problem, comp
+
+
+def _class_stacks(comp, mats):
+    """The stacks of comp's class blocks cut from one matrix per constraint."""
+    return [np.array([mats[p][np.ix_(r, r)] for p, r in zip(st.pos, st.rows)]) for st in comp.stacks]
 
 
 def _hermitian_stack(rng, nb, n, real, psd=False):
@@ -868,43 +918,43 @@ def _hermitian_stack(rng, nb, n, real, psd=False):
     return a @ ah + 0.1 * np.eye(n) if psd else a + ah
 
 
-@pytest.mark.parametrize("build, real", _PROGRAMS)
-def test_assemble_M_matches_dense_oracle(build, real):
-    problem, comp = _compiled(build, real)
+@pytest.mark.parametrize("build, real, split", _PROGRAMS)
+def test_assemble_M_matches_dense_oracle(build, real, split, monkeypatch):
+    problem, comp = _compiled(build, real, split, monkeypatch)
     blocks = problem.blocks()
     rng = np.random.default_rng(2024)
     Vs = [_hermitian_stack(rng, len(st.pos), st.n, real, psd=True) for st in comp.stacks]
 
     # M[i,k] = sum_j Re tr(F_ji V_j F_jk V_j), each F_ji evaluated densely
     # from the model terms (partial transposes by ptranspose_arr) at the
-    # i-th unit coordinate, constant removed
+    # i-th unit coordinate, constant removed, and V_j the constraint's class
+    # blocks put back in place
     units = [ipm.assignments_from(comp, e) for e in np.eye(comp.m)]
     want = np.zeros((comp.m, comp.m))
-    for st, V in zip(comp.stacks, Vs):
-        for p, Vj in zip(st.pos, V):
-            blk = blocks[p]
-            FV = np.array([(sdp.block_matrix(blk, xs) - blk.const) @ Vj for xs in units])
-            want += np.einsum("iab,kba->ik", FV, FV).real
+    for blk, Vj in zip(blocks, ipm.full_blocks(comp, Vs)):
+        FV = np.array([(sdp.block_matrix(blk, xs) - blk.const) @ Vj for xs in units])
+        want += np.einsum("iab,kba->ik", FV, FV).real
 
     got = ipm._assemble_M(comp, Vs)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("build, real", _PROGRAMS)
-def test_gather_block_is_the_adjoint_of_apply_block(build, real):
+@pytest.mark.parametrize("build, real, split", _PROGRAMS)
+def test_gather_block_is_the_adjoint_of_apply_block(build, real, split, monkeypatch):
     # one scatter images every block of a stack as the dense model terms
-    # do, and one gather is its adjoint
-    problem, comp = _compiled(build, real)
+    # do, with nothing between class blocks, and one gather is its adjoint
+    problem, comp = _compiled(build, real, split, monkeypatch)
     blocks = problem.blocks()
     rng = np.random.default_rng(7)
     y = rng.standard_normal(comp.m)
     xs = ipm.assignments_from(comp, y)
-    for st in comp.stacks:
-        img = ipm.apply_block(st, y)
-        for F, p in zip(img, st.pos):
-            blk = blocks[p]
-            want = sdp.block_matrix(blk, xs) - blk.const
-            assert np.max(np.abs(F - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    images = [ipm.apply_block(st, y) for st in comp.stacks]
+    for blk, F in zip(blocks, ipm.full_blocks(comp, images)):
+        want = sdp.block_matrix(blk, xs) - blk.const
+        assert np.max(np.abs(F - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    for blk, C in zip(blocks, ipm.full_blocks(comp, [st.const for st in comp.stacks])):
+        assert np.array_equal(C, blk.const.real if real else blk.const)
+    for st, img in zip(comp.stacks, images):
         X = _hermitian_stack(rng, len(st.pos), st.n, False)
         lhs = float(y @ ipm.gather_block(st, X))
         rhs = float(np.real(np.sum(img * np.swapaxes(X, -1, -2))))
@@ -916,17 +966,18 @@ def test_gather_block_is_the_adjoint_of_apply_block(build, real):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("build, real", _PROGRAMS)
-def test_model_dual_residual_matches_the_stacked_gathers(build, real):
+@pytest.mark.parametrize("build, real, split", _PROGRAMS)
+def test_model_dual_residual_matches_the_stacked_gathers(build, real, split, monkeypatch):
     # the certificate check's term-by-term dual residual, in the solver's
-    # coordinates, is c + the sum of the stacks' gathers - A^T lam
-    problem, comp = _compiled(build, real)
+    # coordinates, is c + the sum of the stacks' gathers - A^T lam: the
+    # gathers read only the class blocks of each dual matrix
+    problem, comp = _compiled(build, real, split, monkeypatch)
     rng = np.random.default_rng(13)
     zs = [_hermitian_stack(rng, 1, con.dim, real)[0] for con in problem.blocks()]
     lam = rng.standard_normal(len(problem.equalities))
     res = sdp._dual_residual(problem, zs, lam)
     got = np.concatenate([ipm._hvec(res[name], *comp.bases[name]) for name in comp.var_names])
-    want = comp.c + sum(ipm.gather_block(st, np.array([zs[p] for p in st.pos])) for st in comp.stacks)
+    want = comp.c + sum(ipm.gather_block(st, Z) for st, Z in zip(comp.stacks, _class_stacks(comp, zs)))
     want -= comp.A.T @ lam
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -937,6 +988,63 @@ def test_w_dual_terms_collide_in_the_scatter():
     comp = ipm.compile_problem(_measure_program(measures.w_dual, _state(False)))
     (st,) = comp.stacks
     assert np.unique(st.flat).size < st.flat.size
+
+
+def test_tensor6_constraints_split_into_their_symmetry_classes():
+    # each class is a clique of the pattern, so the class blocks' squared
+    # sizes add up to the kept entries of R (240 of 1296) in every block
+    kept = int(symmetry_pattern(_TENSOR6.mat, 6, 6).sum())
+    assert kept == int(symmetry_pattern(ptranspose_arr(_TENSOR6.mat, 6, 6), 6, 6).sum()) == 240
+    rho_classes, pt_classes = [8] * 3 + [4] * 3, [12] + [4] * 6
+    for measure, want in (
+        (measures.e_w, [pt_classes, pt_classes, rho_classes]),
+        (measures.det_distill_one_copy, [rho_classes, pt_classes, pt_classes, rho_classes]),
+        (measures.w0, [rho_classes, pt_classes, pt_classes, rho_classes]),
+    ):
+        problem = measures._w_max_form(_TENSOR6) if measure is measures.e_w else _measure_program(measure, _TENSOR6)
+        comp = ipm.compile_problem(problem)
+        sizes = [sorted(st.n for st in comp.stacks for p in st.pos if p == q) for q in range(len(want))]
+        assert sizes == [sorted(w) for w in want]
+        assert all(sum(k * k for k in ks) == kept for ks in sizes)
+        assert sorted(st.n for st in comp.stacks) == [4, 8, 12]
+        # one Schur kernel batch per stack and pair of terms' coordinates,
+        # not one per class block
+        assert sum(len(st.groups) for st in comp.stacks) == 4
+
+
+def _same_arrays(a, b) -> bool:
+    """a and b hold equal values of equal types, arrays with equal dtypes."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(_same_arrays(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_arrays(a[k], b[k]) for k in a)
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and all(_same_arrays(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
+    return type(a) is type(b) and a == b
+
+
+_SMALL_STATES = [
+    *(random_state(d_a, d_b, 2, 1000 + d_a * d_b) for d_a, d_b in ((2, 2), (2, 3), (3, 3), (2, 4), (3, 4))),
+    rho_alpha(0.3),
+    sigma_r(0.5),
+    max_entangled(2),
+    max_entangled(3),
+    antisym_state(),
+]
+
+
+@pytest.mark.parametrize("rho", _SMALL_STATES, ids=lambda rho: f"{rho.dims.d_a}x{rho.dims.d_b}")
+def test_small_programs_compile_as_if_unsplit(rho, monkeypatch):
+    # every corpus and cli program (at most 12 rows) stays below the split
+    # order, so it compiles to the very arrays of an unsplit compile
+    measures_ = (measures.w_dual, measures.det_distill_one_copy, measures.w0, lambda r: measures.fidelity_ppt(r, 1.5))
+    programs = [measures._w_max_form(rho)] + [_measure_program(measure, rho) for measure in measures_]
+    comps = [ipm.compile_problem(problem) for problem in programs]
+    monkeypatch.setattr(ipm, "_SPLIT_ORDER", 10**6)
+    for problem, comp in zip(programs, comps):
+        assert _same_arrays(comp, ipm.compile_problem(problem))
 
 
 @pytest.mark.parametrize("real", [True, False])
