@@ -194,8 +194,10 @@ def _class_labels(con, lterms, tterms) -> np.ndarray:
     adj = (con.const != 0) | np.eye(n, dtype=bool)
     for *_, K in tterms:
         adj |= K != 0
-    for _, _, i, j, _, _ in lterms:
+    for _, i, j, _, _ in lterms:
         adj[i, j] = adj[j, i] = True
+    # label propagation rather than scipy.sparse.csgraph, whose import costs
+    # every process about 90 ms and 5 MB
     label = np.arange(n)
     while True:  # every row takes the least label among its neighbours
         nxt = np.where(adj, label, n).min(axis=1)
@@ -205,28 +207,22 @@ def _class_labels(con, lterms, tterms) -> np.ndarray:
 
 
 def _targets(co_t, co_s, kr_t, kr_s, m):
-    """Where kernels.schur_stack adds a pair of terms in M: real-part rows
-    (a term's first kr coordinates) against real-part columns, real against
-    imaginary, imaginary against real and imaginary against imaginary.  A
-    whole constraint's are pairs of slices of its variables' coordinates; a
-    batch's are flat positions in M, one row of coordinates per block."""
-    if co_t.ndim == 1:
-        t0, s0 = co_t[0], co_s[0]
-        rows = slice(t0, t0 + kr_t), slice(t0 + kr_t, t0 + co_t.size)
-        cols = slice(s0, s0 + kr_s), slice(s0 + kr_s, s0 + co_s.size)
-        return tuple((r, c) for r in rows for c in cols)
+    """The flat positions in M where kernels.schur_stack adds a pair of
+    terms, one row of coordinates per block of a batch: real-part rows (a
+    term's first kr coordinates) against real-part columns, real against
+    imaginary, imaginary against real and imaginary against imaginary."""
     rows = co_t[:, :kr_t, None], co_t[:, kr_t:, None]
     cols = co_s[:, None, :kr_s], co_s[:, None, kr_s:]
     return tuple(r * m + c for r in rows for c in cols)
 
 
 def _schur_groups(batches, n, m) -> tuple:
-    """kernels.schur_stack's groups from (blocks, terms) batches: a whole
-    constraint (an int block) or class blocks of one constraint sharing
-    their local entry pairs (an index array, coordinates one row per
-    block).  A batch's entries gather from the flattened stack at
-    precomputed positions.  A term's real-part entries, those with real u,
-    come first in its basis (_basis_pairs) and so in every class block."""
+    """kernels.schur_stack's groups from (blocks, terms) batches, the blocks
+    of one constraint that share their local entry pairs, with the terms'
+    coordinates one row per block.  A batch's entries gather from the
+    flattened stack at precomputed positions.  A term's real-part entries,
+    those with real u, come first in its basis (_basis_pairs) and so in
+    every class block."""
 
     def flat(b, rows, cols):
         return ((b * n)[:, None, None] + rows) * n + cols
@@ -234,30 +230,25 @@ def _schur_groups(batches, n, m) -> tuple:
     groups = {}
     for b, lt in batches:
         terms = []
-        for sl, c, i, j, u, coord in lt:
+        for c, i, j, u, coord in lt:
             real = u.real != 0
-            terms.append((sl, c, i[real], j[real], np.abs(u[real]), coord))
-        for t, (sl_t, c_t, i_t, j_t, r_t, co_t) in enumerate(terms):
-            for s, (sl_s, c_s, i_s, j_s, r_s, co_s) in enumerate(terms):
-                key = (sl_t.start, sl_s.start, co_t.shape, co_s.shape, co_t.tobytes(), co_s.tobytes())
+            terms.append((c, i[real], j[real], np.abs(u[real]), coord))
+        for t, (c_t, i_t, j_t, r_t, co_t) in enumerate(terms):
+            for s, (c_s, i_s, j_s, r_s, co_s) in enumerate(terms):
+                key = (co_t.shape, co_s.shape, co_t.tobytes(), co_s.tobytes())
                 if key not in groups:
-                    imag = co_t.shape[-1] > r_t.size or co_s.shape[-1] > r_s.size
-                    targets = _targets(co_t, co_s, r_t.size, r_s.size, m)
-                    groups[key] = (co_t.ndim > 1, targets, imag, 2.0 * np.outer(r_t, r_s), [])
-                if np.ndim(b) == 0:
-                    entry = (b, t == s, i_t, j_t, i_s, j_s)
-                else:
-                    i_tc, j_tc = i_t[:, None], j_t[:, None]
-                    y = None if t == s else flat(b, i_s, j_tc)
-                    entry = (flat(b, i_tc, j_s), y, flat(b, i_tc, i_s), flat(b, j_tc, j_s))
-                groups[key][4].append((c_t * c_s, *entry))
+                    imag = co_t.shape[1] > r_t.size or co_s.shape[1] > r_s.size
+                    groups[key] = (_targets(co_t, co_s, r_t.size, r_s.size, m), imag, 2.0 * np.outer(r_t, r_s), [])
+                i_tc, j_tc = i_t[:, None], j_t[:, None]
+                y = None if t == s else flat(b, i_s, j_tc)
+                groups[key][3].append((c_t * c_s, flat(b, i_tc, j_s), y, flat(b, i_tc, i_s), flat(b, j_tc, j_s)))
     return tuple(groups.values())
 
 
 def _constraint_terms(con, bases, var_slices, real_mode):
     """A constraint's LinTerms as their variable's entry pairs, moved by the
-    partial transpose, (slice, coeff, i, j, u, coordinates), and its
-    TraceTerms as the coordinates of their probe, (slice, coeff, p, K)."""
+    partial transpose, (coeff, i, j, u, coordinates), and its TraceTerms as
+    the coordinates of their probe, (slice, coeff, p, K)."""
     lterms, tterms = [], []
     for t in con.terms:
         sl, (i, j, u) = var_slices[t.var], bases[t.var]
@@ -266,21 +257,19 @@ def _constraint_terms(con, bases, var_slices, real_mode):
             continue
         if t.pt_dims is not None:
             i, j = _pt_map(i, j, *t.pt_dims)
-        lterms.append((sl, float(t.coeff), i, j, u, np.arange(sl.start, sl.stop)))
+        lterms.append((float(t.coeff), i, j, u, np.arange(sl.start, sl.stop)))
     return lterms, tterms
 
 
 class _Block(NamedTuple):
     """Rows of constraint p as one block of a stack, with its constant and
-    terms in local indices (_constraint_terms' formats); whole when the
-    block is the entire constraint."""
+    terms in local indices (_constraint_terms' formats)."""
 
     p: int
     rows: np.ndarray
     const: np.ndarray
     lterms: list
     tterms: list
-    whole: bool
 
 
 def _slices(counts) -> list:
@@ -292,54 +281,51 @@ def _slices(counts) -> list:
 def _split(p, con, lterms, tterms) -> list:
     """The class blocks (_Block) of constraint p, each term restricted to
     its entry pairs in the block, in basis order.  Every entry pair lands in
-    exactly one block; a constraint of one block stays whole."""
+    exactly one block."""
     label = _class_labels(con, lterms, tterms)
     count = np.bincount(label)
     if count.size == 1:
-        return [_Block(p, np.arange(con.dim), con.const, lterms, tterms, True)]
+        return [_Block(p, np.arange(con.dim), con.const, lterms, tterms)]
     order = np.argsort(label, kind="stable")
     loc = np.empty_like(order)
     loc[order] = np.arange(order.size) - (np.cumsum(count) - count)[label[order]]
     parts = []
-    for sl, c, i, j, u, coord in lterms:
+    for c, i, j, u, coord in lterms:
         o = np.argsort(label[i], kind="stable")
         arrays = [x[o] for x in (loc[i], loc[j], u, coord)]
-        parts.append([(sl, c, *(x[k] for x in arrays)) for k in _slices(np.bincount(label[i], minlength=count.size))])
+        parts.append([(c, *(x[k] for x in arrays)) for k in _slices(np.bincount(label[i], minlength=count.size))])
     blocks = []
     for b, k in enumerate(_slices(count)):
         rows = order[k]
-        tt = [(sl, c, pv, K[rows[:, None], rows]) for sl, c, pv, K in tterms]
-        blocks.append(_Block(p, rows, con.const[rows[:, None], rows], [lt[b] for lt in parts], tt, False))
+        ix = np.ix_(rows, rows)
+        tt = [(sl, c, pv, K[ix]) for sl, c, pv, K in tterms]
+        blocks.append(_Block(p, rows, con.const[ix], [lt[b] for lt in parts], tt))
     return blocks
 
 
 def _stack(blocks, m, real_mode) -> BlockStack:
-    """The stack of blocks (_Block) of one size.  A whole constraint is one
-    batch of the Schur kernel, and so are the class blocks of a constraint
-    whose terms share their local entry pairs.  Each trace term spans all
-    its constraint's blocks here."""
+    """The stack of blocks (_Block) of one size.  The blocks of one
+    constraint that share their local entry pairs form one batch of the
+    Schur kernel, and each trace term spans all its constraint's blocks
+    here."""
     n = blocks[0].rows.size
-    ent = [(b, coeff * u, i, j, coord) for b, blk in enumerate(blocks) for _, coeff, i, j, u, coord in blk.lterms]
+    ent = [(b, coeff * u, i, j, coord) for b, blk in enumerate(blocks) for coeff, i, j, u, coord in blk.lterms]
     batches, tparts = {}, {}
     for b, blk in enumerate(blocks):
-        local = () if blk.whole else tuple(a.tobytes() for _, _, i, j, u, _ in blk.lterms for a in (i, j, u))
+        local = tuple(a.tobytes() for _, i, j, u, _ in blk.lterms for a in (i, j, u))
         batches.setdefault((blk.p, *local), []).append(b)
         for k, term in enumerate(blk.tterms):
             tparts.setdefault((blk.p, k), []).append((b, term))
     schur = []
     for bs in batches.values():
         lt = blocks[bs[0]].lterms
-        if blocks[bs[0]].whole:
-            schur.append((bs[0], lt))
-        else:
-            coords = [np.array([blocks[b].lterms[k][5] for b in bs]) for k in range(len(lt))]
-            schur.append((np.array(bs), [(*term[:5], co) for term, co in zip(lt, coords)]))
+        coords = [np.array([blocks[b].lterms[k][4] for b in bs]) for k in range(len(lt))]
+        schur.append((np.array(bs), [(*term[:4], co) for term, co in zip(lt, coords)]))
     tterms = []
     for (p, _), parts in tparts.items():
-        b, (sl, coeff, pv, K) = parts[0]
-        if not blocks[b].whole:
-            b, K = np.array([b for b, _ in parts]), np.array([term[3] for _, term in parts])
-        tterms.append((b, sl, coeff, pv, K, p))
+        sl, coeff, pv, _ = parts[0][1]
+        bs, K = np.array([b for b, _ in parts]), np.array([term[3] for _, term in parts])
+        tterms.append((bs, sl, coeff, pv, K, p))
 
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, int)
@@ -512,8 +498,6 @@ def gather_block(st: BlockStack, X: np.ndarray) -> np.ndarray:
 
 def _trace(X) -> float:
     """Re tr X, summed over the blocks of a stack."""
-    if X.ndim == 2:
-        return float(np.real(np.trace(X)))
     return float(np.real(np.trace(X, axis1=-2, axis2=-1)).sum())
 
 
@@ -1032,8 +1016,10 @@ def _iterate(comp: Compiled, cfg) -> dict:
         y = y + ap * dy
         S = [Sk + ap * dSk for Sk, dSk in zip(S, dS)]
         Z = [Zk + ad * dZk for Zk, dZk in zip(Z, dZ)]
-        # a tracer may wrap the solver; unwrap follows __wrapped__ to it
-        last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma, "kkt_jitter": inspect.unwrap(kkt).jitter}
+        # a tracer may wrap the solver; unwrap follows __wrapped__ to it, and
+        # a wrapper without one costs only this diagnostic
+        jitter = getattr(inspect.unwrap(kkt), "jitter", float("nan"))
+        last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma, "kkt_jitter": jitter}
 
     if best is None:
         best = snap0

@@ -19,10 +19,10 @@ R = 2 r_t r_sᵀ, M[sl_t, sl_s] is, on
     imaginary rows, imaginary columns  R ∘ Re(β − α)
 
 the imaginary slices taking R, α and β from row or column n on.  With real
-data only the first slice exists, computed in float64.  A class block of a
-split constraint is such a block on its own rows, with the coordinates of
-its entries; class blocks of one constraint that share their local entry
-pairs are taken in one batch.
+data only the first slice exists, computed in float64.  A batch is blocks
+of one constraint that share their local entry pairs: a whole constraint is
+a batch of one block, and the class blocks of a split one that share theirs
+form one batch.
 """
 
 from __future__ import annotations
@@ -37,36 +37,24 @@ def kernel_name() -> str:
 def schur_stack(M, V, groups) -> None:
     """Add the entry-pair terms of every block k of a stack, Re tr(F_a V_k
     F_b V_k), into M in place.  V is the (nb, n, n) stack, groups one
-    (batch, targets, imaginary, R, entries) per pair of terms'
-    coordinates, entries one per pair of terms starting with c_t c_s.  For
-    one block, an entry goes on with (block, same term, i_t, j_t, i_s,
-    j_s) and targets holds pairs of slices of M.  For a batch of class
-    blocks sharing their local entry pairs, it goes on with the flat stack
-    positions of V[i_t, j_s], V[i_s, j_t]ᵀ (None for the same term),
-    V[i_t, i_s] and V[j_t, j_s] over the batch, and targets holds flat
-    positions in M."""
+    (targets, imaginary, R, entries) per pair of terms' coordinates, entries
+    one (c_t c_s, x, y, p, q) per pair of terms: the flat stack positions of
+    V[i_t, j_s], V[i_s, j_t]ᵀ (None for the same term), V[i_t, i_s] and
+    V[j_t, j_s] over a batch of blocks.  targets holds the flat positions in
+    M of the real-real, real-imaginary, imaginary-real and
+    imaginary-imaginary parts."""
     n = V.shape[-1]
-    cV = np.conj(V)
-    for batch, (re_re, re_im, im_re, im_im), imaginary, R, entries in groups:
+    Vf, cVf, Mf = V.reshape(-1), np.conj(V).reshape(-1), M.reshape(-1)
+    for (re_re, re_im, im_re, im_im), imaginary, R, entries in groups:
         alpha = beta = 0.0
-        if batch:
-            Vf, cVf = V.reshape(-1), cV.reshape(-1)
-            for cc, x, y, p, q in entries:
-                X = Vf[x]
-                alpha = alpha + cc * X * (np.swapaxes(X, -1, -2) if y is None else Vf[y])
-                beta = beta + cc * Vf[p] * cVf[q]
-            out = M.reshape(-1)
-        else:
-            for cc, b, same, i_t, j_t, i_s, j_s in entries:
-                Vi_t = V[b][i_t]
-                X = Vi_t[:, j_s]
-                alpha = alpha + cc * X * (X if same else V[b][i_s][:, j_t]).T
-                beta = beta + cc * Vi_t[:, i_s] * cV[b][j_t][:, j_s]
-            out = M
+        for cc, x, y, p, q in entries:
+            X = Vf[x]
+            alpha = alpha + cc * X * (np.swapaxes(X, -1, -2) if y is None else Vf[y])
+            beta = beta + cc * Vf[p] * cVf[q]
         S = R * (alpha + beta)
-        out[re_re] += S.real
+        Mf[re_re] += S.real
         if imaginary:
             D = R * (beta - alpha)
-            out[re_im] -= D.imag[..., n:]
-            out[im_re] += S.imag[..., n:, :]
-            out[im_im] += D.real[..., n:, n:]
+            Mf[re_im] -= D.imag[..., n:]
+            Mf[im_re] += S.imag[..., n:, :]
+            Mf[im_im] += D.real[..., n:, n:]

@@ -194,6 +194,23 @@ def test_weak_duality_holds_on_every_iterate():
         assert info["pobj_lin"] <= info["dobj_lin"] + info["residual_slack"] + 1e-8 * scale
 
 
+def test_a_wrapped_kkt_solver_costs_only_the_jitter_record(monkeypatch):
+    # a wrapper of _factor_kkt's solver that sets no __wrapped__ hides the
+    # jitter rung from the trace and nothing else
+    factor = ipm._factor_kkt
+
+    def wrapped_factor(Mr):
+        solver = factor(Mr)
+        return None if solver is None else (lambda r: solver(r))
+
+    want = solve(diag_lp([2.0, 1.0], 1.0))
+    monkeypatch.setattr(ipm, "_factor_kkt", wrapped_factor)
+    sol = solve(diag_lp([2.0, 1.0], 1.0))
+    assert sol.status == "optimal"
+    assert (sol.primal_value, sol.iterations) == (want.primal_value, want.iterations)
+    assert all(np.isnan(row["kkt_jitter"]) for row in sol.trace)
+
+
 def test_determinism_across_repeat_solves():
     cfg = SolverConfig()
     vals = [solve(diag_lp([2.0, 1.0], 1.0), cfg).primal_value for _ in range(2)]
