@@ -150,13 +150,15 @@ def _number_pair(entry, where: str, path: str) -> complex:
 
 def _load_state(path: str) -> tuple[BipartiteState, str]:
     try:
-        text = pathlib.Path(path).read_text()
-    except OSError as exc:
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(2, "parse", f"cannot read state file {path}: {exc}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CliError(2, "parse", f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+    except (ValueError, RecursionError) as exc:  # an integer of over 4300 digits, deep nesting
+        raise CliError(2, "parse", f"{path}: {exc}")
     if not isinstance(doc, dict):
         raise CliError(2, "parse", f"{path}: top level must be an object")
     unknown = sorted(set(doc) - {"dims", "matrix", "vector", "name"})
@@ -201,10 +203,14 @@ def _load_state(path: str) -> tuple[BipartiteState, str]:
             [_number_pair(e, f"vector entry {i}", path) for i, e in enumerate(entries)],
             dtype=np.complex128,
         )
-        norm = float(np.linalg.norm(vec))
-        if not (math.isfinite(norm) and norm > 1e-12):
-            raise CliError(3, "invalid-state", f"{path}: vector norm must be positive and finite, got {norm:.3e}")
-        psi = vec / norm
+        with np.errstate(over="ignore"):  # a norm beyond float range is above the floor
+            norm = float(np.linalg.norm(vec))
+        if not (np.all(np.isfinite(vec)) and norm > 1e-12):
+            raise CliError(3, "invalid-state", f"{path}: vector needs finite entries and norm > 1e-12, got {norm:.3e}")
+        # scaling by a power of two is exact: psi is vec / norm to the bit for
+        # normal-range entries, and finite where that norm overflows
+        vec = vec * 2.0 ** -math.frexp(float(np.max(np.abs(vec.view(float)))))[1]
+        psi = vec / np.linalg.norm(vec)
         state = make_state(np.outer(psi, psi.conj()), d_a, d_b)
     return state, (name if name else pathlib.Path(path).name)
 

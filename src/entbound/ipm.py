@@ -71,17 +71,16 @@ That algebra is block-diagonal on the pattern's classes (Gatermann &
 Parrilo, J. Pure Appl. Algebra 192 (2004)), so a constraint of at least
 _SPLIT_ORDER rows is split into class blocks: the connected components of
 the entries its entry pairs, constant and trace gains reach, which on a
-pattern are its classes.  Each class block joins the stack of its size
-with local indices, so the NT scaling, the step lengths, the corrector
-products and the Schur assembly run on blocks of those sizes (σ_r⊗ρ_α's
-36-row blocks on blocks of 12, 8 and 4 rows), and the Schur kernel forms
-sum_b m_b² entries per constraint instead of m².  Every stack costs its
-own numpy calls, so smaller constraints stay whole: splitting lost at 9,
-16 and 24 rows and won at 36.  The iterates are the same up to rounding:
-each class block keeps its constraint's constant norm for the starting
-point and the primal residual, which takes each constraint's Frobenius
-norm over all its blocks, and the dual blocks are put back together as
-n×n matrices.
+pattern are its classes.  One mask per class cuts the entry pairs, in basis
+order, to local indices; trace terms stay whole until the stack of each
+size cuts their gains to its blocks' rows.  So the NT scaling, the step
+lengths, the corrector products and the Schur assembly run on blocks of
+the class sizes (σ_r⊗ρ_α's 36-row blocks on blocks of 12, 8 and 4 rows),
+and the Schur kernel forms sum_b m_b² entries per constraint instead of
+m².  The iterates are the same up to rounding: each class block keeps its
+constraint's constant norm for the starting point and the primal
+residual, which takes each constraint's Frobenius norm over all its
+blocks, and the dual blocks are put back together as n×n matrices.
 """
 
 from __future__ import annotations
@@ -169,7 +168,7 @@ class BlockStack:
     pairs adds w_e y[coord_e] at stack position flat_e = (b, i, j) and its
     conjugate at flat_t_e = (b, j, i), with w = coeff * u.  A trace term
     keeps its constraint's blocks here as (blocks, slice, coeff, p, gains,
-    constraint)."""
+    constraint), its gain cut to each block's rows."""
 
     n: int
     m: int
@@ -263,7 +262,9 @@ def _constraint_terms(con, bases, var_slices, real_mode):
 
 class _Block(NamedTuple):
     """Rows of constraint p as one block of a stack, with its constant and
-    terms in local indices (_constraint_terms' formats)."""
+    entry pairs in local indices (_constraint_terms' formats).  Trace terms
+    stay whole, on all the constraint's rows, until _stack cuts their gains
+    to the block's rows."""
 
     p: int
     rows: np.ndarray
@@ -272,34 +273,20 @@ class _Block(NamedTuple):
     tterms: list
 
 
-def _slices(counts) -> list:
-    """Consecutive slices of the given lengths."""
-    ends = np.cumsum(counts).tolist()
-    return [slice(a, b) for a, b in zip([0] + ends, ends)]
-
-
 def _split(p, con, lterms, tterms) -> list:
-    """The class blocks (_Block) of constraint p, each term restricted to
-    its entry pairs in the block, in basis order.  Every entry pair lands in
-    exactly one block."""
+    """The class blocks (_Block) of constraint p.  One mask per class cuts
+    each LinTerm to its entry pairs there in basis order, so real-part
+    entries still come first; trace terms pass whole, on all rows."""
     label = _class_labels(con, lterms, tterms)
-    count = np.bincount(label)
-    if count.size == 1:
-        return [_Block(p, np.arange(con.dim), con.const, lterms, tterms)]
-    order = np.argsort(label, kind="stable")
-    loc = np.empty_like(order)
-    loc[order] = np.arange(order.size) - (np.cumsum(count) - count)[label[order]]
-    parts = []
-    for c, i, j, u, coord in lterms:
-        o = np.argsort(label[i], kind="stable")
-        arrays = [x[o] for x in (loc[i], loc[j], u, coord)]
-        parts.append([(c, *(x[k] for x in arrays)) for k in _slices(np.bincount(label[i], minlength=count.size))])
     blocks = []
-    for b, k in enumerate(_slices(count)):
-        rows = order[k]
-        ix = np.ix_(rows, rows)
-        tt = [(sl, c, pv, K[ix]) for sl, c, pv, K in tterms]
-        blocks.append(_Block(p, rows, con.const[ix], [lt[b] for lt in parts], tt))
+    for k in range(label.max() + 1):
+        inside = label == k
+        rows, loc = np.flatnonzero(inside), np.cumsum(inside) - 1
+        lt = []
+        for c, i, j, u, coord in lterms:
+            m = inside[i]
+            lt.append((c, loc[i[m]], loc[j[m]], u[m], coord[m]))
+        blocks.append(_Block(p, rows, con.const[np.ix_(rows, rows)], lt, tterms))
     return blocks
 
 
@@ -307,36 +294,34 @@ def _stack(blocks, m, real_mode) -> BlockStack:
     """The stack of blocks (_Block) of one size.  The blocks of one
     constraint that share their local entry pairs form one batch of the
     Schur kernel, and each trace term spans all its constraint's blocks
-    here."""
+    here, its gain cut to each block's rows."""
     n = blocks[0].rows.size
     ent = [(b, coeff * u, i, j, coord) for b, blk in enumerate(blocks) for coeff, i, j, u, coord in blk.lterms]
-    batches, tparts = {}, {}
+    pos, rows = np.array([blk.p for blk in blocks]), np.array([blk.rows for blk in blocks])
+    batches = {}
     for b, blk in enumerate(blocks):
         local = tuple(a.tobytes() for _, i, j, u, _ in blk.lterms for a in (i, j, u))
         batches.setdefault((blk.p, *local), []).append(b)
-        for k, term in enumerate(blk.tterms):
-            tparts.setdefault((blk.p, k), []).append((b, term))
     schur = []
     for bs in batches.values():
         lt = blocks[bs[0]].lterms
         coords = [np.array([blocks[b].lterms[k][4] for b in bs]) for k in range(len(lt))]
         schur.append((np.array(bs), [(*term[:4], co) for term, co in zip(lt, coords)]))
     tterms = []
-    for (p, _), parts in tparts.items():
-        sl, coeff, pv, _ = parts[0][1]
-        bs, K = np.array([b for b, _ in parts]), np.array([term[3] for _, term in parts])
-        tterms.append((bs, sl, coeff, pv, K, p))
+    for p in dict.fromkeys(pos.tolist()):
+        bs = np.flatnonzero(pos == p)
+        r = rows[bs]
+        tterms += [(bs, sl, coeff, pv, K[r[:, :, None], r[:, None, :]], p) for sl, coeff, pv, K in blocks[bs[0]].tterms]
 
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, int)
 
     const = np.array([blk.const for blk in blocks])
-    pos = np.array([blk.p for blk in blocks])
     return BlockStack(
         n=n,
         m=m,
         pos=pos,
-        rows=np.array([blk.rows for blk in blocks]),
+        rows=rows,
         const=const.real.copy() if real_mode else const,
         flat=cat([(b * n + i) * n + j for b, _, i, j, _ in ent]),
         flat_t=cat([(b * n + j) * n + i for b, _, i, j, _ in ent]),

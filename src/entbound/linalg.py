@@ -59,12 +59,16 @@ def checked_hermitian(mat, what: str = "matrix") -> np.ndarray:
     """mat as a square complex array, symmetrized after checking that no
     entry of |m - m†| exceeds 1e-12; InvalidStateError names `what`."""
     arr = _as_complex(mat, what)
-    asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
-    if asym > HERMITICITY_ATOL:
+    with np.errstate(over="ignore", invalid="ignore"):  # sums beyond float range are refused below
+        asym = float(np.max(np.abs(arr - arr.conj().T))) if arr.size else 0.0
+        sym = hermitize(arr)
+    if not asym <= HERMITICITY_ATOL:
         raise InvalidStateError(
             f"{what} is not Hermitian: max |m - m†| = {asym:.3e} > {HERMITICITY_ATOL:.0e}"
         )
-    return hermitize(arr)
+    if not np.all(np.isfinite(sym)):
+        raise InvalidStateError(f"{what} leaves float range when symmetrized")
+    return sym
 
 
 class HermitianMatrix:
@@ -124,11 +128,12 @@ class BipartiteState:
             raise InvalidDimsError(
                 f"state dim {self.rho.dim} != d_A*d_B = {self.dims.total}"
             )
-        tr = float(np.real(np.trace(self.rho.mat)))
-        if abs(tr - 1.0) > TRACE_ATOL:
+        with np.errstate(over="ignore"):  # a trace beyond float range is inf
+            tr = float(np.real(np.trace(self.rho.mat)))
+        if not abs(tr - 1.0) <= TRACE_ATOL:
             raise InvalidStateError(f"trace(rho) = {tr!r}, off by {abs(tr - 1.0):.3e} > {TRACE_ATOL:.0e}")
         lmin = float(np.linalg.eigvalsh(self.rho.mat)[0])
-        if lmin < -PSD_ATOL:
+        if not lmin >= -PSD_ATOL:
             raise InvalidStateError(f"rho is not PSD: min eigenvalue = {lmin:.3e} < -{PSD_ATOL:.0e}")
 
     @property

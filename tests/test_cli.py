@@ -1,9 +1,14 @@
 """Command line behavior: verbs, formats, exit codes, error reporting."""
 
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entbound.cli import main
 
@@ -133,6 +138,14 @@ def test_state_file_parse_errors(tmp_path, capsys):
         assert first_err_line(capsys) == "ERROR 2: parse"
 
     assert main(["compute", "--state", str(tmp_path / "missing.json"), "--measures", "en"]) == 2
+    assert first_err_line(capsys) == "ERROR 2: parse"
+
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff\xfe\x00")  # not UTF-8
+    assert main(["compute", "--state", str(latin), "--measures", "en"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "ERROR 2: parse"
+    assert str(latin) in err[1]
 
 
 def test_entries_beyond_float_range_are_parse_errors(tmp_path, capsys):
@@ -159,6 +172,7 @@ def test_invalid_states_exit_three(tmp_path, capsys):
     zero_vec = {"dims": [1, 2], "vector": [[0, 0], [0, 0]]}
     nan_mat = [[[float("nan"), 0], [0, 0]], [[0, 0], [0.5, 0]]]
     inf_vec = {"dims": [1, 2], "vector": [[float("inf"), 0], [1, 0]]}
+    tiny_vec = {"dims": [1, 2], "vector": [[1e-13, 0], [0, 0]]}  # norm under 1e-12
     docs = [
         {"dims": [1, 2], "matrix": herm},
         {"dims": [1, 2], "matrix": off},
@@ -166,11 +180,83 @@ def test_invalid_states_exit_three(tmp_path, capsys):
         zero_vec,
         {"dims": [1, 2], "matrix": nan_mat},
         inf_vec,
+        tiny_vec,
     ]
     for i, doc in enumerate(docs):
         path = write_json(tmp_path, f"inv{i}.json", doc)
         assert main(["compute", "--state", path, "--measures", "en"]) == 3
         assert first_err_line(capsys) == "ERROR 3: invalid-state"
+
+
+@pytest.mark.parametrize("big", [1e200, 1e308])
+def test_vectors_with_an_overflowing_norm_are_normalized(tmp_path, capsys, big):
+    # finite entries describe a Bell state even where |v| leaves float range
+    path = write_json(tmp_path, "big.json", {"dims": [2, 2], "vector": [[big, 0], [0, 0], [0, 0], [big, 0]]})
+    assert main(["compute", "--state", path, "--measures", "en", "--format", "json"]) == 0
+    (en,) = json.loads(capsys.readouterr().out)["measures"]
+    assert abs(en["value_log2"] - 1.0) <= 1e-12
+
+
+def test_vector_normalization_ignores_a_power_of_two_scale(tmp_path, capsys):
+    vec = [[0.3, 0.1], [-0.2, 0.0], [0.0, 0.7], [0.05, -0.4]]
+    outputs = []
+    for k in (0, 600, -30):
+        doc = {"dims": [2, 2], "vector": [[2.0**k * re, 2.0**k * im] for re, im in vec], "name": "v"}
+        path = write_json(tmp_path, f"v{k}.json", doc)
+        assert main(["compute", "--state", path, "--measures", "en", "--format", "json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# entries a state file may hold: any float (huge, tiny, subnormal, inf, nan)
+# and integers up to beyond float range
+_ENTRY = st.one_of(
+    st.floats(),
+    st.sampled_from([1e308, -1e308, 1e-320, 5e-324, 10**400, -(10**400)]),
+    st.integers(-(10**3), 10**3),
+)
+_PAIR = st.lists(_ENTRY, min_size=2, max_size=2)
+
+
+@st.composite
+def _state_docs(draw):
+    """A JSON state file of dims up to 3x3: a vector, a matrix of any
+    entries, or the maximally mixed state with a few entries and their
+    mirrors replaced."""
+    d_a, d_b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = d_a * d_b
+    form = draw(st.sampled_from(["vector", "matrix", "mixed"]))
+    if form == "vector":
+        return {"dims": [d_a, d_b], "vector": draw(st.lists(_PAIR, min_size=n, max_size=n))}
+    if form == "matrix":
+        row = st.lists(_PAIR, min_size=n, max_size=n)
+        return {"dims": [d_a, d_b], "matrix": draw(st.lists(row, min_size=n, max_size=n))}
+    mat = [[[1.0 / n if i == j else 0.0, 0.0] for j in range(n)] for i in range(n)]
+    for i, j, (re, im) in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _PAIR), max_size=3)):
+        mat[i][j] = [re, 0.0 if i == j else im]
+        mat[j][i] = [re, 0.0 if i == j else -im]
+    return {"dims": [d_a, d_b], "matrix": mat}
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _state_docs().map(lambda doc: json.dumps(doc).encode())))
+@example(b"\xff\xfe\x00")
+@example(b'{"dims": [1, 1], "vector": [[' + b"9" * 5000 + b", 0]]}")
+@example(b"[" * 100_000 + b"]" * 100_000)
+@example(json.dumps({"dims": [2, 2], "vector": [[1e308, 1e308], [0, 0], [0, 0], [1e308, -1e308]]}).encode())
+def test_state_file_loader_fuzz(raw):
+    # whatever the file holds, compute exits 0, 2 or 3, and an error's first
+    # line names its code and kind; pytest's settings fail any warning on the way
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/state.json"
+        with open(path, "wb") as fh:
+            fh.write(raw)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["compute", "--state", path, "--measures", "en"])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().splitlines()[0] == {2: "ERROR 2: parse", 3: "ERROR 3: invalid-state"}[code]
 
 
 def test_sweep_csv_shape_and_stability(tmp_path, capsys):

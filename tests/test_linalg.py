@@ -128,6 +128,24 @@ def test_make_state_rejects_non_finite_entries():
 
 
 @pytest.mark.parametrize(
+    "mat, check",
+    [([[0.5, 1e308], [1e308, 0.5]], "float range"), ([[1e308, 1e308], [-1e308, 0]], "not Hermitian")],
+    ids=["symmetrized-sum", "asymmetry"],
+)
+def test_make_state_rejects_finite_entries_whose_checks_overflow(mat, check):
+    # m + m† and m - m† leave float range; neither may slip past a check as
+    # inf or nan, nor warn (pytest's settings turn warnings into errors)
+    with pytest.raises(InvalidStateError, match=check):
+        make_state(np.array(mat), 1, 2)
+
+
+def test_state_checks_reject_a_nan_eigenvalue(monkeypatch):
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.full(mat.shape[-1], np.nan))
+    with pytest.raises(InvalidStateError, match="PSD"):
+        make_state(np.eye(2) / 2, 1, 2)
+
+
+@pytest.mark.parametrize(
     "mat, d_a, d_b",
     [([[10**400, 0], [0, 0]], 2, 1), ([[1.0, 0.0], [0.0]], 2, 1), ("abc", 1, 1)],
 )

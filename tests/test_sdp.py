@@ -832,6 +832,28 @@ def _trace_term_program(real):
     )
 
 
+def _two_trace_terms_program(real):
+    """0.5 X + t K1 + s K2 >= -I on a 4x4 X with pattern {0, 1}, {2, 3}, and
+    K1, K2 block-diagonal on it: two trace terms on one constraint, so that
+    split into two class blocks each gain is cut to both blocks' rows."""
+    rng = np.random.default_rng(17)
+    pattern = np.kron(np.eye(2, dtype=bool), np.ones((2, 2), dtype=bool))
+    C, K1, K2 = (np.where(pattern, _random_hermitian(rng, 4, real), 0.0) for _ in range(3))
+    return SdpProblem(
+        sense="max",
+        variables=[("X", 4, "hermitian"), ("t", 1, "hermitian"), ("s", 1, "hermitian")],
+        objective=[("X", C), ("t", -eye(1)), ("s", -eye(1))],
+        constraints=[
+            PsdConstraint(
+                dim=4,
+                const=eye(4),
+                terms=(LinTerm("X", 0.5), TraceTerm("t", eye(1), K1), TraceTerm("s", eye(1), K2)),
+            ),
+        ],
+        patterns={"X": pattern},
+    )
+
+
 def _mixed_size_program(real):
     """max tr(C X) + tr(D Y) over -I <= X <= I (2x2) and -I <= Y <= I (3x3),
     the blocks interleaved by size as 2, 3, 2, 3, and a trace term of Y in
@@ -874,8 +896,8 @@ _TENSOR6 = tensor_state(sigma_r(0.4), rho_alpha(0.3))
 # real and complex; e_w's max form on a complex pattern that drops some
 # off-diagonal pairs (m = 15), which checks that each imaginary coordinate
 # meets its own entry; the split tensor6 e_w and e0 programs; and the
-# rho_alpha and phased programs split into their class blocks down to one
-# row (split order 1)
+# rho_alpha and phased programs and a constraint with two trace terms, real
+# and complex, split into their class blocks down to one row (split order 1)
 _PROGRAMS = (
     [
         pytest.param(build, real, None, id=f"{name}-{'real' if real else 'complex'}")
@@ -904,6 +926,8 @@ _PROGRAMS = (
             ("e0", lambda real: _measure_program(measures.det_distill_one_copy, rho_alpha(0.3)), True),
             ("w0", lambda real: _measure_program(measures.w0, rho_alpha(0.3)), True),
             ("e_w_phased", lambda real: measures._w_max_form(_phased_rho_alpha()), False),
+            ("two_trace_terms-real", _two_trace_terms_program, True),
+            ("two_trace_terms-complex", _two_trace_terms_program, False),
         )
     ]
 )
