@@ -291,7 +291,10 @@ def _cmd_sweep(args, config) -> int:
         raise CliError(2, "usage", f"sweep range [{args.from_}, {args.to}] does not fit the {args.family} domain {dom}")
 
     family = states.sigma_r if args.family == "sigma_r" else states.rho_alpha
-    grid = np.linspace(lo, hi, args.steps)
+    try:
+        grid = np.linspace(lo, hi, args.steps)
+    except (MemoryError, ValueError, IndexError) as exc:  # past memory, or past numpy's index range
+        raise CliError(2, "usage", f"--steps {args.steps} makes a grid numpy cannot allocate: {exc}")
     lines = ["param," + ",".join(tok for tok, _, _ in tokens)]
     for param in grid:
         param = float(param)

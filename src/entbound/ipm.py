@@ -7,10 +7,11 @@ scaling and a Mehrotra predictor-corrector step. Dense and deterministic,
 sized for matrix variables up to ~100 rows total.
 
 Blocks have at most ~100 rows, where OpenBLAS's one thread per core is
-slower, not faster, so a program whose reduced Newton matrix has fewer than
-_THREADED_ORDER rows runs on one BLAS thread and its result does not depend
-on the core count; a larger one runs wholly on the caller's threads.  Every
-iterate the loop evaluates leaves one row in the returned trace, and the
+slower, not faster; threads pay only on large programs with equalities
+(see _THREADED_ORDER).  So a program whose reduced Newton matrix has fewer
+than _THREADED_ORDER rows runs on one BLAS thread and its result does not
+depend on the core count; a larger one runs wholly on the caller's threads.
+Every iterate the loop evaluates leaves one row in the returned trace, and the
 result names the stop rule that ended the loop.
 
 The equalities A y = b are solved once (the null-space method of Nocedal
@@ -98,13 +99,9 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import kernels
-from .errors import CapacityError, InvalidStateError, NumericError
+from .errors import InvalidStateError, NumericError
 from .linalg import ZERO_ENTRY_ATOL, dagger, hermitize
-from .sdp import LinTerm, SdpProblem
-
-# Cap on the total variable dimension, counted as 2 * dim per variable. Keeps
-# dense Schur assembly and factorization tractable.
-EMBEDDED_DIM_CAP = 208
+from .sdp import LinTerm, SdpProblem, check_capacity
 
 # Constraints of at least this many rows are split into their class blocks.
 # Every stack costs its own numpy calls per iteration, so splitting small
@@ -368,16 +365,6 @@ def _problem_is_real(problem: SdpProblem) -> bool:
         if any(not _real(p) for _, p in eq.terms):
             return False
     return True
-
-
-def check_capacity(variables) -> None:
-    """Refuse (name, dim, kind) variables beyond EMBEDDED_DIM_CAP."""
-    embedded = sum(2 * dim for _, dim, _ in variables)
-    if embedded > EMBEDDED_DIM_CAP:
-        raise CapacityError(
-            f"total variable dimension, counted as 2 * dim per variable, is {embedded}, "
-            f"exceeding the solver cap of {EMBEDDED_DIM_CAP}"
-        )
 
 
 def compile_problem(problem: SdpProblem) -> Compiled:
@@ -711,11 +698,14 @@ def _factor_kkt(Mr):
 # BLAS threads
 
 # Programs whose reduced Newton matrix has at least this many rows run on the
-# caller's BLAS threads, smaller ones on one.  Measured on 2 cores (medians of
-# 3 to 6 solves): one thread wins end to end on the tensor6 benchmark (orders
-# 466 and 666).  On a real 64-dim two-copy state (m = 2080) two threads take
-# e0 (order 1541) from 18.1 to 16.9 s and leave e_w (order 2080) at 13.2 s;
-# they take the two-copy e0 of rho(0.5) (order 2629) from 49.6 to 39.3 s.
+# caller's BLAS threads, smaller ones on one.  No benchmark program comes near
+# (tensor6's orders are 94 to 138).  Measured on 2 cores on
+# random_state(d_A, d_B, 3, 7001), one solve per run, two runs each, one
+# thread against two: e_w, which has no equalities, took 3.5/2.7 against
+# 3.8/3.5 s at order 1764, 5.7/5.7 against 5.4/5.7 s at 2401 and 20.3/21.2
+# against 19.0/18.3 s at 4096; e0 took 5.3/5.1 against 5.4/5.7 s at order
+# 1522, 15.9/20.5 against 13.9/14.5 s at 2117 and 65.1/68.6 against
+# 49.5/49.1 s at 3722, where the dense equality elimination dominates.
 _THREADED_ORDER = 1500
 
 # The thread count is process-global, so its bookkeeping is too.

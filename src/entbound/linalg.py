@@ -173,17 +173,19 @@ def partial_transpose(m: HermitianMatrix, dims: BipartiteDims) -> HermitianMatri
     return HermitianMatrix(ptranspose_arr(m.mat, dims.d_a, dims.d_b))
 
 
-def symmetry_pattern(mat, d_a: int, d_b: int) -> np.ndarray:
-    """Entries that every diagonal local unitary D_A ⊗ D_B fixing mat leaves
-    unchanged, as a symmetric boolean mask with a True diagonal.
+def symmetry_classes(mat, d_a: int, d_b: int) -> np.ndarray:
+    """The symmetry classes of the indices under every diagonal local unitary
+    D_A ⊗ D_B fixing mat, as one label per index, numbered in order of least
+    index.  Entry (p, q) is unchanged by all of them exactly when p and q
+    share a class.
 
     Index p = (a, b) has the character c_p = e_a + f_b in Z^(d_A+d_B), and
     D_A ⊗ D_B = diag(exp(iθ·c_p)) multiplies entry (p, q) by exp(iθ·χ) with
     χ = c_p − c_q.  The connected group fixing mat is the θ orthogonal to L,
     the span of χ over the entries above ZERO_ENTRY_ATOL, and averaging over
     it keeps exactly the entries with χ in L (Gatermann & Parrilo, J. Pure
-    Appl. Algebra 192 (2004)).  One projection of every c_p onto L's
-    complement decides all n² pairs: χ is in L when both ends project alike."""
+    Appl. Algebra 192 (2004)).  χ is in L when both ends project alike onto
+    L's complement, so a class is the indices whose projections agree."""
     dims = BipartiteDims(d_a, d_b)
     arr = _as_complex(mat)
     n = dims.total
@@ -197,8 +199,21 @@ def symmetry_pattern(mat, d_a: int, d_b: int) -> np.ndarray:
     _, s, vt = np.linalg.svd(chars[p] - chars[q], full_matrices=False)
     span = vt[s > 1e-9 * s.max(initial=0.0)]
     outside = chars - (chars @ span.T) @ span
-    # characters are integer vectors, so a χ outside L is far from it
-    return np.abs(outside[:, None, :] - outside[None, :, :]).max(axis=2) < 1e-6
+    labels, free, label = np.empty(n, dtype=int), idx, 0
+    while free.size:  # the least unlabelled index opens the next class
+        # characters are integer vectors, so a χ outside L is far from it
+        near = np.abs(outside[free] - outside[free[0]]).max(axis=1) < 1e-6
+        labels[free[near]] = label
+        free, label = free[~near], label + 1
+    return labels
+
+
+def symmetry_pattern(mat, d_a: int, d_b: int) -> np.ndarray:
+    """Entries that every diagonal local unitary D_A ⊗ D_B fixing mat leaves
+    unchanged, as a symmetric boolean mask with a True diagonal: the pairs
+    of indices in one symmetry class (symmetry_classes)."""
+    labels = symmetry_classes(mat, d_a, d_b)
+    return labels[:, None] == labels[None, :]
 
 
 def eigh_desc(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapacityError, ConsistencyError, DomainError, SolverError
+from .errors import ConsistencyError, DomainError, SolverError
 from .linalg import (
     RANK_TOL,
     ZERO_ENTRY_ATOL,
@@ -28,14 +28,14 @@ from .linalg import (
     op_norm_arr,
     partial_transpose,
     ptranspose_arr,
+    symmetry_classes,
     symmetry_pattern,
     trace_norm_arr,
 )
-from .sdp import EqConstraint, LinTerm, PsdConstraint, SdpProblem, SolverConfig, TraceTerm, solve
+from .sdp import EqConstraint, LinTerm, PsdConstraint, SdpProblem, SolverConfig, TraceTerm, check_capacity, solve
 from .states import kron_power_state
 
 PRIMAL_DUAL_AGREE_TOL = 1e-6
-MULTI_COPY_DIM_CAP = 100
 _ADDITIVITY_TOL = 1e-5
 
 
@@ -100,11 +100,13 @@ def _w_max_form(rho: BipartiteState) -> SdpProblem:
     """max Re tr(rho^PT R) over -I <= R <= I with R^PT >= 0; the dual
     blocks of its first two constraints are the min form's (U, V)."""
     n = rho.dims.total
+    variables = [("R", n, "hermitian")]
+    check_capacity(variables)
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     rho_pt = ptranspose_arr(rho.mat, *pt_dims)
     return SdpProblem(
         sense="max",
-        variables=[("R", n, "hermitian")],
+        variables=variables,
         objective=[("R", rho_pt)],
         constraints=[
             PsdConstraint(dim=n, const=_eye(n), terms=(LinTerm("R", -1.0),), label="I - R"),
@@ -119,12 +121,14 @@ def w_dual(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureRe
     """min tr(U + V) over U, V >= 0 with (U - V)^PT >= rho; the witness is
     the minimizing X = (U - V)^PT, which dominates rho."""
     n = rho.dims.total
+    variables = [("U", n, "hermitian-psd"), ("V", n, "hermitian-psd")]
+    check_capacity(variables)
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     eye = _eye(n)
     pattern = symmetry_pattern(ptranspose_arr(rho.mat, *pt_dims), *pt_dims)
     problem = SdpProblem(
         sense="min",
-        variables=[("U", n, "hermitian-psd"), ("V", n, "hermitian-psd")],
+        variables=variables,
         objective=[("U", eye), ("V", eye)],
         constraints=[
             PsdConstraint(
@@ -183,12 +187,14 @@ def fidelity_ppt(rho: BipartiteState, k: float, config: SolverConfig | None = No
     if not (is_finite_real(k) and k >= 1.0):
         raise DomainError(f"fidelity_ppt requires a finite k >= 1, got {k!r}")
     n = rho.dims.total
+    variables = [("Q", n, "hermitian-psd")]
+    check_capacity(variables)
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     eye = _eye(n)
     inv_k = 1.0 / float(k)
     problem = SdpProblem(
         sense="max",
-        variables=[("Q", n, "hermitian-psd")],
+        variables=variables,
         objective=[("Q", rho.mat)],
         constraints=[
             PsdConstraint(dim=n, const=eye, terms=(LinTerm("Q", -1.0),), label="I - Q"),
@@ -219,21 +225,21 @@ def npt_witness_bound(rho: BipartiteState) -> tuple[float, HermitianMatrix]:
     return value, HermitianMatrix(r)
 
 
-def _support_pinning(rho: BipartiteState, pattern: np.ndarray, scale: str | None = None):
+def _support_pinning(rho: BipartiteState, labels: np.ndarray, scale: str | None = None):
     """(P, equalities): the support projector P of rho and the equalities
     that fix R to the identity on span(P), or to t I when scale names the
     variable t; None for a full-rank state.  R lives on the symmetry
-    pattern, block-diagonal on its classes, so each class block of rho gets
-    its own eigh and each equality probes R within one class: a support
-    diagonal, or a cross part with a later support or a kernel vector.  The
-    support keeps eigenvalues above RANK_TOL times rho's largest.  Real rho
-    drops the imaginary-direction probes: they constrain nothing on real
-    symmetric matrices, a restriction that is lossless for real data."""
+    pattern, block-diagonal on the classes labels numbers, so each class
+    block of rho gets its own eigh and each equality probes R within one
+    class: a support diagonal, or a cross part with a later support or a
+    kernel vector.  The support keeps eigenvalues above RANK_TOL times
+    rho's largest.  Real rho drops the imaginary-direction probes: they
+    constrain nothing on real symmetric matrices, a restriction that is
+    lossless for real data."""
     mat, n = rho.mat, rho.dims.total
     real = float(np.max(np.abs(mat.imag))) <= ZERO_ENTRY_ATOL
     classes = []
-    # the pattern's distinct rows are its classes, ordered by first index
-    for idx in map(list, sorted({tuple(np.flatnonzero(row)) for row in pattern})):
+    for idx in (np.flatnonzero(labels == label) for label in range(labels.max() + 1)):
         block = mat[np.ix_(idx, idx)]
         vals, vecs = np.linalg.eigh(block.real if real else block)
         full = np.zeros((n, len(idx)), dtype=np.complex128)
@@ -279,10 +285,9 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     variables = [("R", n, "hermitian-psd"), ("mu", 1, "hermitian")]
-    from . import ipm  # deferred, as in sdp.solve: ipm loads scipy
-    ipm.check_capacity(variables)
-    pattern = symmetry_pattern(rho.mat, *pt_dims)
-    pinning = _support_pinning(rho, pattern)
+    check_capacity(variables)
+    labels = symmetry_classes(rho.mat, *pt_dims)
+    pinning = _support_pinning(rho, labels)
     if pinning is None:
         return _full_rank_result(n)
     p_supp, equalities = pinning
@@ -311,7 +316,7 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
             ),
         ],
         equalities=equalities,
-        patterns={"R": pattern},
+        patterns={"R": labels[:, None] == labels[None, :]},
     )
     sol = _solved(problem, config, "det_distill_one_copy")
     # mu* is at most 1 (R = I attains it) and at least 1/n (trace bound on
@@ -330,10 +335,9 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     variables = [("R", n, "hermitian-psd"), ("t", 1, "hermitian")]
-    from . import ipm  # deferred, as in sdp.solve: ipm loads scipy
-    ipm.check_capacity(variables)
-    pattern = symmetry_pattern(rho.mat, *pt_dims)
-    pinning = _support_pinning(rho, pattern, scale="t")
+    check_capacity(variables)
+    labels = symmetry_classes(rho.mat, *pt_dims)
+    pinning = _support_pinning(rho, labels, scale="t")
     if pinning is None:
         return _full_rank_result(n)
     p_supp, equalities = pinning
@@ -353,7 +357,7 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
             PsdConstraint(dim=n, const=eye, terms=(LinTerm("R", 1.0, pt_dims),), label="pt lower"),
         ],
         equalities=equalities,
-        patterns={"R": pattern},
+        patterns={"R": labels[:, None] == labels[None, :]},
     )
     sol = _solved(problem, config, "w0")
     return _result(sol, sol.assignments["R"])
@@ -362,14 +366,11 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
 def multi_copy(
     measure, rho: BipartiteState, n: int, config: SolverConfig | None = None
 ) -> MeasureResult:
-    """Evaluate a measure on the regrouped n-fold tensor power of rho."""
+    """Evaluate a measure on the regrouped n-fold tensor power of rho, after
+    the capacity rule on one variable of the composite's dimension."""
     if not (is_integer(n) and 1 <= n <= 3):
         raise DomainError(f"multi_copy supports integer 1 <= n <= 3, got {n!r}")
-    composite = (rho.dims.d_a * rho.dims.d_b) ** n
-    if composite > MULTI_COPY_DIM_CAP:
-        raise CapacityError(
-            f"{n}-copy state dimension {composite} exceeds the solver cap of {MULTI_COPY_DIM_CAP}"
-        )
+    check_capacity([(f"rho^{n}", rho.dims.total**n, "hermitian")])
     big = kron_power_state(rho, n)
     result = measure(big, config=config)
     if measure is e_w and n >= 2:

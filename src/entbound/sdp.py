@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidDimsError, InvalidStateError
+from .errors import CapacityError, InvalidDimsError, InvalidStateError
 from .linalg import HermitianMatrix, checked_hermitian, hermitize, is_finite_real, is_integer, ptranspose_arr
 
 VALID_KINDS = ("hermitian", "hermitian-psd")
@@ -203,6 +203,21 @@ class SdpProblem:
         if arr.shape[0] != dims[name]:
             raise InvalidDimsError(f"objective coefficient for {name!r} has wrong dim")
         return arr
+
+
+# Cap on the total variable dimension, counted as 2 * dim per variable. Keeps
+# dense Schur assembly and factorization tractable.
+EMBEDDED_DIM_CAP = 208
+
+
+def check_capacity(variables) -> None:
+    """Refuse (name, dim, kind) variables beyond EMBEDDED_DIM_CAP."""
+    embedded = sum(2 * dim for _, dim, _ in variables)
+    if embedded > EMBEDDED_DIM_CAP:
+        raise CapacityError(
+            f"total variable dimension, counted as 2 * dim per variable, is {embedded}, "
+            f"exceeding the solver cap of {EMBEDDED_DIM_CAP}"
+        )
 
 
 @dataclass(frozen=True)

@@ -8,14 +8,35 @@ the exact state and tolerance that broke.
 import numpy as np
 import pytest
 
+from entbound import measures
 from entbound.measures import det_distill_one_copy, e_w, log_negativity
 from entbound.states import rho_alpha
 from entbound.suites import SUITE_NAMES, run_suite
 
+# SDP solves that every suite together makes (verify --suite all).  A change
+# that alters the count updates it here and says why.
+SUITE_SOLVES = 456
+
 
 @pytest.fixture(scope="session")
-def suites():
-    return {name: run_suite(name) for name in SUITE_NAMES}
+def suite_run():
+    """Every suite's results by name, and the SDP solves they made."""
+    solves = []
+    real = measures.solve
+
+    def counted(problem, config=None):
+        solves.append(problem.sense)
+        return real(problem, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "solve", counted)
+        results = {name: run_suite(name) for name in SUITE_NAMES}
+    return results, len(solves)
+
+
+@pytest.fixture(scope="session")
+def suites(suite_run):
+    return suite_run[0]
 
 
 def report(results, *groups, expect_at_least=1):
@@ -85,3 +106,9 @@ def test_ac10_pure_state_exactness(suites):
 
 def test_ac11_support_only_dependence(suites):
     report(suites["paper-values"], "support-only", expect_at_least=5)
+
+
+def test_ac12_every_check_passes_from_the_counted_solves(suite_run):
+    results, solves = suite_run
+    checks = [r for rs in results.values() for r in rs]
+    assert (sum(r.passed for r in checks), len(checks), solves) == (288, 288, SUITE_SOLVES)

@@ -102,6 +102,17 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         assert first_err_line(capsys).startswith("ERROR 2: ")
 
 
+def test_compute_refuses_an_oversized_state_as_usage(tmp_path, capsys):
+    # a 110-dim state exceeds every SDP measure's capacity rule
+    vec = [[1.0, 0.0]] + [[0.0, 0.0]] * 109
+    path = write_json(tmp_path, "big.json", {"dims": [10, 11], "vector": vec})
+    for measure in ("ew", "e0", "w0", "fgamma:k=2"):
+        assert main(["compute", "--state", path, "--measures", measure]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "ERROR 2: usage"
+        assert "cap" in err[1]
+
+
 def test_solver_tol_env(tmp_path, capsys, monkeypatch):
     path = bell_file(tmp_path)
     monkeypatch.setenv("ENTBOUND_SOLVER_TOL", "banana")
@@ -327,6 +338,16 @@ def test_sweep_usage_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["sweep", "--family", "nope", "--from", "0", "--to", "1",
                  "--steps", "2", "--measures", "en", "--out", out]) == 2
+    capsys.readouterr()
+    # grids numpy cannot allocate: 711 PiB, past any address space, so the
+    # request fails at once even where memory is overcommitted (10**13 steps,
+    # 72.8 TiB, could be granted there and then filled); past numpy's index
+    # range; and a count whose steps - 1 overflows
+    for steps in (10**17, 10**20, 2**63 - 1):
+        assert main(base + ["--from", "0.1", "--to", "0.9", "--steps", str(steps)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[0] == "ERROR 2: usage"
+        assert err[1].startswith(f"--steps {steps} ")
 
 
 def test_verify_duality_suite(capsys):

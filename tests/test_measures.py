@@ -336,31 +336,36 @@ def test_multi_copy_rejects_out_of_range_n():
 
 def test_multi_copy_capacity_limits():
     with pytest.raises(CapacityError):
-        multi_copy(log_negativity, rho_alpha(0.3), 3)  # 729 > composite cap
+        # the 729-dim composite is refused before it is built, even for a
+        # closed-form measure
+        multi_copy(log_negativity, rho_alpha(0.3), 3)
     with pytest.raises(CapacityError):
-        # 81-dim fits the composite cap but the two-variable min-form
-        # program exceeds the engine's embedded-dimension cap
+        # the 81-dim composite fits one variable, but the min form's two
+        # variables of that dimension do not
         multi_copy(w_dual, rho_alpha(0.3), 2)
 
 
-def test_e_w_refuses_an_oversized_state_before_solving(monkeypatch):
-    def no_run(*args, **kwargs):
-        raise AssertionError("interior-point run reached")
+_SDP_MEASURES = {
+    "e_w": e_w,
+    "w_dual": w_dual,
+    "fgamma": lambda rho: fidelity_ppt(rho, 2.0),
+    "e0": det_distill_one_copy,
+    "w0": w0,
+}
 
-    monkeypatch.setattr(ipm, "run", no_run)
+
+@pytest.mark.parametrize("measure", _SDP_MEASURES.values(), ids=_SDP_MEASURES.keys())
+def test_sdp_measures_refuse_an_oversized_state_first(measure, monkeypatch):
+    # the capacity rule comes before the state's symmetry classes, whose
+    # cost grows as n^2 (d_A + d_B), and so before any pinning row or solve
+    def reached(*args, **kwargs):
+        raise AssertionError("work on the state began before the capacity rule")
+
+    for name in ("symmetry_classes", "symmetry_pattern", "_support_pinning"):
+        monkeypatch.setattr(measures, name, reached)
+    monkeypatch.setattr(ipm, "run", reached)
     with pytest.raises(CapacityError):
-        e_w(random_state(10, 11, rank=1, seed=950))  # 110-dim
-
-
-@pytest.mark.parametrize("measure", [det_distill_one_copy, w0], ids=["e0", "w0"])
-def test_e0_and_w0_refuse_an_oversized_state_before_pinning(measure, monkeypatch):
-    # a rank-deficient 110-dim state would need thousands of dense probes
-    def no_pinning(*args, **kwargs):
-        raise AssertionError("pinning rows built")
-
-    monkeypatch.setattr(measures, "_support_pinning", no_pinning)
-    with pytest.raises(CapacityError):
-        measure(random_state(10, 11, rank=1, seed=950))
+        measure(random_state(10, 11, rank=1, seed=950))  # 110-dim
 
 
 def test_e_w_solves_once(monkeypatch):

@@ -8,7 +8,14 @@ import scipy.linalg as sla
 
 from entbound import ipm, measures, sdp
 from entbound.errors import CapacityError, InvalidDimsError, InvalidStateError, NumericError, SolverError
-from entbound.linalg import HermitianMatrix, hermitize, make_state, ptranspose_arr, symmetry_pattern
+from entbound.linalg import (
+    HermitianMatrix,
+    hermitize,
+    make_state,
+    ptranspose_arr,
+    symmetry_classes,
+    symmetry_pattern,
+)
 from entbound.sdp import (
     EqConstraint,
     LinTerm,
@@ -1086,6 +1093,51 @@ def test_small_programs_compile_as_if_unsplit(rho, monkeypatch):
     monkeypatch.setattr(ipm, "_SPLIT_ORDER", 10**6)
     for problem, comp in zip(programs, comps):
         assert _same_arrays(comp, ipm.compile_problem(problem))
+
+
+def _pairwise_pattern(mat, d_a, d_b):
+    """The pattern by comparing every pair of indices' projections onto the
+    complement of the span L (the reference for symmetry_classes)."""
+    n = d_a * d_b
+    idx = np.arange(n)
+    chars = np.zeros((n, d_a + d_b))
+    chars[idx, idx // d_b] = 1.0
+    chars[idx, d_a + idx % d_b] = 1.0
+    p, q = np.nonzero(np.abs(mat) > 1e-13)
+    _, s, vt = np.linalg.svd(chars[p] - chars[q], full_matrices=False)
+    span = vt[s > 1e-9 * s.max(initial=0.0)]
+    outside = chars - (chars @ span.T) @ span
+    return np.abs(outside[:, None, :] - outside[None, :, :]).max(axis=2) < 1e-6
+
+
+_TWO_COPY_STATES = [
+    kron_power_state(rho_alpha(0.3), 2),
+    kron_power_state(rho_alpha(0.5), 2),
+    kron_power_state(sigma_r(0.4), 2),
+    kron_power_state(random_state(2, 2, 2, 77), 2),
+]
+
+
+@pytest.mark.parametrize("pt", [False, True], ids=["rho", "rho_pt"])
+@pytest.mark.parametrize(
+    "rho",
+    _SMALL_STATES + [_TENSOR6, _phased_rho_alpha()] + _TWO_COPY_STATES,
+    ids=lambda rho: f"{rho.dims.d_a}x{rho.dims.d_b}",
+)
+def test_symmetry_classes_give_the_pairwise_pattern(rho, pt):
+    mat = ptranspose_arr(rho.mat, rho.d_a, rho.d_b) if pt else rho.mat
+    labels = symmetry_classes(mat, rho.d_a, rho.d_b)
+    assert np.array_equal(labels[:, None] == labels[None, :], _pairwise_pattern(mat, rho.d_a, rho.d_b))
+    # numbered in order of least index: each class opens with a new label
+    firsts = np.unique(labels, return_index=True)[1]
+    assert np.array_equal(labels[np.sort(firsts)], np.arange(labels.max() + 1))
+
+
+def test_three_copies_of_rho_alpha_have_216_symmetry_classes():
+    rho = kron_power_state(rho_alpha(0.3), 3)
+    labels = symmetry_classes(rho.mat, rho.d_a, rho.d_b)
+    assert labels.max() + 1 == 216
+    assert int(symmetry_pattern(rho.mat, rho.d_a, rho.d_b).sum()) == int(np.bincount(labels) @ np.bincount(labels))
 
 
 @pytest.mark.parametrize("real", [True, False])
