@@ -180,39 +180,45 @@ def _load_state(path: str) -> tuple[BipartiteState, str]:
         raise CliError(2, "parse", f"{path}: field 'name' must be a string")
 
     d_a, d_b = dims
+    try:
+        state = _build_state(doc, path, d_a, d_b)
+    except (InvalidStateError, InvalidDimsError) as exc:
+        raise CliError(3, "invalid-state", f"{path}: {exc}")
+    except MemoryError:
+        raise CliError(2, "parse", f"{path}: a state of dims {d_a}x{d_b} cannot be allocated")
+    return state, (name if name else pathlib.Path(path).name)
+
+
+def _build_state(doc: dict, path: str, d_a: int, d_b: int) -> BipartiteState:
     n = d_a * d_b
     if "matrix" in doc:
         rows = doc["matrix"]
         if not isinstance(rows, list) or len(rows) != n:
             raise CliError(2, "parse", f"{path}: field 'matrix' must have {n} rows for dims {d_a}x{d_b}")
-        mat = np.zeros((n, n), dtype=np.complex128)
-        for i, row in enumerate(rows):
+        for i, row in enumerate(rows):  # before the n x n allocation
             if not isinstance(row, list) or len(row) != n:
                 raise CliError(2, "parse", f"{path}: matrix row {i} must have {n} entries")
+        mat = np.zeros((n, n), dtype=np.complex128)
+        for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 mat[i, j] = _number_pair(entry, f"matrix entry ({i},{j})", path)
-        try:
-            state = make_state(mat, d_a, d_b)
-        except (InvalidStateError, InvalidDimsError) as exc:
-            raise CliError(3, "invalid-state", f"{path}: {exc}")
-    else:
-        entries = doc["vector"]
-        if not isinstance(entries, list) or len(entries) != n:
-            raise CliError(2, "parse", f"{path}: field 'vector' must have {n} entries for dims {d_a}x{d_b}")
-        vec = np.array(
-            [_number_pair(e, f"vector entry {i}", path) for i, e in enumerate(entries)],
-            dtype=np.complex128,
-        )
-        with np.errstate(over="ignore"):  # a norm beyond float range is above the floor
-            norm = float(np.linalg.norm(vec))
-        if not (np.all(np.isfinite(vec)) and norm > 1e-12):
-            raise CliError(3, "invalid-state", f"{path}: vector needs finite entries and norm > 1e-12, got {norm:.3e}")
-        # scaling by a power of two is exact: psi is vec / norm to the bit for
-        # normal-range entries, and finite where that norm overflows
-        vec = vec * 2.0 ** -math.frexp(float(np.max(np.abs(vec.view(float)))))[1]
-        psi = vec / np.linalg.norm(vec)
-        state = make_state(np.outer(psi, psi.conj()), d_a, d_b)
-    return state, (name if name else pathlib.Path(path).name)
+        return make_state(mat, d_a, d_b)
+    entries = doc["vector"]
+    if not isinstance(entries, list) or len(entries) != n:
+        raise CliError(2, "parse", f"{path}: field 'vector' must have {n} entries for dims {d_a}x{d_b}")
+    vec = np.array(
+        [_number_pair(e, f"vector entry {i}", path) for i, e in enumerate(entries)],
+        dtype=np.complex128,
+    )
+    with np.errstate(over="ignore"):  # a norm beyond float range is above the floor
+        norm = float(np.linalg.norm(vec))
+    if not (np.all(np.isfinite(vec)) and norm > 1e-12):
+        raise CliError(3, "invalid-state", f"{path}: vector needs finite entries and norm > 1e-12, got {norm:.3e}")
+    # scaling by a power of two is exact: psi is vec / norm to the bit for
+    # normal-range entries, and finite where that norm overflows
+    vec = vec * 2.0 ** -math.frexp(float(np.max(np.abs(vec.view(float)))))[1]
+    psi = vec / np.linalg.norm(vec)
+    return make_state(np.outer(psi, psi.conj()), d_a, d_b)
 
 
 def _eval_measure(state: BipartiteState, kind: str, k, config) -> MeasureResult:

@@ -164,8 +164,8 @@ class BlockStack:
     holds rows[b] of constraint pos[b].  Entry e of their flattened entry
     pairs adds w_e y[coord_e] at stack position flat_e = (b, i, j) and its
     conjugate at flat_t_e = (b, j, i), with w = coeff * u.  A trace term
-    keeps its constraint's blocks here as (blocks, slice, coeff, p, gains,
-    constraint), its gain cut to each block's rows."""
+    keeps all its constraint's blocks here as (blocks, slice, coeff, p,
+    gains), its gain cut to each block's rows."""
 
     n: int
     m: int
@@ -213,12 +213,12 @@ def _targets(co_t, co_s, kr_t, kr_s, m):
 
 
 def _schur_groups(batches, n, m) -> tuple:
-    """kernels.schur_stack's groups from (blocks, terms) batches, the blocks
-    of one constraint that share their local entry pairs, with the terms'
-    coordinates one row per block.  A batch's entries gather from the
-    flattened stack at precomputed positions.  A term's real-part entries,
-    those with real u, come first in its basis (_basis_pairs) and so in
-    every class block."""
+    """kernels.schur_stack's (targets, R, entries) groups from (blocks,
+    terms) batches, the blocks of one constraint that share their local
+    entry pairs, with the terms' coordinates one row per block.  A batch's
+    entries gather from the flattened stack at precomputed positions.  A
+    term's real-part entries, those with real u, come first in its basis
+    (_basis_pairs) and so in every class block."""
 
     def flat(b, rows, cols):
         return ((b * n)[:, None, None] + rows) * n + cols
@@ -233,11 +233,10 @@ def _schur_groups(batches, n, m) -> tuple:
             for s, (c_s, i_s, j_s, r_s, co_s) in enumerate(terms):
                 key = (co_t.shape, co_s.shape, co_t.tobytes(), co_s.tobytes())
                 if key not in groups:
-                    imag = co_t.shape[1] > r_t.size or co_s.shape[1] > r_s.size
-                    groups[key] = (_targets(co_t, co_s, r_t.size, r_s.size, m), imag, 2.0 * np.outer(r_t, r_s), [])
+                    groups[key] = (_targets(co_t, co_s, r_t.size, r_s.size, m), 2.0 * np.outer(r_t, r_s), [])
                 i_tc, j_tc = i_t[:, None], j_t[:, None]
                 y = None if t == s else flat(b, i_s, j_tc)
-                groups[key][3].append((c_t * c_s, flat(b, i_tc, j_s), y, flat(b, i_tc, i_s), flat(b, j_tc, j_s)))
+                groups[key][2].append((c_t * c_s, flat(b, i_tc, j_s), y, flat(b, i_tc, i_s), flat(b, j_tc, j_s)))
     return tuple(groups.values())
 
 
@@ -308,7 +307,7 @@ def _stack(blocks, m, real_mode) -> BlockStack:
     for p in dict.fromkeys(pos.tolist()):
         bs = np.flatnonzero(pos == p)
         r = rows[bs]
-        tterms += [(bs, sl, coeff, pv, K[r[:, :, None], r[:, None, :]], p) for sl, coeff, pv, K in blocks[bs[0]].tterms]
+        tterms += [(bs, sl, coeff, pv, K[r[:, :, None], r[:, None, :]]) for sl, coeff, pv, K in blocks[bs[0]].tterms]
 
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, int)
@@ -446,7 +445,7 @@ def apply_block(st: BlockStack, y: np.ndarray) -> np.ndarray:
         half = half + 1j * np.bincount(st.flat, v.imag, st.const.size)
     half = half.reshape(st.const.shape)
     mat = (half + dagger(half)).astype(st.const.dtype, copy=False)
-    for b, sl, coeff, pv, K, _ in st.tterms:
+    for b, sl, coeff, pv, K in st.tterms:
         mat[b] += (coeff * float(pv @ y[sl])) * K
     return mat
 
@@ -463,14 +462,9 @@ def gather_block(st: BlockStack, X: np.ndarray) -> np.ndarray:
     """Adjoint of apply_block: the vector of sum_j <F_ja, X_j> over all
     coordinates for a stack X of the blocks' matrices."""
     out = _gather_lterms(st, X)
-    for b, sl, coeff, pv, K, _ in st.tterms:
-        out[sl] += (coeff * _trace(K @ X[b])) * pv
+    for b, sl, coeff, pv, K in st.tterms:
+        out[sl] += (coeff * float(np.real(np.trace(K @ X[b], axis1=-2, axis2=-1)).sum())) * pv
     return out
-
-
-def _trace(X) -> float:
-    """Re tr X, summed over the blocks of a stack."""
-    return float(np.real(np.trace(X, axis1=-2, axis2=-1)).sum())
 
 
 def full_blocks(comp: Compiled, Xs) -> list:
@@ -585,22 +579,19 @@ def _max_step(d, dXt):
 
 def _assemble_M(comp: Compiled, Vs):
     """M[a, b] = sum_j Re tr(F_ja V_j F_jb V_j) from one stack of NT
-    matrices V per block size."""
+    matrices V per block size.  A trace term c tr(P X) K adds
+    c p ⊗ gather_block(V K V) to its rows: V K V is zero off its
+    constraint's blocks, so the gather's trace part is the term's products
+    with every trace term of its constraint, itself included.  Its columns
+    take c (the entry pairs' part of that gather) ⊗ p."""
     M = np.zeros((comp.m, comp.m))
     for st, V in zip(comp.stacks, Vs):
         kernels.schur_stack(M, V, st.groups)
-        for b, sl, coeff, pv, K, _ in st.tterms:
+        for b, sl, coeff, pv, K in st.tterms:
             VKV = np.zeros_like(V)
             VKV[b] = V[b] @ K @ V[b]
-            w = _gather_lterms(st, VKV)
-            M[sl] += coeff * np.outer(pv, w)
-            M[:, sl] += coeff * np.outer(w, pv)
-        # two trace terms of one constraint span the same blocks
-        for b, sr, cr, pr, Kr, con_r in st.tterms:
-            for _, ss, cs, ps, Ks, con_s in st.tterms:
-                if con_r == con_s:
-                    t = _trace(Kr @ V[b] @ Ks @ V[b])
-                    M[sr, ss] += (cr * cs * t) * np.outer(pr, ps)
+            M[sl] += coeff * np.outer(pv, gather_block(st, VKV))
+            M[:, sl] += coeff * np.outer(_gather_lterms(st, VKV), pv)
     return M
 
 
@@ -849,17 +840,18 @@ def _iterate(comp: Compiled, cfg) -> dict:
         pobj_lin = float(comp.c @ y)
         dobj_lin = sum(float(_inners(Zk, st.const).sum()) for st, Zk in zip(stacks, Z)) + float(lam @ b)
 
-        # each constraint's Frobenius norm, over all its blocks
-        sq = sum(
-            np.bincount(st.pos, (Rk.conj() * Rk).real.sum(axis=(-2, -1)), comp.dnorm.size)
-            for st, Rk in zip(stacks, Rp)
-        )
+        # each constraint's Frobenius norm, over all its blocks (inf on a diverging iterate)
+        with np.errstate(over="ignore"):
+            sq = sum(
+                np.bincount(st.pos, (Rk.conj() * Rk).real.sum(axis=(-2, -1)), comp.dnorm.size)
+                for st, Rk in zip(stacks, Rp)
+            )
         pinf = float(np.max(np.sqrt(sq) / (1.0 + comp.dnorm)))
         dinf = float(np.max(np.abs(rd))) / cinf
         pu, du = user_vals(pobj_lin, dobj_lin)
         relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
 
-        if not (np.isfinite(mu) and np.isfinite(pobj_lin) and np.isfinite(dobj_lin)):
+        if not np.all(np.isfinite([mu, pobj_lin, dobj_lin, pinf, dinf])):
             stop = "non-finite"
             break
         slack = sum((float(np.abs(_inners(Zk, Rk)).sum()) for Zk, Rk in zip(Z, Rp)), abs(float(rd @ y)))

@@ -19,7 +19,7 @@ R = 2 r_t r_sᵀ, M[sl_t, sl_s] is, on
     imaginary rows, imaginary columns  R ∘ Re(β − α)
 
 the imaginary slices taking R, α and β from row or column n on.  With real
-data only the first slice exists, computed in float64.  A batch is blocks
+data V is float64 and only the first slice exists.  A batch is blocks
 of one constraint that share their local entry pairs: a whole constraint is
 a batch of one block, and the class blocks of a split one that share theirs
 form one batch.
@@ -37,15 +37,16 @@ def kernel_name() -> str:
 def schur_stack(M, V, groups) -> None:
     """Add the entry-pair terms of every block k of a stack, Re tr(F_a V_k
     F_b V_k), into M in place.  V is the (nb, n, n) stack, groups one
-    (targets, imaginary, R, entries) per pair of terms' coordinates, entries
-    one (c_t c_s, x, y, p, q) per pair of terms: the flat stack positions of
+    (targets, R, entries) per pair of terms' coordinates, entries one
+    (c_t c_s, x, y, p, q) per pair of terms: the flat stack positions of
     V[i_t, j_s], V[i_s, j_t]ᵀ (None for the same term), V[i_t, i_s] and
     V[j_t, j_s] over a batch of blocks.  targets holds the flat positions in
     M of the real-real, real-imaginary, imaginary-real and
-    imaginary-imaginary parts."""
-    n = V.shape[-1]
+    imaginary-imaginary parts; the last three are written only for a
+    complex V, and are empty for a term without imaginary coordinates."""
+    n, imaginary = V.shape[-1], np.iscomplexobj(V)
     Vf, cVf, Mf = V.reshape(-1), np.conj(V).reshape(-1), M.reshape(-1)
-    for (re_re, re_im, im_re, im_im), imaginary, R, entries in groups:
+    for (re_re, re_im, im_re, im_im), R, entries in groups:
         alpha = beta = 0.0
         for cc, x, y, p, q in entries:
             X = Vf[x]

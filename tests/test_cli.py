@@ -142,6 +142,8 @@ def test_state_file_parse_errors(tmp_path, capsys):
         {"dims": [2, 2], "vector": [[1, 0]] * 3},
         {"dims": [2, 2], "vector": [[1, 0]] * 4, "matrix": []},
         {"dims": [2, 2], "vector": [[1, 0], [0, 0], [0, 0], "x"]},
+        # every row is checked before the 160000 x 160000 matrix is allocated
+        {"dims": [400, 400], "matrix": [[]] * 160000},
     ]
     for i, doc in enumerate(cases):
         path = write_json(tmp_path, f"bad{i}.json", doc)
@@ -157,6 +159,19 @@ def test_state_file_parse_errors(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "ERROR 2: parse"
     assert str(latin) in err[1]
+
+
+def test_a_state_that_cannot_be_allocated_is_a_parse_error(tmp_path, capsys, monkeypatch):
+    # the vector form's n x n outer product stands in for an allocation
+    # that fails
+    def no_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(np, "outer", no_memory)
+    assert main(["compute", "--state", bell_file(tmp_path), "--measures", "en"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "ERROR 2: parse"
+    assert "a state of dims 2x2 cannot be allocated" in err[1]
 
 
 def test_entries_beyond_float_range_are_parse_errors(tmp_path, capsys):

@@ -255,10 +255,12 @@ def test_det_product_pure_is_zero():
 
 
 def test_det_full_rank_short_circuits():
+    # e0 and w0 of a full-rank state force R = I and need no solve
     rho = random_state(2, 2, rank=4, seed=830)
-    res = det_distill_one_copy(rho)
-    assert res.value_log2 == 0.0
-    assert res.iterations == 0
+    for measure in (det_distill_one_copy, w0):
+        res = measure(rho)
+        assert res.value_log2 == 0.0
+        assert res.iterations == 0
 
 
 def test_det_at_least_support_projector_bound():
@@ -320,6 +322,14 @@ def test_multi_copy_of_one_copy_solves_once(monkeypatch):
     res = multi_copy(e_w, rho_alpha(0.3), 1)
     assert len(solves) == 1
     assert abs(res.value_log2 - e_w(rho_alpha(0.3)).value_log2) <= 1e-12
+
+
+def test_multi_copy_reports_broken_e_w_additivity(monkeypatch):
+    # a composite that is not the two-fold power of the state breaks
+    # additivity: Phi(2) x sigma_r(0.5) stands in for Phi(2)^2
+    monkeypatch.setattr(measures, "kron_power_state", lambda rho, n: tensor_state(rho, sigma_r(0.5)))
+    with pytest.raises(ConsistencyError, match="E_W additivity violated on 2 copies"):
+        multi_copy(e_w, max_entangled(2), 2)
 
 
 def test_multi_copy_rejects_out_of_range_n():

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 from dataclasses import replace
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg as sla
 
 from entbound import ipm, measures, sdp
+from entbound.cli import main
 from entbound.errors import CapacityError, InvalidDimsError, InvalidStateError, NumericError, SolverError
 from entbound.linalg import (
     HermitianMatrix,
@@ -505,6 +507,19 @@ def test_statically_infeasible_equality():
         sol = solve(problem)
         assert sol.status == "infeasible"
         assert sol.iterations == 0
+
+
+def test_statically_infeasible_constant_block():
+    # a PSD constraint with no terms and a negative-definite constant holds
+    # at no point, which is also found before the first iteration
+    problem = SdpProblem(
+        sense="min",
+        variables=[("X", 2, "hermitian-psd")],
+        objective=[("X", eye(2))],
+        constraints=[PsdConstraint(dim=2, const=-eye(2), terms=())],
+    )
+    sol = solve(problem)
+    assert (sol.status, sol.stop, sol.iterations) == ("infeasible", "static-infeasible", 0)
 
 
 def test_split_equalities_invariants():
@@ -1030,6 +1045,27 @@ def test_model_dual_residual_matches_the_stacked_gathers(build, real, split, mon
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+# every stop rule SdpSolution.stop may name
+_STOP_RULES = (
+    "optimal", "stalled", "mu-floor", "non-finite", "kkt-factor", "numeric-error",
+    "infeasible", "unbounded", "max-iterations", "static-infeasible", "no-cone",
+)
+
+
+@pytest.mark.parametrize("build, real, split", _PROGRAMS)
+def test_every_program_solves_to_a_named_stop_rule(build, real, split, monkeypatch, request):
+    # trace_term's P is indefinite, so that program is unbounded and its
+    # iterates diverge until the residual norms overflow: the solve still
+    # ends on a named rule, without a numpy warning
+    if split is not None:
+        monkeypatch.setattr(ipm, "_SPLIT_ORDER", split)
+    sol = solve(build(real))
+    assert sol.stop in _STOP_RULES
+    assert (sol.status == "optimal") == (sol.stop == "optimal")
+    if request.node.callspec.id == "trace_term-real":
+        assert (sol.status, sol.stop) == ("numeric-failure", "non-finite")
+
+
 def test_w_dual_terms_collide_in_the_scatter():
     # U and V enter (U - V)^PT at the same entries, so the image's scatter
     # sums colliding entries; the adjoint test above checks their values
@@ -1359,3 +1395,31 @@ def test_kkt_factor_failure_names_its_stop_rule(monkeypatch):
     assert (sol.status, sol.stop) == ("numeric-failure", "kkt-factor")
     with pytest.raises(SolverError, match="stop rule kkt-factor"):
         measures.e_w(rho_alpha(0.3))
+
+
+def _no_scaling(S, Z):
+    raise NumericError("NT scaling failed")
+
+
+@pytest.mark.parametrize(
+    "rule, name, patched",
+    [
+        ("stalled", "_max_step", lambda d, dXt: 0.0),  # no step is ever taken
+        ("numeric-error", "_nt_scaling", _no_scaling),
+    ],
+)
+def test_stop_rules_are_named_end_to_end(rule, name, patched, monkeypatch, tmp_path, capsys):
+    # the rule reaches the solution, the measure's error and the CLI's
+    # detail line
+    monkeypatch.setattr(ipm, name, patched)
+    sol = solve(measures._w_max_form(rho_alpha(0.3)))
+    assert (sol.status, sol.stop) == ("numeric-failure", rule)
+    with pytest.raises(SolverError, match=f"stop rule {rule}"):
+        measures.e_w(rho_alpha(0.3))
+    path = tmp_path / "rho.json"
+    matrix = [[[z.real, z.imag] for z in row] for row in rho_alpha(0.3).mat]
+    path.write_text(json.dumps({"dims": [3, 3], "matrix": matrix}))
+    assert main(["compute", "--state", str(path), "--measures", "ew"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "ERROR 4: solver-failure"
+    assert f"stop rule {rule}" in err[1]
