@@ -11,8 +11,9 @@ slower, not faster; threads pay only on large programs with equalities
 (see _THREADED_ORDER).  So a program whose reduced Newton matrix has fewer
 than _THREADED_ORDER rows runs on one BLAS thread and its result does not
 depend on the core count; a larger one runs wholly on the caller's threads.
-Every iterate the loop evaluates leaves one row in the returned trace, and the
-result names the stop rule that ended the loop.
+Every iterate the loop evaluates leaves one row in the returned trace, except
+one that stops it as non-finite; the result names the stop rule that ended the
+loop and returns the best-scoring iterate, or the start at iteration 0.
 
 The equalities A y = b are solved once (the null-space method of Nocedal
 & Wright, Numerical Optimization, §16.2): y starts at A⁺b, every step lies
@@ -798,7 +799,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
             "trace": trace,
         }
 
-    trace = []  # one row per evaluated iterate
+    trace = []  # one row per evaluated iterate with finite measures
     eq = _split_equalities(A)  # A is fixed for the whole run
     binf = 1.0 + float(np.max(np.abs(b), initial=0.0))
     y = eq.pinv(b)
@@ -816,27 +817,23 @@ def _iterate(comp: Compiled, cfg) -> dict:
         return result("numeric-failure", "no-cone", snap0)
 
     znorm0 = sum(float(Zk.diagonal(0, -2, -1).real.sum()) for Zk in Z) + 1.0
+    ynorm0 = 1.0 + float(np.max(np.abs(y), initial=0.0))
     cinf = 1.0 + float(np.max(np.abs(comp.c)))
-    mu0 = None
 
-    best = None
+    best = snap0  # returned, at iteration 0, if no iterate scores
     best_score = np.inf
     best_it = 0
     status = "numeric-failure"
     stop = "max-iterations"  # the rule that ended the loop
-    it_done = 0
     last_step = dict.fromkeys(("alpha_p", "alpha_d", "sigma", "kkt_jitter"), float("nan"))
 
     for it in range(1, cfg.max_iterations + 1):
-        it_done = it
         Rp = [st.const + apply_block(st, y) - Sk for st, Sk in zip(stacks, S)]
         adjZ = sum(gather_block(st, Zk) for st, Zk in zip(stacks, Z))
         lam = eq.pinv_t(comp.c + adjZ)
         rd = -comp.c - adjZ + A.T @ lam
 
         mu = sum(float(_inners(Zk, Sk).sum()) for Zk, Sk in zip(Z, S)) / Ntot
-        if mu0 is None:
-            mu0 = mu
         pobj_lin = float(comp.c @ y)
         dobj_lin = sum(float(_inners(Zk, st.const).sum()) for st, Zk in zip(stacks, Z)) + float(lam @ b)
 
@@ -897,18 +894,21 @@ def _iterate(comp: Compiled, cfg) -> dict:
             stop = "stalled"
             break
 
+        # ray tests: an iterate grown 1e7-fold is, at unit size, a near-certificate of
+        # infeasibility (Z, with a near-zero dual residual) or of unboundedness (y:
+        # F(y) = S - C + Rp with S PSD, so F(y/ynorm) is within (|C| + |Rp|)/ynorm of PSD)
         znorm = sum(float(Zk.diagonal(0, -2, -1).real.sum()) for Zk in Z) + float(np.sum(np.abs(lam)))
         if znorm > 1e7 * znorm0:
             ray_res = float(np.max(np.abs(adjZ - A.T @ lam))) / znorm
             if ray_res <= 1e-8 and dobj_lin / znorm < -1e-8:
                 status = stop = "infeasible"
                 break
-        if float(np.max(np.abs(y))) > 1e7 and pinf <= 1e-6 and pobj_lin > 1e7 * max(1.0, abs(comp.constant)):
-            status = stop = "unbounded"
-            break
-        if mu < 1e-14 * max(1.0, mu0):
-            stop = "mu-floor"
-            break
+        ynorm = float(np.max(np.abs(y)))
+        if ynorm > 1e7 * ynorm0:
+            ray_res = float(np.max(comp.dnorm + np.sqrt(sq))) / ynorm
+            if ray_res <= 1e-8 and pobj_lin / ynorm > 1e-8:
+                status = stop = "unbounded"
+                break
 
         try:
             sc = [_nt_scaling(Sk, Zk) for Sk, Zk in zip(S, Z)]
@@ -988,7 +988,4 @@ def _iterate(comp: Compiled, cfg) -> dict:
         jitter = getattr(inspect.unwrap(kkt), "jitter", float("nan"))
         last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma, "kkt_jitter": jitter}
 
-    if best is None:
-        best = snap0
-        best["it"] = it_done
     return result(status, stop, best)

@@ -221,6 +221,20 @@ def test_symmetry_pattern_is_an_algebra_holding_the_matrix(mat, d_a, d_b):
     assert np.all((x @ y)[~mask] == 0.0)
 
 
+@pytest.mark.parametrize(
+    "call, item",
+    [
+        (lambda: HermitianMatrix(np.ones((2, 3))), r"must be square, got shape \(2, 3\)"),
+        (lambda: ptranspose_arr(np.eye(4), 2, 3), r"shape \(4, 4\) does not match dims \(2, 3\)"),
+        (lambda: partial_transpose(HermitianMatrix(np.eye(4)), BipartiteDims(2, 3)), r"dim 4 != d_A\*d_B = 6"),
+    ],
+    ids=["non-square", "ptranspose_arr", "partial_transpose"],
+)
+def test_mismatched_dims_name_the_shapes(call, item):
+    with pytest.raises(InvalidDimsError, match=item):
+        call()
+
+
 def test_symmetry_pattern_rejects_mismatched_dims():
     with pytest.raises(InvalidDimsError):
         symmetry_pattern(np.eye(4), 2, 3)

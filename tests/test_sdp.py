@@ -397,6 +397,14 @@ def test_certificate_flags_psd_violation():
     assert any("PSD" in f for f in report.failures)
 
 
+def test_certificate_flags_an_indefinite_dual_block():
+    problem = diag_lp([1.0, 1.0], 1.0)
+    sol = solve(problem)
+    report = check_certificate(problem, replace(sol, dual_blocks=(np.diag([1.0, -0.5]),)))
+    assert not report.ok
+    assert "dual blocks: PSD violation 5.000e-01 > 1e-09" in report.failures
+
+
 def test_certificate_refuses_a_solution_of_the_wrong_count_or_shape():
     problem = measures._w_max_form(rho_alpha(0.3))
     sol = solve(problem)
@@ -624,8 +632,51 @@ def test_unbounded_problem_is_reported():
             PsdConstraint(dim=1, terms=(TraceTerm("t", np.eye(1), np.eye(1)),)),
         ],
     )
-    sol = solve(problem, SolverConfig(max_iterations=400))
+    sol = solve(problem)
     assert sol.status == "unbounded"
+    assert sol.trace[-1]["iteration"] <= 10
+
+
+def _max_t(*rows):
+    """max t s.t. c + s t >= 0 for each row (c, s): one 1x1 trace-term block
+    per row."""
+    return SdpProblem(
+        sense="max",
+        variables=[("t", 1, "hermitian")],
+        objective=[("t", eye(1))],
+        constraints=[
+            PsdConstraint(dim=1, const=c * eye(1), terms=(TraceTerm("t", eye(1), eye(1), s),)) for c, s in rows
+        ],
+    )
+
+
+def _max_trace_below(c):
+    """max tr X s.t. X <= c I, X 2x2 Hermitian."""
+    return SdpProblem(
+        sense="max",
+        variables=[("X", 2, "hermitian")],
+        objective=[("X", eye(2))],
+        constraints=[PsdConstraint(dim=2, const=c * eye(2), terms=(LinTerm("X", -1.0),))],
+    )
+
+
+@pytest.mark.parametrize(
+    "problem, status, value",
+    [
+        pytest.param(_max_t((1e8, -1.0)), "optimal", 1e8, id="t<=1e8"),
+        pytest.param(_max_t((1e12, -1.0)), "optimal", 1e12, id="t<=1e12"),
+        pytest.param(_max_trace_below(1e8), "optimal", 2e8, id="X<=1e8"),
+        pytest.param(_max_trace_below(1e12), "optimal", 2e12, id="X<=1e12"),
+        pytest.param(_max_t((1e8, -1.0), (-2e8, 1.0)), "infeasible", None, id="2e8<=t<=1e8"),
+    ],
+)
+def test_large_bounds_are_not_taken_for_rays(problem, status, value):
+    # both ray rules scale with the iterate, so a bound of any size is
+    # solved, and an empty feasible set far from the origin is still found
+    sol = solve(problem)
+    assert (sol.status, sol.stop) == (status, status)
+    if value is not None:
+        assert abs(sol.primal_value - value) <= 1e-8 * value
 
 
 def test_capacity_cap_raises():
@@ -637,6 +688,11 @@ def test_capacity_cap_raises():
                 objective=[("X", eye(200))],
             )
         )
+
+
+def test_compile_problem_refuses_a_problem_without_variables():
+    with pytest.raises(InvalidStateError, match="no variables"):
+        solve(SdpProblem(sense="max", variables=[], objective=[]))
 
 
 def test_model_validation_rejects_bad_sense_and_dupes():
@@ -759,6 +815,53 @@ def test_model_validation_rejects_bad_patterns(patterns, error):
 )
 def test_model_validation_rejects_malformed_structure(build, item):
     with pytest.raises(InvalidStateError, match=item):
+        build()
+
+
+def _labelled_block(*terms, dim=2):
+    """_one_block_problem with one constraint 'c' of the given terms."""
+    return _one_block_problem(constraints=[PsdConstraint(dim=dim, terms=terms, label="c")])
+
+
+@pytest.mark.parametrize(
+    "build, error, item",
+    [
+        (lambda: PsdConstraint(dim=2, terms=(), const=eye(3), label="c"), InvalidDimsError, "'c' constant dim 3 != 2"),
+        (lambda: _one_block_problem(variables=[("X", 2, "psd")]), InvalidStateError, "variable 'X' kind"),
+        (lambda: _labelled_block(LinTerm("Y")), InvalidStateError, "'c' references unknown variable 'Y'"),
+        (lambda: _labelled_block(LinTerm("X"), dim=3), InvalidDimsError, "'c': variable 'X' dim 2 != 3"),
+        (lambda: _labelled_block(LinTerm("X", 1.0, (2, 2))), InvalidDimsError, r"'c': pt_dims \(2, 2\) do not factor"),
+        (lambda: _labelled_block(TraceTerm("X", eye(3), eye(2))), InvalidDimsError, "'c': probe dim 3 != variable"),
+        (lambda: _labelled_block(TraceTerm("X", eye(2), eye(3))), InvalidDimsError, "'c': gain dim 3 != 2"),
+        (
+            lambda: _one_block_problem(equalities=[EqConstraint((("Y", eye(2)),), 1.0, "e")]),
+            InvalidStateError,
+            "'e' references unknown variable 'Y'",
+        ),
+        (
+            lambda: _one_block_problem(equalities=[EqConstraint((("X", eye(3)),), 1.0, "e")]),
+            InvalidDimsError,
+            "'e': probe dim mismatch for 'X'",
+        ),
+        (lambda: _one_block_problem(objective=[("Y", eye(2))]), InvalidStateError, "unknown variable 'Y'"),
+        (lambda: _one_block_problem(objective=[("X", eye(3))]), InvalidDimsError, "coefficient for 'X' has wrong dim"),
+    ],
+    ids=[
+        "constant-dim",
+        "variable-kind",
+        "term-variable",
+        "lin-term-dim",
+        "pt-dims-product",
+        "trace-probe-dim",
+        "trace-gain-dim",
+        "equality-variable",
+        "equality-probe-dim",
+        "objective-variable",
+        "objective-dim",
+    ],
+)
+def test_model_validation_names_the_mismatched_item(build, error, item):
+    with pytest.raises(error, match=item):
         build()
 
 
@@ -1047,23 +1150,23 @@ def test_model_dual_residual_matches_the_stacked_gathers(build, real, split, mon
 
 # every stop rule SdpSolution.stop may name
 _STOP_RULES = (
-    "optimal", "stalled", "mu-floor", "non-finite", "kkt-factor", "numeric-error",
+    "optimal", "stalled", "non-finite", "kkt-factor", "numeric-error",
     "infeasible", "unbounded", "max-iterations", "static-infeasible", "no-cone",
 )
 
 
 @pytest.mark.parametrize("build, real, split", _PROGRAMS)
 def test_every_program_solves_to_a_named_stop_rule(build, real, split, monkeypatch, request):
-    # trace_term's P is indefinite, so that program is unbounded and its
-    # iterates diverge until the residual norms overflow: the solve still
-    # ends on a named rule, without a numpy warning
+    # trace_term's P is indefinite, so an X >= 0 with tr(P X) = 0 is a
+    # primal ray: the solve ends on the ray rule, before its iterates diverge
     if split is not None:
         monkeypatch.setattr(ipm, "_SPLIT_ORDER", split)
     sol = solve(build(real))
     assert sol.stop in _STOP_RULES
     assert (sol.status == "optimal") == (sol.stop == "optimal")
-    if request.node.callspec.id == "trace_term-real":
-        assert (sol.status, sol.stop) == ("numeric-failure", "non-finite")
+    if request.node.callspec.id.startswith("trace_term-"):
+        assert (sol.status, sol.stop) == ("unbounded", "unbounded")
+        assert sol.trace[-1]["iteration"] <= 10
 
 
 def test_w_dual_terms_collide_in_the_scatter():
@@ -1406,6 +1509,8 @@ def _no_scaling(S, Z):
     [
         ("stalled", "_max_step", lambda d, dXt: 0.0),  # no step is ever taken
         ("numeric-error", "_nt_scaling", _no_scaling),
+        # the first iterate's image, and so its residual norm, is not finite
+        ("non-finite", "apply_block", lambda st, y: np.full_like(st.const, np.inf)),
     ],
 )
 def test_stop_rules_are_named_end_to_end(rule, name, patched, monkeypatch, tmp_path, capsys):
@@ -1414,6 +1519,9 @@ def test_stop_rules_are_named_end_to_end(rule, name, patched, monkeypatch, tmp_p
     monkeypatch.setattr(ipm, name, patched)
     sol = solve(measures._w_max_form(rho_alpha(0.3)))
     assert (sol.status, sol.stop) == ("numeric-failure", rule)
+    if rule == "non-finite":
+        # no iterate scored, so the solve returns its starting point
+        assert (sol.iterations, sol.trace) == (0, ())
     with pytest.raises(SolverError, match=f"stop rule {rule}"):
         measures.e_w(rho_alpha(0.3))
     path = tmp_path / "rho.json"
