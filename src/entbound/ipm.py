@@ -13,7 +13,8 @@ than _THREADED_ORDER rows runs on one BLAS thread and its result does not
 depend on the core count; a larger one runs wholly on the caller's threads.
 Every iterate the loop evaluates leaves one row in the returned trace, except
 one that stops it as non-finite; the result names the stop rule that ended the
-loop and returns the best-scoring iterate, or the start at iteration 0.
+loop and returns the last iterate that left a row, or the start at iteration
+0, so a ray stop returns the grown iterate that is its certificate.
 
 The equalities A y = b are solved once (the null-space method of Nocedal
 & Wright, Numerical Optimization, §16.2): y starts at A⁺b, every step lies
@@ -767,7 +768,10 @@ def run(comp: Compiled, cfg) -> dict:
     rows are independent, since they pin R per symmetry class; dependent
     rows a model program poses only make the order look smaller."""
     with contextlib.nullcontext() if comp.m - comp.A.shape[0] >= _THREADED_ORDER else _one_blas_thread():
-        return _iterate(comp, cfg)
+        # a badly scaled program overflows to inf or nan, which the checks
+        # that name them (_max_step, the KKT solve, non-finite) then meet
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _iterate(comp, cfg)
 
 
 def _inners(X, Y):
@@ -803,26 +807,26 @@ def _iterate(comp: Compiled, cfg) -> dict:
     eq = _split_equalities(A)  # A is fixed for the whole run
     binf = 1.0 + float(np.max(np.abs(b), initial=0.0))
     y = eq.pinv(b)
+    if not np.all(np.isfinite(y)):
+        raise NumericError("equality start A⁺b is not finite")
     # every block starts from its constraint's constant norm
     S = [np.maximum(1.0, comp.dnorm[st.pos])[:, None, None] * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
     zscale = max(1.0, float(np.max(np.abs(comp.c))))
     Z = [np.full(st.pos.shape + (1, 1), zscale) * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
 
-    snap0 = {"y": y, "lam": np.zeros(b.size), "Z": Z, "pobj": float("nan"), "dobj": float("nan"), "it": 0}
+    # the iterate returned: the last one that left a trace row, or the start
+    snap = {"y": y, "lam": np.zeros(b.size), "Z": Z, "pobj": float("nan"), "dobj": float("nan"), "it": 0}
     if comp.static_infeasible or float(np.max(np.abs(A @ y - b), initial=0.0)) > cfg.feas_tol * binf:
-        return result("infeasible", "static-infeasible", snap0)
+        return result("infeasible", "static-infeasible", snap)
     if not stacks:
         # No cone at all: the problem is a pure linear program over equalities;
         # out of scope for the measures here, treat as numeric failure.
-        return result("numeric-failure", "no-cone", snap0)
+        return result("numeric-failure", "no-cone", snap)
 
     znorm0 = sum(float(Zk.diagonal(0, -2, -1).real.sum()) for Zk in Z) + 1.0
     ynorm0 = 1.0 + float(np.max(np.abs(y), initial=0.0))
     cinf = 1.0 + float(np.max(np.abs(comp.c)))
 
-    best = snap0  # returned, at iteration 0, if no iterate scores
-    best_score = np.inf
-    best_it = 0
     status = "numeric-failure"
     stop = "max-iterations"  # the rule that ended the loop
     last_step = dict.fromkeys(("alpha_p", "alpha_d", "sigma", "kkt_jitter"), float("nan"))
@@ -838,17 +842,18 @@ def _iterate(comp: Compiled, cfg) -> dict:
         dobj_lin = sum(float(_inners(Zk, st.const).sum()) for st, Zk in zip(stacks, Z)) + float(lam @ b)
 
         # each constraint's Frobenius norm, over all its blocks (inf on a diverging iterate)
-        with np.errstate(over="ignore"):
-            sq = sum(
-                np.bincount(st.pos, (Rk.conj() * Rk).real.sum(axis=(-2, -1)), comp.dnorm.size)
-                for st, Rk in zip(stacks, Rp)
-            )
+        sq = sum(
+            np.bincount(st.pos, (Rk.conj() * Rk).real.sum(axis=(-2, -1)), comp.dnorm.size)
+            for st, Rk in zip(stacks, Rp)
+        )
         pinf = float(np.max(np.sqrt(sq) / (1.0 + comp.dnorm)))
         dinf = float(np.max(np.abs(rd))) / cinf
         pu, du = user_vals(pobj_lin, dobj_lin)
         relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
 
-        if not np.all(np.isfinite([mu, pobj_lin, dobj_lin, pinf, dinf])):
+        # 2 max|y|: the assignments' m + m† must stay finite too
+        ynorm = float(np.max(np.abs(y)))
+        if not np.all(np.isfinite([mu, pobj_lin, dobj_lin, pinf, dinf, 2.0 * ynorm])):
             stop = "non-finite"
             break
         slack = sum((float(np.abs(_inners(Zk, Rk)).sum()) for Zk, Rk in zip(Z, Rp)), abs(float(rd @ y)))
@@ -872,12 +877,6 @@ def _iterate(comp: Compiled, cfg) -> dict:
         # needs no copies
         snap = {"y": y, "lam": lam, "Z": Z, "pobj": pobj_lin, "dobj": dobj_lin, "it": it}
 
-        score = max(relgap, pinf, dinf)
-        if score < best_score:
-            best_score = score
-            best = snap
-            best_it = it
-
         # The primal assignments and the gap carry the reported guarantees, so
         # they are held to feas_tol/gap_tol exactly. The dual residual is an
         # internal optimality diagnostic; on degenerate instances it bottoms
@@ -885,13 +884,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
         # 10x the gap tolerance rather than feas_tol.
         dual_stop = max(cfg.feas_tol, 10.0 * cfg.gap_tol)
         if pinf <= cfg.feas_tol and dinf <= dual_stop and relgap <= cfg.gap_tol:
-            best = snap
             status = stop = "optimal"
-            break
-        if it - best_it >= 30:
-            # no progress on any residual for a long stretch: the iterates are
-            # orbiting a noise floor, burning more steps will not help
-            stop = "stalled"
             break
 
         # ray tests: an iterate grown 1e7-fold is, at unit size, a near-certificate of
@@ -903,7 +896,6 @@ def _iterate(comp: Compiled, cfg) -> dict:
             if ray_res <= 1e-8 and dobj_lin / znorm < -1e-8:
                 status = stop = "infeasible"
                 break
-        ynorm = float(np.max(np.abs(y)))
         if ynorm > 1e7 * ynorm0:
             ray_res = float(np.max(comp.dnorm + np.sqrt(sq))) / ynorm
             if ray_res <= 1e-8 and pobj_lin / ynorm > 1e-8:
@@ -943,7 +935,7 @@ def _iterate(comp: Compiled, cfg) -> dict:
                 float(_inners(Zk + ad_a * dZk, Sk + ap_a * dSk).sum()) for Zk, dZk, Sk, dSk in zip(Z, dZ_a, S, dS_a)
             ) / Ntot
             mu_aff = max(mu_aff, 0.0)
-            sigma = min(1.0, max(0.0, (mu_aff / mu) ** 3)) if mu > 0 else 0.1
+            sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.1
             # never aim below the barrier level the gap tolerance needs:
             # overshooting just wrecks the Newton system's conditioning
             mu_needed = 0.3 * cfg.gap_tol * max(1.0, abs(pu), abs(du)) / Ntot
@@ -988,4 +980,4 @@ def _iterate(comp: Compiled, cfg) -> dict:
         jitter = getattr(inspect.unwrap(kkt), "jitter", float("nan"))
         last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma, "kkt_jitter": jitter}
 
-    return result(status, stop, best)
+    return result(status, stop, snap)

@@ -242,16 +242,18 @@ class SdpSolution:
     gap: float
     assignments: dict
     iterations: int
-    # the rule that ended the solve: optimal, stalled, non-finite, kkt-factor,
-    # numeric-error, infeasible or unbounded (a dual or a primal near-ray),
-    # max-iterations, or at iteration 0 static-infeasible or no-cone
+    # the rule that ended the solve: optimal, non-finite, kkt-factor,
+    # numeric-error, infeasible or unbounded (a dual or a primal near-ray,
+    # returned as the grown iterate), max-iterations, or at iteration 0
+    # static-infeasible or no-cone
     stop: str
     # one dual matrix per PSD block, in the order of SdpProblem.blocks(): the
     # constraints, then X >= 0 for each hermitian-psd variable
     dual_blocks: tuple = ()
     eq_duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     # one dict per iterate evaluated (none for one that ends the solve
-    # non-finite): iteration, mu, objectives, relgap, pinf, dinf,
+    # non-finite), the last for the iterate returned, so there are
+    # `iterations` of them: iteration, mu, objectives, relgap, pinf, dinf,
     # residual_slack, and the alpha_p, alpha_d, sigma and kkt_jitter (the
     # jitter rung of the Newton matrix's factor, relative to its largest
     # diagonal entry) of the step that led to it, NaN on the first row

@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from entbound import ipm, measures, sdp
 from entbound.cli import main
@@ -492,6 +494,13 @@ def test_infeasible_problem_is_reported():
     )
     sol = solve(problem)
     assert sol.status == "infeasible"
+    # the solve returns the grown dual iterate that fired the rule, and it is a
+    # certificate: F*(Z) = -Z1 + Z2 vanishes while tr(C Z1) = -tr Z1 < 0
+    assert sol.iterations == len(sol.trace)
+    Z1, Z2 = sol.dual_blocks
+    trz = float(np.trace(Z1 + Z2).real)
+    assert np.max(np.abs(Z2 - Z1)) / trz <= 1e-8
+    assert float(np.trace(-Z1).real) / trz < -1e-8
 
 
 def test_statically_infeasible_equality():
@@ -635,6 +644,9 @@ def test_unbounded_problem_is_reported():
     sol = solve(problem)
     assert sol.status == "unbounded"
     assert sol.trace[-1]["iteration"] <= 10
+    # the solve returns the grown t that fired the rule, not an early iterate
+    assert sol.assignments["t"].mat[0, 0].real > 1e7
+    assert sol.primal_value > 1e7
 
 
 def _max_t(*rows):
@@ -1150,7 +1162,7 @@ def test_model_dual_residual_matches_the_stacked_gathers(build, real, split, mon
 
 # every stop rule SdpSolution.stop may name
 _STOP_RULES = (
-    "optimal", "stalled", "non-finite", "kkt-factor", "numeric-error",
+    "optimal", "non-finite", "kkt-factor", "numeric-error",
     "infeasible", "unbounded", "max-iterations", "static-infeasible", "no-cone",
 )
 
@@ -1164,6 +1176,7 @@ def test_every_program_solves_to_a_named_stop_rule(build, real, split, monkeypat
     sol = solve(build(real))
     assert sol.stop in _STOP_RULES
     assert (sol.status == "optimal") == (sol.stop == "optimal")
+    assert sol.iterations == len(sol.trace)
     if request.node.callspec.id.startswith("trace_term-"):
         assert (sol.status, sol.stop) == ("unbounded", "unbounded")
         assert sol.trace[-1]["iteration"] <= 10
@@ -1484,10 +1497,12 @@ def test_iteration_cap_names_its_stop_rule():
     sol = solve(measures._w_max_form(rho_alpha(0.3)), cfg)
     assert (sol.status, sol.stop) == ("numeric-failure", "max-iterations")
     # the error also gives the residuals of the iterate the solve returned
-    (best,) = [row for row in sol.trace if row["iteration"] == sol.iterations]
+    last = sol.trace[-1]
     with pytest.raises(SolverError, match="stop rule max-iterations") as err:
         measures.e_w(rho_alpha(0.3), cfg)
-    want = f"best iterate {sol.iterations}: relgap {best['relgap']:.3e}, pinf {best['pinf']:.3e}, dinf {best['dinf']:.3e}"
+    want = (
+        f"last iterate {sol.iterations}: relgap {last['relgap']:.3e}, pinf {last['pinf']:.3e}, dinf {last['dinf']:.3e}"
+    )
     assert want in str(err.value)
 
 
@@ -1507,7 +1522,7 @@ def _no_scaling(S, Z):
 @pytest.mark.parametrize(
     "rule, name, patched",
     [
-        ("stalled", "_max_step", lambda d, dXt: 0.0),  # no step is ever taken
+        ("max-iterations", "_max_step", lambda d, dXt: 0.0),  # no step is ever taken
         ("numeric-error", "_nt_scaling", _no_scaling),
         # the first iterate's image, and so its residual norm, is not finite
         ("non-finite", "apply_block", lambda st, y: np.full_like(st.const, np.inf)),
@@ -1531,3 +1546,100 @@ def test_stop_rules_are_named_end_to_end(rule, name, patched, monkeypatch, tmp_p
     err = capsys.readouterr().err.splitlines()
     assert err[0] == "ERROR 4: solver-failure"
     assert f"stop rule {rule}" in err[1]
+
+
+# every scale from the smallest to the largest a float64 program may pose
+_SCALES = st.sampled_from(
+    [0.0] + [s * v for v in (1e-300, 1e-150, 1e-20, 1e-9, 1.0, 1e9, 1e20, 1e150, 1e300) for s in (1, -1)]
+)
+
+
+@st.composite
+def _scaled_programs(draw):
+    """One X of dim 1-3 and a 1x1 t; 1-2 constraints c + a X (+ b tr(t) I)
+    >= 0 with diagonal c, and an optional equality tr(P X) = r, every number
+    drawn from _SCALES."""
+    n = draw(st.integers(1, 3))
+
+    def diag():
+        return np.diag(draw(st.lists(_SCALES, min_size=n, max_size=n))).astype(complex)
+
+    constraints = []
+    for _ in range(draw(st.integers(1, 2))):
+        terms = [LinTerm("X", draw(_SCALES))]
+        if draw(st.booleans()):
+            terms.append(TraceTerm("t", eye(1), eye(n), draw(_SCALES)))
+        constraints.append(PsdConstraint(dim=n, const=diag(), terms=tuple(terms)))
+    equalities = [EqConstraint(terms=(("X", diag()),), rhs=draw(_SCALES))] if draw(st.booleans()) else []
+    return SdpProblem(
+        sense=draw(st.sampled_from(["max", "min"])),
+        variables=[("X", n, draw(st.sampled_from(["hermitian", "hermitian-psd"]))), ("t", 1, "hermitian")],
+        objective=[("X", diag()), ("t", draw(_SCALES) * eye(1))],
+        constraints=constraints,
+        equalities=equalities,
+    )
+
+
+def _scaled_box(c):
+    """max tr(diag(1, 2) X) s.t. I - cX >= 0 and I + cX >= 0."""
+    return SdpProblem(
+        sense="max",
+        variables=[("X", 2, "hermitian")],
+        objective=[("X", np.diag([1.0, 2.0]))],
+        constraints=[PsdConstraint(dim=2, const=eye(2), terms=(LinTerm("X", s * c),)) for s in (-1, 1)],
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(_scaled_programs())
+# each example below overflows, or forms 0/0 or inf - inf, in a different
+# place: the Schur kernel, a Gondzio target, the pull-back and gather of a
+# diverging dual, the sigma cube, the equalities' start A⁺b and the
+# assignments of the returned iterate
+@example(_scaled_box(1e300))
+@example(_scaled_box(1e-150))
+@example(
+    SdpProblem(
+        sense="min",
+        variables=[("X", 2, "hermitian-psd")],
+        objective=[("X", eye(2))],
+        constraints=[PsdConstraint(dim=2, const=np.diag([1.0, -1e-9]), terms=(LinTerm("X", 0.0),))],
+    )
+)
+@example(
+    SdpProblem(
+        sense="max",
+        variables=[("x", 1, "hermitian")],
+        objective=[("x", 558622956.1625775 * eye(1))],
+        constraints=[
+            PsdConstraint(dim=1, const=8.82924777806971e-21 * eye(1), terms=(LinTerm("x", -1e-300),)),
+            PsdConstraint(dim=1, const=2.1730889136089577 * eye(1), terms=(LinTerm("x", 1e-150),)),
+        ],
+    )
+)
+@example(
+    SdpProblem(
+        sense="min",
+        variables=[("X", 2, "hermitian-psd")],
+        objective=[("X", eye(2))],
+        equalities=[EqConstraint(terms=(("X", 1e-300 * eye(2)),), rhs=1e300)],
+    )
+)
+@example(
+    SdpProblem(
+        sense="max",
+        variables=[("X", 1, "hermitian-psd")],
+        objective=[("X", 1e-9 * eye(1))],
+        constraints=[PsdConstraint(dim=1, const=1e150 * eye(1), terms=(LinTerm("X", 0.0),))],
+    )
+)
+def test_badly_scaled_programs_end_on_a_named_rule(problem):
+    # whatever the scales, a solve ends on a named rule and returns its last
+    # scored iterate, or raises NumericError; pytest's settings fail any
+    # warning on the way
+    try:
+        sol = solve(problem)
+    except NumericError:
+        return
+    assert sol.stop in _STOP_RULES
+    assert sol.iterations == len(sol.trace)
