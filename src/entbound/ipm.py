@@ -98,7 +98,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import kernels
 from .errors import InvalidStateError, NumericError
@@ -114,6 +113,10 @@ from .sdp import LinTerm, SdpProblem, check_capacity
 # (sigma_r(0.4) x rho_alpha(0.3), Phi(2) x rho_alpha(0.3)); see
 # BENCH_19_class_blocks.json for the figures.
 _SPLIT_ORDER = 30
+
+# _tril_inverse inverts diagonal blocks of at most this many rows with LAPACK
+# and merges the larger ones with matmul.
+_LEAF_ORDER = 16
 
 _RT2 = np.sqrt(2.0)
 
@@ -642,6 +645,39 @@ def _split_equalities(A) -> _EqSplit:
     return _EqSplit(Ur=U[:, :r], s=s[:r], Vr=Vt[:r].T, N=Vt[r:].T if r else None)
 
 
+def _tril_inverse(L):
+    """Inverse of the lower-triangular L by halves,
+    [[A, 0], [B, C]]⁻¹ = [[A⁻¹, 0], [−C⁻¹BA⁻¹, C⁻¹]], one level at a time.
+    L is padded with the identity to s·2^p rows, so that its 2^p diagonal
+    leaves of s ≤ _LEAF_ORDER rows take one stacked np.linalg.inv and each
+    level merges all its pairs of blocks with two stacked matmuls."""
+    k = L.shape[0]
+    if k <= _LEAF_ORDER:
+        return np.linalg.inv(L)
+    p = (-(-k // _LEAF_ORDER) - 1).bit_length()
+    s = -(-k >> p)
+    n = s << p
+    # X = diag(L, I) sits in a buffer one row longer, so that the diagonal
+    # b×b blocks of X are the rows of a plain reshape of the buffer
+    buf = np.zeros(n * (n + 1))
+    X = buf[: n * n].reshape(n, n)
+    X[:k, :k] = L
+    np.fill_diagonal(X[k:, k:], 1.0)
+
+    def diagonal_blocks(b):
+        return buf.reshape(n // b, b * (n + 1))[:, : b * n].reshape(n // b, b, n)[:, :, :b]
+
+    leaves = diagonal_blocks(s)
+    leaves[...] = np.linalg.inv(leaves)
+    for level in range(p):
+        b = s << level
+        P = diagonal_blocks(2 * b)
+        BAi = P[:, b:, :b] @ P[:, :b, :b]
+        np.negative(BAi, out=BAi)
+        np.matmul(P[:, b:, b:], BAi, out=P[:, b:, :b])
+    return X[:k, :k]
+
+
 def _factor_kkt(Mr):
     """Factor the reduced Newton matrix Mr = NᵀMN and return the solver of
     Mr z = r, or None when no jittered Cholesky factor exists.  The solver's
@@ -650,34 +686,45 @@ def _factor_kkt(Mr):
     definite, whereas an LU solve of the saddle system [[M, Aᵀ], [A, 0]]
     loses the dual equation in the endgame and stalls the iterates.
 
-    Mr is factored as it is: Cholesky's error is small relative to
-    sqrt(M_ii M_jj), so equilibrating Mr first changes only rounding.  A
-    failed factor retries on a ladder of jitters relative to Mr's largest
-    diagonal entry.  Up to four refinement steps against Mr matter once mu
-    pushes Mr's conditioning toward the float64 cliff near convergence."""
+    Mr = L Lᵀ is factored as it is, and L⁻¹ is formed once (_tril_inverse),
+    so each solve is two matrix-vector products.  An explicit inverse is not
+    backward stable, so up to four refinement steps against the un-jittered
+    Mr carry the accuracy: on the badly scaled test family (condition 1e12,
+    diagonal 1e-8 to 1e8) the componentwise backward error stays under
+    2e-16.  Near convergence, at condition 1e13 to 1e17, refinement stalls
+    sooner than with triangular solves, which moves values within the gap
+    tolerance.  A failed factor retries on a ladder of jitters relative to
+    Mr's largest diagonal entry."""
     k = Mr.shape[0]
-    dscale = max(float(np.max(np.diag(Mr), initial=0.0)), 1e-300)
+    dscale = max(float(np.diag(Mr).max(initial=0.0)), 1e-300)
+    if not np.isfinite(dscale):
+        # an infinite pivot would invert to 0 and hide itself
+        raise NumericError("KKT matrix has a non-finite diagonal")
     for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
         try:
-            ch = sla.cho_factor(Mr + (jit * dscale) * np.eye(k), lower=True, check_finite=False)
-        except (np.linalg.LinAlgError, ValueError):
+            Li = _tril_inverse(np.linalg.cholesky(Mr + (jit * dscale) * np.eye(k) if jit else Mr))
+        except np.linalg.LinAlgError:
             continue
-        base = functools.partial(sla.cho_solve, ch, check_finite=False)
 
+        def base(g, Li=Li):
+            return Li.T @ (Li @ g)
+
+        # ndarray methods rather than np.max / np.all: a solve is a few
+        # microseconds of arithmetic, and those wrappers cost as much
         def solve(g, base=base):
             z = base(g)
-            if not np.all(np.isfinite(z)):
+            if not np.isfinite(z).all():
                 raise NumericError("KKT solve produced non-finite step")
-            gscale = max(float(np.max(np.abs(g), initial=0.0)), 1e-300)
+            gscale = max(float(np.abs(g).max(initial=0.0)), 1e-300)
             prev = np.inf
             for _ in range(4):
                 r = g - Mr @ z
-                rnorm = float(np.max(np.abs(r), initial=0.0))
+                rnorm = float(np.abs(r).max(initial=0.0))
                 if rnorm <= 1e-15 * gscale or rnorm >= prev:
                     break
                 prev = rnorm
                 e = base(r)
-                if not np.all(np.isfinite(e)):
+                if not np.isfinite(e).all():
                     break
                 z = z + e
             return z
@@ -693,12 +740,10 @@ def _factor_kkt(Mr):
 # Programs whose reduced Newton matrix has at least this many rows run on the
 # caller's BLAS threads, smaller ones on one.  No benchmark program comes near
 # (tensor6's orders are 94 to 138).  Measured on 2 cores on
-# random_state(d_A, d_B, 3, 7001), one solve per run, two runs each, one
-# thread against two: e_w, which has no equalities, took 3.5/2.7 against
-# 3.8/3.5 s at order 1764, 5.7/5.7 against 5.4/5.7 s at 2401 and 20.3/21.2
-# against 19.0/18.3 s at 4096; e0 took 5.3/5.1 against 5.4/5.7 s at order
-# 1522, 15.9/20.5 against 13.9/14.5 s at 2117 and 65.1/68.6 against
-# 49.5/49.1 s at 3722, where the dense equality elimination dominates.
+# random_state(6, 7, 3, 7001), one solve per fresh process, two runs each, one
+# thread against two: e_w, which has no equalities, took 5.0/4.4 against
+# 3.8/3.9 s at order 1764 and e0 6.4/5.4 against 4.3/4.6 s at order 1522.
+# The KKT factor's inverse by halves is matmul, which the threads share.
 _THREADED_ORDER = 1500
 
 # The thread count is process-global, so its bookkeeping is too.
@@ -709,23 +754,17 @@ _blas_caller = ()  # the thread counts the outermost solve found
 
 @functools.cache
 def _openblas() -> tuple:
-    """(get, set) thread-count functions of the OpenBLAS copies numpy and
-    scipy link (the scipy-openblas builds of their wheels), looked up once
-    through ctypes.  Empty when neither exports them."""
-    found = []
-    for module, symbol in (
-        ("numpy.linalg._umath_linalg", "scipy_openblas_{}_num_threads64_"),
-        ("scipy.linalg._fblas", "scipy_openblas_{}_num_threads"),
-    ):
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-            get, set_ = getattr(lib, symbol.format("get")), getattr(lib, symbol.format("set"))
-        except (ImportError, OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        found.append((get, set_))
-    return tuple(found)
+    """The (get, set) thread-count functions of the OpenBLAS copy numpy
+    links (the scipy-openblas build of its wheels), looked up once through
+    ctypes, as a tuple of one pair.  Empty when numpy exports none."""
+    try:
+        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (ImportError, OSError, AttributeError):
+        return ()
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return ((get, set_),)
 
 
 def _blas_threads() -> tuple:
@@ -739,10 +778,10 @@ def _set_blas_threads(counts) -> None:
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body on one BLAS thread.  The limit is process-global while
-    any such solve runs: the outermost entry saves the caller's counts and the
-    last exit restores them, so nested solves, and solves from several Python
-    threads, leave the counts as they found them."""
+    """Run the body on one thread of numpy's OpenBLAS.  The limit is
+    process-global while any such solve runs: the outermost entry saves the
+    caller's count and the last exit restores it, so nested solves, and
+    solves from several Python threads, leave the count as they found it."""
     global _blas_depth, _blas_caller
     with _blas_lock:
         if _blas_depth == 0:

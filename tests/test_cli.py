@@ -3,13 +3,18 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entbound
 from entbound.cli import main
 
 
@@ -71,6 +76,32 @@ def test_compute_matrix_form(tmp_path, capsys):
     # file name is the fallback when no name field is present
     assert out[0] == "state: mixed.json [2x2]"
     assert abs(float(out[1].split("value_log2=")[1].split()[0])) <= 1e-12
+
+
+_SOLVES_WITHOUT_SCIPY = """
+import sys
+import entbound as eb
+from entbound import cli, measures
+
+rho = eb.rho_alpha(0.3)
+for value in (measures.e_w(rho), measures.det_distill_one_copy(rho), measures.w0(rho),
+              measures.fidelity_ppt(rho, k=2.0)):
+    assert value.iterations > 0
+assert cli.main(["compute", "--state", sys.argv[1], "--measures", "ew,en,e0,w0,witness,fgamma:k=1.5"]) == 0
+print(sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy.")))
+"""
+
+
+def test_solves_and_the_cli_do_not_import_scipy(tmp_path):
+    # a fresh interpreter, since this test module's neighbours import scipy
+    src = str(Path(entbound.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", _SOLVES_WITHOUT_SCIPY, bell_file(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_compute_accepts_w0_but_sweep_rejects_it(tmp_path, capsys):

@@ -555,31 +555,69 @@ def test_split_equalities_invariants():
     assert ipm._split_equalities(np.zeros((0, 8))).N is None
 
 
-def test_factor_kkt_solves_badly_scaled_and_singular_matrices():
-    # Mr = diag(s) Q diag(lam) Q^T diag(s): eigenvalues from 1 down to 1e-12
-    # and a diagonal from about 1e-8 up to 1e8, factored without equilibration
-    k = 40
-    rng = np.random.default_rng(17)
+def _badly_scaled_spd(k, rng):
+    """diag(s) Q diag(lam) Qᵀ diag(s): eigenvalues from 1 down to 1e-12 and
+    a diagonal from about 1e-8 up to 1e8."""
     Q = np.linalg.qr(rng.standard_normal((k, k)))[0]
     s = np.logspace(-4, 4, k)
     Mr = s[:, None] * (Q * np.logspace(0, -12, k)) @ Q.T * s[None, :]
-    Mr = 0.5 * (Mr + Mr.T)
-    g = rng.standard_normal(k)
+    return 0.5 * (Mr + Mr.T)
+
+
+def _componentwise_backward_error(Mr, z, g):
+    return np.max(np.abs(Mr @ z - g) / (np.abs(Mr) @ np.abs(z) + np.abs(g)))
+
+
+def test_factor_kkt_solves_badly_scaled_and_singular_matrices():
+    # factored without equilibration
+    rng = np.random.default_rng(17)
+    Mr = _badly_scaled_spd(40, rng)
+    g = rng.standard_normal(40)
     z = ipm._factor_kkt(Mr)(g)
-    backward = np.abs(Mr @ z - g) / (np.abs(Mr) @ np.abs(z) + np.abs(g))
-    assert np.max(backward) <= 1e-14
+    assert _componentwise_backward_error(Mr, z, g) <= 1e-14
 
     # a singular matrix factors on a jitter rung above 0, a positive
     # definite one on rung 0, and a negative definite one not at all
     singular = np.diag([2.0, 1.0, 0.0])
     with pytest.raises(np.linalg.LinAlgError):
-        sla.cho_factor(singular)
+        np.linalg.cholesky(singular)
     kkt = ipm._factor_kkt(singular)
     assert kkt.jitter > 0.0
     z = kkt(np.array([2.0, 1.0, 0.0]))
     assert np.all(np.isfinite(z)) and np.allclose(z[:2], 1.0)
     assert ipm._factor_kkt(np.array([[2.0, 1.0], [1.0, 2.0]])).jitter == 0.0
     assert ipm._factor_kkt(-np.eye(3)) is None
+
+
+# every leaf and merge cut of the inverse by halves: one leaf up to 16 rows,
+# then 2^p leaves of at most 16 rows, padded (17, 33, 65, 129, 138, 289)
+@pytest.mark.parametrize("k", [1, 2, 16, 17, 31, 32, 33, 63, 64, 65, 94, 128, 129, 138, 289])
+@pytest.mark.parametrize("family", ["random", "badly-scaled"])
+def test_factor_kkt_matches_a_dense_solve_at_every_order(k, family):
+    rng = np.random.default_rng(k)
+    if family == "random":
+        X = rng.standard_normal((k, k))
+        Mr = X @ X.T + 1e-3 * np.eye(k)
+    else:
+        Mr = _badly_scaled_spd(k, rng)
+    kkt = ipm._factor_kkt(Mr)
+    assert kkt.jitter == 0.0
+    for g in (rng.standard_normal(k), Mr @ rng.standard_normal(k)):
+        z, ref = kkt(g), np.linalg.solve(Mr, g)
+        assert _componentwise_backward_error(Mr, ref, g) <= 1e-14
+        assert _componentwise_backward_error(Mr, z, g) <= 1e-14
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("entry", [(0, 0), (39, 39), (39, 0), (20, 13)])
+def test_factor_kkt_refuses_a_non_finite_matrix(value, entry):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 40))
+    Mr = X @ X.T + 40 * np.eye(40)
+    Mr[entry] = Mr[entry[::-1]] = value
+    # as in ipm.run, non-finite arithmetic is left to the checks that name it
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"), pytest.raises(NumericError):
+        ipm._factor_kkt(Mr)(rng.standard_normal(40))
 
 
 @pytest.mark.parametrize(
