@@ -7,8 +7,8 @@ scaling and a Mehrotra predictor-corrector step. Dense and deterministic,
 sized for matrix variables up to ~100 rows total.
 
 Blocks have at most ~100 rows, where OpenBLAS's one thread per core is
-slower, not faster; threads pay only on large programs with equalities
-(see _THREADED_ORDER).  So a program whose reduced Newton matrix has fewer
+slower, not faster; threads pay only once the Newton matrix has about a
+thousand rows (see _THREADED_ORDER).  So a program whose reduced Newton matrix has fewer
 than _THREADED_ORDER rows runs on one BLAS thread and its result does not
 depend on the core count; a larger one runs wholly on the caller's threads.
 Every iterate the loop evaluates leaves one row in the returned trace, except
@@ -113,10 +113,6 @@ from .sdp import LinTerm, SdpProblem, check_capacity
 # (sigma_r(0.4) x rho_alpha(0.3), Phi(2) x rho_alpha(0.3)); see
 # BENCH_19_class_blocks.json for the figures.
 _SPLIT_ORDER = 30
-
-# _tril_inverse inverts diagonal blocks of at most this many rows with LAPACK
-# and merges the larger ones with matmul.
-_LEAF_ORDER = 16
 
 _RT2 = np.sqrt(2.0)
 
@@ -645,37 +641,71 @@ def _split_equalities(A) -> _EqSplit:
     return _EqSplit(Ur=U[:, :r], s=s[:r], Vr=Vt[:r].T, N=Vt[r:].T if r else None)
 
 
-def _tril_inverse(L):
-    """Inverse of the lower-triangular L by halves,
-    [[A, 0], [B, C]]⁻¹ = [[A⁻¹, 0], [−C⁻¹BA⁻¹, C⁻¹]], one level at a time.
-    L is padded with the identity to s·2^p rows, so that its 2^p diagonal
-    leaves of s ≤ _LEAF_ORDER rows take one stacked np.linalg.inv and each
-    level merges all its pairs of blocks with two stacked matmuls."""
-    k = L.shape[0]
-    if k <= _LEAF_ORDER:
-        return np.linalg.inv(L)
-    p = (-(-k // _LEAF_ORDER) - 1).bit_length()
-    s = -(-k >> p)
-    n = s << p
-    # X = diag(L, I) sits in a buffer one row longer, so that the diagonal
-    # b×b blocks of X are the rows of a plain reshape of the buffer
-    buf = np.zeros(n * (n + 1))
-    X = buf[: n * n].reshape(n, n)
-    X[:k, :k] = L
-    np.fill_diagonal(X[k:, k:], 1.0)
+def _numpy_blas(*names):
+    """The named functions of the OpenBLAS that numpy links (the
+    scipy-openblas build of its wheels), looked up through ctypes, or None
+    when numpy links another BLAS."""
+    try:
+        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
+        return tuple(getattr(lib, name) for name in names)
+    except (ImportError, OSError, AttributeError):
+        return None
 
-    def diagonal_blocks(b):
-        return buf.reshape(n // b, b * (n + 1))[:, : b * n].reshape(n // b, b, n)[:, :, :b]
 
-    leaves = diagonal_blocks(s)
-    leaves[...] = np.linalg.inv(leaves)
-    for level in range(p):
-        b = s << level
-        P = diagonal_blocks(2 * b)
-        BAi = P[:, b:, :b] @ P[:, :b, :b]
-        np.negative(BAi, out=BAi)
-        np.matmul(P[:, b:, b:], BAi, out=P[:, b:, :b])
-    return X[:k, :k]
+@functools.cache
+def _lapack():
+    """LAPACK's dpotrf and dpotrs in numpy's OpenBLAS (64-bit integers), or
+    None."""
+    fns = _numpy_blas("scipy_dpotrf_64_", "scipy_dpotrs_64_")
+    if fns:
+        potrf, potrs = fns
+        i64 = ctypes.POINTER(ctypes.c_int64)
+        potrf.argtypes = [ctypes.c_char_p, i64, ctypes.c_void_p, i64, i64]
+        potrs.argtypes = [ctypes.c_char_p, i64, i64, ctypes.c_void_p, i64, ctypes.c_void_p, i64, i64]
+        potrf.restype = potrs.restype = None
+    return fns
+
+
+def _cholesky_solver(M):
+    """The solver g ↦ M⁻¹g of the symmetric positive definite M, or None
+    when M has no Cholesky factor: LAPACK's dpotrf and dpotrs, which scipy's
+    cho_factor and cho_solve call, in numpy's OpenBLAS.  Where numpy links
+    another LAPACK, whose triangular solves numpy does not expose, the
+    inverse of the Cholesky factor of D M D, D = diag(M)^-1/2, is formed
+    once instead: 4 to 11 times dpotrf's cost at orders 36 to 1000, and after
+    _factor_kkt's refinement a componentwise backward error of at most
+    1.1e-14 against dpotrs's 7.5e-16 (330 test matrices, orders 1 to 289)."""
+    lapack = _lapack()
+    if lapack is None:
+        dg = np.diag(M)
+        if not (dg > 0.0).all():
+            return None
+        d = 1.0 / np.sqrt(dg)
+        try:
+            Li = np.linalg.inv(np.linalg.cholesky(d[:, None] * M * d)) * d
+        except np.linalg.LinAlgError:
+            return None
+        return lambda g: Li.T @ (Li @ g)
+    potrf, potrs = lapack
+    k = M.shape[0]
+    if M.shape != (k, k):
+        raise ValueError(f"Cholesky factor of a {M.shape} array")
+    # column-major, so that LAPACK's lower triangle is M's, as in scipy
+    C = np.array(M, dtype=np.float64, order="F")
+    n, one, info = ctypes.c_int64(k), ctypes.c_int64(1), ctypes.c_int64()
+    ld = ctypes.c_int64(max(1, k))  # LAPACK refuses 0 even at order 0
+    potrf(b"L", n, C.ctypes.data, ld, info)
+    if info.value:
+        return None
+
+    def solve(g):
+        z = np.array(g, dtype=np.float64)
+        if z.shape != (k,):
+            raise ValueError(f"right-hand side of shape {z.shape} for order {k}")
+        potrs(b"L", n, one, C.ctypes.data, ld, z.ctypes.data, ld, info)
+        return z
+
+    return solve
 
 
 def _factor_kkt(Mr):
@@ -686,28 +716,20 @@ def _factor_kkt(Mr):
     definite, whereas an LU solve of the saddle system [[M, Aᵀ], [A, 0]]
     loses the dual equation in the endgame and stalls the iterates.
 
-    Mr = L Lᵀ is factored as it is, and L⁻¹ is formed once (_tril_inverse),
-    so each solve is two matrix-vector products.  An explicit inverse is not
-    backward stable, so up to four refinement steps against the un-jittered
-    Mr carry the accuracy: on the badly scaled test family (condition 1e12,
-    diagonal 1e-8 to 1e8) the componentwise backward error stays under
-    2e-16.  Near convergence, at condition 1e13 to 1e17, refinement stalls
-    sooner than with triangular solves, which moves values within the gap
-    tolerance.  A failed factor retries on a ladder of jitters relative to
-    Mr's largest diagonal entry."""
+    Mr is factored as it is: Cholesky's error is small relative to
+    sqrt(M_ii M_jj), so equilibrating Mr first changes only rounding.  A
+    failed factor retries on a ladder of jitters relative to Mr's largest
+    diagonal entry.  Up to four refinement steps against Mr matter once mu
+    pushes Mr's conditioning toward the float64 cliff near convergence."""
     k = Mr.shape[0]
     dscale = max(float(np.diag(Mr).max(initial=0.0)), 1e-300)
     if not np.isfinite(dscale):
-        # an infinite pivot would invert to 0 and hide itself
+        # an infinite pivot zeroes its coordinate of every solve, hiding itself
         raise NumericError("KKT matrix has a non-finite diagonal")
     for jit in (0.0, 1e-14, 1e-12, 1e-10, 1e-8):
-        try:
-            Li = _tril_inverse(np.linalg.cholesky(Mr + (jit * dscale) * np.eye(k) if jit else Mr))
-        except np.linalg.LinAlgError:
+        base = _cholesky_solver(Mr + (jit * dscale) * np.eye(k) if jit else Mr)
+        if base is None:
             continue
-
-        def base(g, Li=Li):
-            return Li.T @ (Li @ g)
 
         # ndarray methods rather than np.max / np.all: a solve is a few
         # microseconds of arithmetic, and those wrappers cost as much
@@ -738,42 +760,43 @@ def _factor_kkt(Mr):
 # BLAS threads
 
 # Programs whose reduced Newton matrix has at least this many rows run on the
-# caller's BLAS threads, smaller ones on one.  No benchmark program comes near
-# (tensor6's orders are 94 to 138).  Measured on 2 cores on
-# random_state(6, 7, 3, 7001), one solve per fresh process, two runs each, one
-# thread against two: e_w, which has no equalities, took 5.0/4.4 against
-# 3.8/3.9 s at order 1764 and e0 6.4/5.4 against 4.3/4.6 s at order 1522.
-# The KKT factor's inverse by halves is matmul, which the threads share.
-_THREADED_ORDER = 1500
+# caller's BLAS threads, smaller ones on one, where results do not depend on
+# the core count.  No benchmark program comes near (tensor6's orders are 94 to
+# 138).  Measured on 2 cores on random_state(d_A, d_B, 3, 7001), one solve per
+# fresh process, median wall time on two threads over one, two to six runs
+# each: from order 1000 up two threads win every program (e_w 0.95 at 1024,
+# 0.84 at 1225, 0.92 at 1296, 0.89 at 1764; e0 0.73 at 1025, 0.76 at 1090,
+# 0.65 at 1522); below it they tie (e_w 0.98-1.03 from 400 to 625, e0
+# 1.00-1.04 from 290 to 442) except e0 at 485 and 626 (0.92, 0.93).
+_THREADED_ORDER = 1000
 
 # The thread count is process-global, so its bookkeeping is too.
 _blas_lock = threading.Lock()
 _blas_depth = 0  # solves running in this process
-_blas_caller = ()  # the thread counts the outermost solve found
+_blas_caller = None  # the thread count the outermost solve found
 
 
 @functools.cache
-def _openblas() -> tuple:
-    """The (get, set) thread-count functions of the OpenBLAS copy numpy
-    links (the scipy-openblas build of its wheels), looked up once through
-    ctypes, as a tuple of one pair.  Empty when numpy exports none."""
-    try:
-        lib = ctypes.CDLL(importlib.import_module("numpy.linalg._umath_linalg").__file__)
-        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
-    except (ImportError, OSError, AttributeError):
-        return ()
-    get.argtypes, get.restype = [], ctypes.c_int
-    set_.argtypes, set_.restype = [ctypes.c_int], None
-    return ((get, set_),)
+def _openblas():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None."""
+    fns = _numpy_blas("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+    if fns:
+        get, set_ = fns
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+    return fns
 
 
-def _blas_threads() -> tuple:
-    return tuple(get() for get, _ in _openblas())
+def _blas_threads():
+    """numpy's OpenBLAS thread count, or None without thread control."""
+    fns = _openblas()
+    return fns[0]() if fns else None
 
 
-def _set_blas_threads(counts) -> None:
-    for (_, set_), n in zip(_openblas(), counts):
-        set_(n)
+def _set_blas_threads(n) -> None:
+    fns = _openblas()
+    if fns and n is not None:
+        fns[1](n)
 
 
 @contextlib.contextmanager
@@ -786,7 +809,7 @@ def _one_blas_thread():
     with _blas_lock:
         if _blas_depth == 0:
             _blas_caller = _blas_threads()
-            _set_blas_threads([1] * len(_blas_caller))
+            _set_blas_threads(1)
         _blas_depth += 1
     try:
         yield

@@ -230,12 +230,12 @@ def test_determinism_across_repeat_solves():
 
 @pytest.fixture
 def caller_blas_threads():
-    """Set the caller's BLAS thread count of every OpenBLAS copy; the counts
-    found are restored afterwards."""
+    """Set the caller's thread count of numpy's OpenBLAS; the count found is
+    restored afterwards."""
     if not ipm._openblas():
         pytest.skip("no OpenBLAS thread control found")
     saved = ipm._blas_threads()
-    yield lambda n: ipm._set_blas_threads([n] * len(saved))
+    yield ipm._set_blas_threads
     ipm._set_blas_threads(saved)
 
 
@@ -251,7 +251,7 @@ def test_results_do_not_depend_on_the_callers_blas_threads(caller_blas_threads, 
             for rho in states
             for r in (measures.e_w(rho), measures.det_distill_one_copy(rho))
         ]
-        assert set(ipm._blas_threads()) == {n}
+        assert ipm._blas_threads() == n
     assert runs[1] == runs[2]
 
     def fail(S, Z):
@@ -260,7 +260,7 @@ def test_results_do_not_depend_on_the_callers_blas_threads(caller_blas_threads, 
     monkeypatch.setattr(ipm, "_nt_scaling", fail)
     with pytest.raises(RuntimeError):
         measures.e_w(states[0])
-    assert set(ipm._blas_threads()) == {2}
+    assert ipm._blas_threads() == 2
     assert ipm._blas_depth == 0
 
 
@@ -278,8 +278,8 @@ def test_nested_solves_restore_the_callers_blas_threads(caller_blas_threads, mon
 
     monkeypatch.setattr(ipm, "_assemble_M", nested)
     assert solve(diag_lp([2.0, 1.0], 1.0)).status == "optimal"
-    assert all(set(s) == {1} for s in seen)
-    assert set(ipm._blas_threads()) == {2}
+    assert set(seen) == {1}
+    assert ipm._blas_threads() == 2
 
 
 def test_concurrent_solves_restore_the_callers_blas_threads(caller_blas_threads):
@@ -305,7 +305,7 @@ def test_concurrent_solves_restore_the_callers_blas_threads(caller_blas_threads)
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert set(ipm._blas_threads()) == {2}
+    assert ipm._blas_threads() == 2
     assert ipm._blas_depth == 0
 
 
@@ -321,7 +321,7 @@ def test_large_reduced_newton_matrix_is_factored_on_the_callers_threads(caller_b
 
     def spy(name, fn):
         def wrapped(*args):
-            seen[name].update(ipm._blas_threads())
+            seen[name].add(ipm._blas_threads())
             return fn(*args)
 
         return wrapped
@@ -333,7 +333,7 @@ def test_large_reduced_newton_matrix_is_factored_on_the_callers_threads(caller_b
         seen = {"assemble": set(), "factor": set()}
         measures.det_distill_one_copy(rho)
         assert seen == {"assemble": {threads}, "factor": {threads}}
-        assert set(ipm._blas_threads()) == {2}
+        assert ipm._blas_threads() == 2
 
 
 def test_small_solve_beside_a_large_one_runs_on_one_thread(caller_blas_threads, monkeypatch):
@@ -348,7 +348,7 @@ def test_small_solve_beside_a_large_one_runs_on_one_thread(caller_blas_threads, 
 
     def beside(Mr):
         if threading.get_ident() != large:
-            small_seen.update(ipm._blas_threads())
+            small_seen.add(ipm._blas_threads())
         elif not statuses:
             t = threading.Thread(target=lambda: statuses.append(solve(diag_lp([2.0, 1.0], 1.0)).status))
             t.start()
@@ -360,12 +360,12 @@ def test_small_solve_beside_a_large_one_runs_on_one_thread(caller_blas_threads, 
     assert measures.det_distill_one_copy(random_state(3, 3, 2, 7017)).iterations > 0
     assert statuses == ["optimal"]
     assert small_seen == {1}
-    assert set(ipm._blas_threads()) == {2}
+    assert ipm._blas_threads() == 2
 
 
 def test_solve_without_blas_thread_control(monkeypatch):
     expected = measures.e_w(rho_alpha(0.3))
-    monkeypatch.setattr(ipm, "_openblas", lambda: ())
+    monkeypatch.setattr(ipm, "_openblas", lambda: None)
     r = measures.e_w(rho_alpha(0.3))
     assert (r.value_log2, r.iterations) == (expected.value_log2, expected.iterations)
 
@@ -568,6 +568,17 @@ def _componentwise_backward_error(Mr, z, g):
     return np.max(np.abs(Mr @ z - g) / (np.abs(Mr) @ np.abs(z) + np.abs(g)))
 
 
+@pytest.fixture(params=["lapack", "numpy"])
+def factor_path(request, monkeypatch):
+    """Run a test on LAPACK's dpotrf/dpotrs from numpy's OpenBLAS and on the
+    numpy inverse that stands in where numpy links another LAPACK."""
+    if request.param == "lapack" and not ipm._lapack():
+        pytest.skip("numpy links no scipy-openblas LAPACK")
+    if request.param == "numpy":
+        monkeypatch.setattr(ipm, "_lapack", lambda: None)
+    return request.param
+
+
 def test_factor_kkt_solves_badly_scaled_and_singular_matrices():
     # factored without equilibration
     rng = np.random.default_rng(17)
@@ -589,11 +600,16 @@ def test_factor_kkt_solves_badly_scaled_and_singular_matrices():
     assert ipm._factor_kkt(-np.eye(3)) is None
 
 
-# every leaf and merge cut of the inverse by halves: one leaf up to 16 rows,
-# then 2^p leaves of at most 16 rows, padded (17, 33, 65, 129, 138, 289)
+def test_numpy_factor_solves_badly_scaled_and_singular_matrices(monkeypatch):
+    monkeypatch.setattr(ipm, "_lapack", lambda: None)
+    test_factor_kkt_solves_badly_scaled_and_singular_matrices()
+
+
+# orders on both sides of the block sizes of OpenBLAS's Cholesky and of
+# tensor6's Newton orders (94 and 138)
 @pytest.mark.parametrize("k", [1, 2, 16, 17, 31, 32, 33, 63, 64, 65, 94, 128, 129, 138, 289])
 @pytest.mark.parametrize("family", ["random", "badly-scaled"])
-def test_factor_kkt_matches_a_dense_solve_at_every_order(k, family):
+def test_factor_kkt_matches_a_dense_solve_at_every_order(k, family, factor_path):
     rng = np.random.default_rng(k)
     if family == "random":
         X = rng.standard_normal((k, k))
@@ -610,7 +626,7 @@ def test_factor_kkt_matches_a_dense_solve_at_every_order(k, family):
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 @pytest.mark.parametrize("entry", [(0, 0), (39, 39), (39, 0), (20, 13)])
-def test_factor_kkt_refuses_a_non_finite_matrix(value, entry):
+def test_factor_kkt_refuses_a_non_finite_matrix(value, entry, factor_path):
     rng = np.random.default_rng(3)
     X = rng.standard_normal((40, 40))
     Mr = X @ X.T + 40 * np.eye(40)
@@ -618,6 +634,17 @@ def test_factor_kkt_refuses_a_non_finite_matrix(value, entry):
     # as in ipm.run, non-finite arithmetic is left to the checks that name it
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"), pytest.raises(NumericError):
         ipm._factor_kkt(Mr)(rng.standard_normal(40))
+
+
+def test_both_factor_paths_solve_to_the_same_values(monkeypatch):
+    rho = random_state(3, 3, 2, 7017)
+    runs = []
+    for lapack in (ipm._lapack, lambda: None):
+        monkeypatch.setattr(ipm, "_lapack", lapack)
+        runs.append([f(rho) for f in (measures.e_w, measures.det_distill_one_copy, measures.w0)])
+    # each measure raises unless its solve ends optimal
+    for a, b in zip(*runs):
+        assert abs(a.value_log2 - b.value_log2) <= 1e-7
 
 
 @pytest.mark.parametrize(
