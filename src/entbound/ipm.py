@@ -25,13 +25,15 @@ least-squares (Aᵀ)⁺(c + Σ F*(Z)), which the Newton direction never sees.
 The NT scaling takes the G form of Todd, Toh & Tütüncü, "On the
 Nesterov-Todd direction in semidefinite programming", SIAM J. Optim. 8
 (1998): with S = LS LSᴴ, Z = LZ LZᴴ and LZᴴ LS = U diag(d) Wᴴ,
-G = LS W d^{-1/2} has the inverse d^{-1/2} Uᴴ LZᴴ and the scaled point
-G⁻¹ S G⁻ᴴ = Gᴴ Z G = diag(d) is diagonal, so the corrector terms'
-Lyapunov equations are solved entrywise.  Each Newton direction is scaled
-once, to dS̃ = Gi dS Giᴴ and dZ̃ = Gᴴ dZ G, and every step length and
-corrector product is taken from that pair in the scaled space: S + t dS ⪰ 0
-exactly when diag(d) + t dS̃ ⪰ 0, and the complementarity product of the
-tentative point is (D + t dS̃)(D + t' dZ̃) with D = diag(d).
+Gi = d^{-1/2} Uᴴ LZᴴ scales the iterate to Gi S Giᴴ = D = diag(d) with
+Z = Giᴴ D Gi, and V = Giᴴ Gi.  A Newton direction aims at a scaled
+complementarity target T, whose Lyapunov equation (W D + D W)/2 = T is
+solved entrywise.  Its right-hand side is Giᴴ W(T) Gi − Z − V Rp V, and as
+V dS V = Giᴴ dS̃ Gi with dS̃ = Gi dS Giᴴ, its scaled dual direction is
+exactly dZ̃ = W(T) − D − dS̃.  Every step length and corrector product is
+taken from (dS̃, dZ̃): S + t dS ⪰ 0 exactly when D + t dS̃ ⪰ 0, and the
+tentative complementarity product is (D + t dS̃)(D + t' dZ̃).  Only the
+step taken forms dZ = Giᴴ dZ̃ Gi, once per iteration.
 
 Coordinate a of a variable is one entry pair (i_a, j_a, u_a), the basis
 matrix E_a = u_a |i_a><j_a| + conj(u_a) |j_a><i_a|.  compile_problem turns
@@ -52,10 +54,10 @@ coordinate) arrays: its image (apply_block) is one scatter and its adjoint
 (gather_block) one gather.  The image is exactly Hermitian (half +
 half†), and S and Z are sums of images, constants and dual directions dZ.
 Hermitian parts are taken only where a reader needs one: the NT matrix V,
-the Gondzio product P (eigh) and dZ.  Other products may carry rounding
-skew: a right-hand-side stack G is read only by gather_block and the dZ
-formula, which both see its Hermitian part alone, and _max_step's eigvalsh
-reads one triangle.
+the Gondzio product P (eigh), the Mehrotra product in the corrector's
+target, which keeps dZ̃ as Hermitian as dS̃ for _max_step's eigvalsh (it
+reads one triangle), and the one dZ per iteration.  A right-hand-side stack
+may carry rounding skew: gather_block sees its Hermitian part alone.
 
 When every datum in the problem is real, variables are restricted to real
 symmetric coordinates and the loop runs in float64. The imaginary
@@ -501,66 +503,54 @@ def _eigh(mat):
 class _Scaling:
     """The NT scaling of each block of a stack at the current iterate, shared
     by every direction of the iteration, in the G form of Todd, Toh &
-    Tütüncü: the scaling matrices G and their inverses Gi, with
-    G⁻¹ S G⁻ᴴ = Gᴴ Z G = diag(d), and the NT matrices V = Giᴴ Gi (V S V = Z)."""
+    Tütüncü: the matrices Gi with Gi S Giᴴ = diag(d) and Z = Giᴴ diag(d) Gi,
+    and the NT matrices V = Giᴴ Gi (V S V = Z)."""
 
     V: np.ndarray
-    G: np.ndarray
     Gi: np.ndarray
     d: np.ndarray
 
 
 def _nt_scaling(S, Z) -> _Scaling:
-    """G from two Cholesky factors and one SVD (module docstring), on
+    """Gi from two Cholesky factors and one SVD (module docstring), on
     (..., n, n) stacks of S and Z."""
     try:
         LS = np.linalg.cholesky(S)
         LZ = np.linalg.cholesky(Z)
-        U, d, Wh = np.linalg.svd(dagger(LZ) @ LS)
+        U, d, _ = np.linalg.svd(dagger(LZ) @ LS)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"NT scaling failed: {exc}") from exc
     if not np.all(d[..., -1] > 0.0):
         raise NumericError("iterate lost positive definiteness")
-    rd = 1.0 / np.sqrt(d)
-    G = (LS @ dagger(Wh)) * rd[..., None, :]
-    Gi = rd[..., :, None] * (dagger(U) @ dagger(LZ))
-    return _Scaling(hermitize(dagger(Gi) @ Gi), G, Gi, d)
+    Gi = (1.0 / np.sqrt(d))[..., :, None] * (dagger(U) @ dagger(LZ))
+    return _Scaling(hermitize(dagger(Gi) @ Gi), Gi, d)
 
 
-def _scale(sc: _Scaling, dS, dZ):
-    """The scaled pair (Gi dS Giᴴ, Gᴴ dZ G) of a direction: S + t dS and
-    Z + t dZ map to diag(d) + t times each."""
-    return sc.Gi @ dS @ dagger(sc.Gi), dagger(sc.G) @ dZ @ sc.G
+def _lyapunov(d, T):
+    """W(T) = 2T / (d_i + d_j), the entrywise solution of (W D + D W)/2 = T
+    against the diagonal scaled point D = diag(d): the scaled dual direction
+    a complementarity target T asks for.  For T = c I, Giᴴ W Gi = c S⁻¹."""
+    return 2.0 * T / (d[..., :, None] + d[..., None, :])
 
 
-def _pull_back(sc: _Scaling, T):
-    """Right-hand-side term for a scaled-space target T: solve the Lyapunov
-    equation (W D + D W)/2 = T against the diagonal scaled point
-    D = diag(d) entrywise, W = 2T / (d_i + d_j), and map W back to the dual
-    space as Giᴴ W Gi.  For T = c I this is c S⁻¹."""
-    W = 2.0 * T / (sc.d[..., :, None] + sc.d[..., None, :])
-    return dagger(sc.Gi) @ W @ sc.Gi
+def _second_order_term(dSt, dZt):
+    """Mehrotra correction: the Hermitian part of the predictor's scaled
+    product, so that the corrector's target, and with it dZ̃, is Hermitian."""
+    return hermitize(dSt @ dZt)
 
 
-def _second_order_term(sc: _Scaling, dSt, dZt):
-    """Mehrotra correction: the pulled-back product of the predictor's
-    scaled pair."""
-    return _pull_back(sc, dSt @ dZt)
-
-
-def _gondzio_target(sc: _Scaling, dSt, dZt, ap, ad, smu):
-    """Product-space correction herding the tentative complementarity
-    eigenvalues, those of (D + ap dSt)(D + ad dZt) with D = diag(d), into
-    [0.1 smu, 10 smu], pulled back like the Mehrotra term.  Returns the
-    extra target and the largest outlier magnitude over the stack."""
-    D = sc.d[..., :, None] * np.eye(sc.d.shape[-1])
+def _gondzio_target(D, dSt, dZt, ap, ad, smu):
+    """Scaled-space correction herding the tentative complementarity
+    eigenvalues, those of (D + ap dSt)(D + ad dZt) with D the diagonal
+    scaled point, into [0.1 smu, 10 smu].  Returns the extra target and the
+    largest outlier magnitude over the stack."""
     P = hermitize((D + ap * dSt) @ (D + ad * dZt))
     pe, Pu = _eigh(P)
     lo, hi = 0.1 * smu, 10.0 * smu
     t = np.where(pe < lo, lo - pe, np.where(pe > hi, hi - pe, 0.0))
     if not np.any(t):
         return np.zeros_like(P), 0.0
-    return _pull_back(sc, (Pu * t[..., None, :]) @ dagger(Pu)), float(np.max(np.abs(t)))
+    return (Pu * t[..., None, :]) @ dagger(Pu), float(np.max(np.abs(t)))
 
 
 def _max_step(d, dXt):
@@ -972,29 +962,33 @@ def _iterate(comp: Compiled, cfg) -> dict:
             if kkt is None:
                 stop = "kkt-factor"
                 break
-            VRV = [s.V @ Rk @ s.V for s, Rk in zip(sc, Rp)]
+            # the predictor's right-hand side, which every target adds to
+            rhs_a = [-Zk - s.V @ Rk @ s.V for s, Zk, Rk in zip(sc, Z, Rp)]
+            D = [s.d[..., :, None] * np.eye(st.n) for st, s in zip(stacks, sc)]
 
-            def direction(G, tau):
-                """Newton direction for the right-hand-side stacks G on the
-                current factorization, its scaled pairs and the damped step
-                lengths.  dZ is rebuilt from G: G already folds in -V Rp V,
-                so only the linear part of dS may be scaled back out; using
-                dS itself would double-count Rp and leak sum_j F*(V Rp V)
-                into the dual residual every step."""
-                g = -rd + sum(gather_block(st, Gk) for st, Gk in zip(stacks, G))
+            def direction(T, tau):
+                """Newton direction toward the scaled targets T (None: the
+                predictor's zero target) on the current factor: dy, dS, the
+                scaled pair (dS̃, dZ̃) and the damped step lengths."""
+                if T is None:
+                    rhs, E = rhs_a, [-Dk for Dk in D]
+                else:
+                    W = [_lyapunov(s.d, Tk) for s, Tk in zip(sc, T)]
+                    rhs = [dagger(s.Gi) @ Wk @ s.Gi + Hk for s, Wk, Hk in zip(sc, W, rhs_a)]
+                    E = [Wk - Dk for Wk, Dk in zip(W, D)]  # dZ̃ = E − dS̃
+                g = -rd + sum(gather_block(st, Hk) for st, Hk in zip(stacks, rhs))
                 dy = eq.extend(kkt(eq.restrict(g)))
                 dS = [Rk + apply_block(st, dy) for st, Rk in zip(stacks, Rp)]
-                dZ = [hermitize(Gk - s.V @ (dSk - Rk) @ s.V) for s, Gk, dSk, Rk in zip(sc, G, dS, Rp)]
-                scaled = [_scale(s, dSk, dZk) for s, dSk, dZk in zip(sc, dS, dZ)]
-                ap = min(1.0, tau * min(_max_step(s.d, t[0]) for s, t in zip(sc, scaled)))
-                ad = min(1.0, tau * min(_max_step(s.d, t[1]) for s, t in zip(sc, scaled)))
-                return dy, dS, dZ, scaled, ap, ad
+                dSt = [s.Gi @ dSk @ dagger(s.Gi) for s, dSk in zip(sc, dS)]
+                dZt = [Ek - dStk for Ek, dStk in zip(E, dSt)]
+                ap = min(1.0, tau * min(_max_step(s.d, X) for s, X in zip(sc, dSt)))
+                ad = min(1.0, tau * min(_max_step(s.d, X) for s, X in zip(sc, dZt)))
+                return dy, dS, dSt, dZt, ap, ad
 
             # predictor: pure Newton step toward feasibility and zero product
-            Ga = [-Zk - VRVk for Zk, VRVk in zip(Z, VRV)]
-            _, dS_a, dZ_a, scaled_a, ap_a, ad_a = direction(Ga, 1.0)
+            _, _, dSt_a, dZt_a, ap_a, ad_a = direction(None, 1.0)
             mu_aff = sum(
-                float(_inners(Zk + ad_a * dZk, Sk + ap_a * dSk).sum()) for Zk, dZk, Sk, dSk in zip(Z, dZ_a, S, dS_a)
+                float(_inners(Dk + ad_a * dZk, Dk + ap_a * dSk).sum()) for Dk, dZk, dSk in zip(D, dZt_a, dSt_a)
             ) / Ntot
             mu_aff = max(mu_aff, 0.0)
             sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.1
@@ -1005,12 +999,12 @@ def _iterate(comp: Compiled, cfg) -> dict:
                 sigma = min(0.99, max(sigma, mu_needed / mu))
 
             # corrector: recenter and absorb the second-order product term
-            Gc = [
-                _pull_back(s, (sigma * mu) * np.eye(st.n)) - Zk - VRVk - _second_order_term(s, *sa)
-                for st, s, Zk, VRVk, sa in zip(stacks, sc, Z, VRV, scaled_a)
+            Tc = [
+                (sigma * mu) * np.eye(st.n) - _second_order_term(dSk, dZk)
+                for st, dSk, dZk in zip(stacks, dSt_a, dZt_a)
             ]
             tau = 0.98  # share of the way to the cone boundary a corrector step takes
-            dy, dS, dZ, scaled, ap, ad = direction(Gc, tau)
+            dy, dS, dSt, dZt, ap, ad = direction(Tc, tau)
 
             # extra centrality correctors: when the step is short, herd the
             # outlier complementarity products back toward sigma*mu and
@@ -1021,15 +1015,17 @@ def _iterate(comp: Compiled, cfg) -> dict:
                     break
                 smu = sigma * mu
                 targets = [
-                    _gondzio_target(s, *t, min(1.0, ap + 0.3), min(1.0, ad + 0.3), smu) for s, t in zip(sc, scaled)
+                    _gondzio_target(Dk, dSk, dZk, min(1.0, ap + 0.3), min(1.0, ad + 0.3), smu)
+                    for Dk, dSk, dZk in zip(D, dSt, dZt)
                 ]
                 if max(out for _, out in targets) <= 1e-16 * max(smu, 1e-300):
                     break
-                Gg = [Gk + Tk for Gk, (Tk, _) in zip(Gc, targets)]
-                dy2, dS2, dZ2, scaled2, ap2, ad2 = direction(Gg, tau)
+                Tg = [Tk + Hk for Tk, (Hk, _) in zip(Tc, targets)]
+                dy2, dS2, dSt2, dZt2, ap2, ad2 = direction(Tg, tau)
                 if min(ap2, ad2) < min(ap, ad) + 0.02:
                     break
-                dy, dS, dZ, scaled, ap, ad, Gc = dy2, dS2, dZ2, scaled2, ap2, ad2, Gg
+                dy, dS, dSt, dZt, ap, ad, Tc = dy2, dS2, dSt2, dZt2, ap2, ad2, Tg
+            dZ = [hermitize(dagger(s.Gi) @ dZk @ s.Gi) for s, dZk in zip(sc, dZt)]
         except NumericError:
             stop = "numeric-error"
             break

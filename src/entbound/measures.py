@@ -320,7 +320,9 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
     )
     sol = _solved(problem, config, "det_distill_one_copy")
     # mu* is at most 1 (R = I attains it) and at least 1/n (trace bound on
-    # the operator norm of R^PT given R >= P).
+    # the operator norm of R^PT given R >= P).  The floor sits at half that
+    # proven bound, so it only guards the log and never moves a value the
+    # solver certifies.
     return _result(sol, sol.assignments["R"], lambda mu: -math.log2(min(1.0, max(0.5 / n, mu))))
 
 

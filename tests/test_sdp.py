@@ -1391,28 +1391,29 @@ def test_nt_scaling_diagonalizes_the_scaled_point(n, real):
     sc = ipm._nt_scaling(S, Z)
     scale = max(np.max(np.abs(S)), np.max(np.abs(Z)))
     D = np.diag(sc.d)
+    Gih = sc.Gi.conj().T
     assert np.all(sc.d > 0)
-    assert np.max(np.abs(sc.Gi @ S @ sc.Gi.conj().T - D)) <= 1e-12 * scale
-    assert np.max(np.abs(sc.G.conj().T @ Z @ sc.G - D)) <= 1e-12 * scale
-    assert np.max(np.abs(sc.Gi @ sc.G - np.eye(n))) <= 1e-12
+    assert np.max(np.abs(sc.Gi @ S @ Gih - D)) <= 1e-12 * scale
+    assert np.max(np.abs(Gih @ D @ sc.Gi - Z)) <= 1e-12 * scale
     assert np.max(np.abs(sc.V @ S @ sc.V - Z)) <= 1e-12 * scale
 
-    # _pull_back returns Giᴴ W Gi for the W with (W D + D W)/2 = T, so
-    # Gᴴ (.) G takes it back to W
+    # _lyapunov returns the W with (W D + D W)/2 = T
     a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     T = a + a.conj().T
-    W = sc.G.conj().T @ ipm._pull_back(sc, T) @ sc.G
+    W = ipm._lyapunov(sc.d, T)
     assert np.max(np.abs((W @ D + D @ W) / 2 - T)) <= 1e-12 * np.max(np.abs(T))
 
     Sinv = np.linalg.inv(S)
-    assert np.max(np.abs(ipm._pull_back(sc, 2.5 * np.eye(n)) - 2.5 * Sinv)) <= 1e-10 * np.max(np.abs(Sinv))
+    got = Gih @ ipm._lyapunov(sc.d, 2.5 * np.eye(n)) @ sc.Gi
+    assert np.max(np.abs(got - 2.5 * Sinv)) <= 1e-10 * np.max(np.abs(Sinv))
 
 
 @pytest.mark.parametrize("n", [1, 3, 6])
 @pytest.mark.parametrize("real", [True, False])
 def test_max_step_of_the_scaled_direction_is_the_largest_feasible_step(n, real):
-    # S + t dS >= 0 exactly when diag(d) + t Gi dS Giᴴ >= 0, and likewise for
-    # Z with Gᴴ dZ G; the largest t is 1 / -λmin of the pencil (dS, S)
+    # S + t dS >= 0 exactly when diag(d) + t Gi dS Giᴴ >= 0, and Z + t dZ >= 0
+    # exactly when diag(d) + t dZ̃ >= 0 for dZ = Giᴴ dZ̃ Gi; the largest t is
+    # 1 / -λmin of the pencil (dX, X)
     rng = np.random.default_rng(10 * n + real)
 
     def herm():
@@ -1426,9 +1427,11 @@ def test_max_step_of_the_scaled_direction_is_the_largest_feasible_step(n, real):
         return a @ a + 0.1 * np.eye(n)
 
     for _ in range(5):
-        S, Z, dS, dZ = pd(), pd(), herm(), herm()
+        S, Z, dS, T = pd(), pd(), herm(), herm()
         sc = ipm._nt_scaling(S, Z)
-        dSt, dZt = ipm._scale(sc, dS, dZ)
+        dSt = sc.Gi @ dS @ sc.Gi.conj().T
+        dZt = ipm._lyapunov(sc.d, T) - np.diag(sc.d) - dSt
+        dZ = sc.Gi.conj().T @ dZt @ sc.Gi
         for X, dX, dXt in ((S, dS, dSt), (Z, dZ, dZt)):
             lmin = sla.eigvalsh(-dX, X)[-1]
             want = 1.0 / lmin if lmin > 0 else np.inf
@@ -1438,8 +1441,12 @@ def test_max_step_of_the_scaled_direction_is_the_largest_feasible_step(n, real):
             else:
                 assert abs(got - want) <= 1e-10 * want
         # a direction inside the cone never leaves it
-        for dPt in ipm._scale(sc, dS @ dS, dZ @ dZ):
+        for dPt in (sc.Gi @ (dS @ dS) @ sc.Gi.conj().T, dZt @ dZt):
             assert np.isinf(ipm._max_step(sc.d, dPt))
+
+
+def _diagonal_stack(d):
+    return d[..., :, None] * np.eye(d.shape[-1])
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -1449,26 +1456,68 @@ def test_stacked_numerics_agree_with_each_slice(real):
     rng = np.random.default_rng(31 + real)
     nb, n = 3, 4
     S, Z = _hermitian_stack(rng, nb, n, real, psd=True), _hermitian_stack(rng, nb, n, real, psd=True)
-    dS, dZ, T = (_hermitian_stack(rng, nb, n, real) for _ in range(3))
+    dS, dZt, T = (_hermitian_stack(rng, nb, n, real) for _ in range(3))
     sc = ipm._nt_scaling(S, Z)
-    dSt, dZt = ipm._scale(sc, dS, dZ)
-    target, worst = ipm._gondzio_target(sc, dSt, dZt, 0.5, 0.5, 1.0)
+    dSt = sc.Gi @ dS @ np.swapaxes(sc.Gi.conj(), -1, -2)
+    target, worst = ipm._gondzio_target(_diagonal_stack(sc.d), dSt, dZt, 0.5, 0.5, 1.0)
     slices = [ipm._nt_scaling(S[k], Z[k]) for k in range(nb)]
 
     def close(a, b):
         return np.max(np.abs(a - b)) <= 1e-13 * max(1.0, np.max(np.abs(b)))
 
+    def gondzio(k, sk):
+        dSk = sk.Gi @ dS[k] @ sk.Gi.conj().T
+        return dSk, ipm._gondzio_target(np.diag(sk.d), dSk, dZt[k], 0.5, 0.5, 1.0)
+
     for k, sk in enumerate(slices):
-        assert all(close(getattr(sc, f)[k], getattr(sk, f)) for f in ("V", "G", "Gi", "d"))
-        dSk, dZk = ipm._scale(sk, dS[k], dZ[k])
-        assert close(dSt[k], dSk) and close(dZt[k], dZk)
-        assert close(ipm._pull_back(sc, T)[k], ipm._pull_back(sk, T[k]))
-        assert close(target[k], ipm._gondzio_target(sk, dSk, dZk, 0.5, 0.5, 1.0)[0])
-    assert worst == max(ipm._gondzio_target(sk, *ipm._scale(sk, dS[k], dZ[k]), 0.5, 0.5, 1.0)[1] for k, sk in enumerate(slices))
+        assert all(close(getattr(sc, f)[k], getattr(sk, f)) for f in ("V", "Gi", "d"))
+        dSk, (target_k, _) = gondzio(k, sk)
+        assert close(dSt[k], dSk)
+        assert close(ipm._lyapunov(sc.d, T)[k], ipm._lyapunov(sk.d, T[k]))
+        assert close(ipm._second_order_term(dSt, dZt)[k], ipm._second_order_term(dSk, dZt[k]))
+        assert close(target[k], target_k)
+    assert worst == max(gondzio(k, sk)[1][1] for k, sk in enumerate(slices))
     # the step length of a stack is the shortest of its slices'
     for dXt in (dSt, dZt):
         want = min(ipm._max_step(sk.d, dXt[k]) for k, sk in enumerate(slices))
         assert abs(ipm._max_step(sc.d, dXt) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_scaled_dual_direction_matches_the_original_space_formula(real):
+    # The loop takes dZ̃ = W(T) − D − dS̃ and dZ = herm(Giᴴ dZ̃ Gi).  In exact
+    # arithmetic that is the original-space dZ = herm(G − V (dS − Rp) V) of
+    # the right-hand side G = Giᴴ W(T) Gi − Z − V Rp V, and dZ̃ = Gᴴ dZ G with
+    # G = Gi⁻¹, for every dS = Rp + F(dy), a Mehrotra product whose skew the
+    # original-space formula drops included.
+    rng = np.random.default_rng(71 + real)
+    nb, n = 3, 4
+    S, Z = _hermitian_stack(rng, nb, n, real, psd=True), _hermitian_stack(rng, nb, n, real, psd=True)
+    Rp, F, dSa, dZa = (_hermitian_stack(rng, nb, n, real) for _ in range(4))
+    sc = ipm._nt_scaling(S, Z)
+    G = np.linalg.inv(sc.Gi)
+
+    def h(X):
+        return np.swapaxes(X.conj(), -1, -2)
+
+    dS = Rp + F
+    eye = np.eye(n)
+    for T_parent, T in (
+        (0.0 * eye, None),
+        (0.7 * eye, 0.7 * eye),
+        (0.7 * eye - dSa @ dZa, 0.7 * eye - ipm._second_order_term(dSa, dZa)),
+    ):
+        rhs = h(sc.Gi) @ ipm._lyapunov(sc.d, T_parent) @ sc.Gi - Z - sc.V @ Rp @ sc.V
+        dZ_parent = hermitize(rhs - sc.V @ (dS - Rp) @ sc.V)
+        dZt_parent = h(G) @ dZ_parent @ G
+
+        W = 0.0 if T is None else ipm._lyapunov(sc.d, T)
+        dSt = sc.Gi @ dS @ h(sc.Gi)
+        dZt = W - _diagonal_stack(sc.d) - dSt
+        dZ = hermitize(h(sc.Gi) @ dZt @ sc.Gi)
+        for got, want in ((G @ dSt @ h(G), dS), (dZt, dZt_parent), (dZ, dZ_parent)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(dZt - h(dZt))) <= 1e-12 * np.max(np.abs(dZt))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -1658,7 +1707,7 @@ def _scaled_box(c):
 @settings(derandomize=True, deadline=None, max_examples=100)
 @given(_scaled_programs())
 # each example below overflows, or forms 0/0 or inf - inf, in a different
-# place: the Schur kernel, a Gondzio target, the pull-back and gather of a
+# place: the Schur kernel, a Gondzio target, the right-hand side and gather of a
 # diverging dual, the sigma cube, the equalities' start A⁺b and the
 # assignments of the returned iterate
 @example(_scaled_box(1e300))
