@@ -28,10 +28,6 @@ class NumericError(EntboundError):
 class SolverError(EntboundError):
     """The SDP engine returned a non-optimal status."""
 
-    def __init__(self, message: str, status: str = "numeric-failure"):
-        super().__init__(message)
-        self.status = status
-
 
 class ConsistencyError(EntboundError):
     """Two independently computed routes disagree beyond tolerance."""

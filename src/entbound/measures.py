@@ -56,7 +56,7 @@ def _solved(problem: SdpProblem, config: SolverConfig | None, what: str):
         if sol.trace:
             row = sol.trace[-1]
             msg += "; last iterate {iteration}: relgap {relgap:.3e}, pinf {pinf:.3e}, dinf {dinf:.3e}".format(**row)
-        raise SolverError(msg, status=sol.status)
+        raise SolverError(msg)
     return sol
 
 

@@ -233,6 +233,14 @@ class SolverConfig:
         if not (is_integer(self.max_iterations) and self.max_iterations >= 1):
             raise InvalidStateError(f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
 
+    @property
+    def dual_stop(self) -> float:
+        """The solver's stop tolerance on the relative dual residual.  The
+        primal side and the gap carry the reported guarantees and are held to
+        feas_tol and gap_tol; the dual residual, a diagnostic that bottoms out
+        near sqrt(eps) on degenerate instances, gets a floor of 10x gap_tol."""
+        return max(self.feas_tol, 10.0 * self.gap_tol)
+
 
 @dataclass
 class SdpSolution:
@@ -255,8 +263,9 @@ class SdpSolution:
     # non-finite), the last for the iterate returned, so there are
     # `iterations` of them: iteration, mu, objectives, relgap, pinf, dinf,
     # residual_slack, and the alpha_p, alpha_d, sigma and kkt_jitter (the
-    # jitter rung of the Newton matrix's factor, relative to its largest
-    # diagonal entry) of the step that led to it, NaN on the first row
+    # jitter of the Newton matrix's factor, relative to its largest diagonal
+    # entry: 0, or 1e-14 when the plain factor failed) of the step that led
+    # to it, NaN on the first row
     trace: tuple = ()
 
 
@@ -373,10 +382,10 @@ def check_certificate(
     for i, r in enumerate(eq_res):
         if r > cfg.feas_tol:
             failures.append(f"equality[{i}]: residual {r:.3e} > {cfg.feas_tol:.0e}")
-    # the solver's own dual stop rule: max(feas_tol, 10 gap_tol) times 1 + the
-    # largest objective coordinate, at most sqrt(2) times cmax below
+    # the solver's own dual stop rule: dual_stop times 1 + the largest
+    # objective coordinate, at most sqrt(2) times cmax below
     cmax = sum(float(np.max(np.abs(C))) for _, C in problem.objective)
-    dual_tol = max(cfg.feas_tol, 10.0 * cfg.gap_tol) * (1.0 + np.sqrt(2.0) * cmax)
+    dual_tol = cfg.dual_stop * (1.0 + np.sqrt(2.0) * cmax)
     if not dual_feas <= dual_tol:
         failures.append(f"dual residual {dual_feas:.3e} > {dual_tol:.1e}")
     if dual_psd_min < -cfg.feas_tol:

@@ -20,13 +20,17 @@ its source tree on the path.
 Per measure and gap it prints the largest move against the parent (the
 larger of the primal and dual value moves) for the change and for each
 reversal, the calls moved by more than 1e-9, each run's largest distance to
-the parent's gap-1e-10 values, and failures; per gap, total iterations; and
-every call whose status or stop rule differs from the parent's.
+the parent's gap-1e-10 values, and failures; per gap, total iterations; per
+run, the calls identical to the parent's in primal, dual, iterations and
+stop rule, and the KKT jitter rungs its factors used (the `kkt_jitter` of
+every solve's trace rows); and every call whose status or stop rule differs
+from the parent's.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import os
 import re
@@ -84,10 +88,22 @@ def _reversed(eb, np, rho, reversal):
 
 
 def _worker(reversal):
-    """Solve every call of the set in this process; print one JSON object."""
+    """Solve every call of the set in this process; print one JSON object:
+    the calls' records and the count of factors per KKT jitter rung."""
     import numpy as np
 
     import entbound as eb
+    from entbound import measures
+
+    rungs = collections.Counter()
+    solve = measures.solve
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        rungs.update(f"{row['kkt_jitter']:g}" for row in sol.trace[1:])  # the first row follows no step
+        return sol
+
+    measures.solve = counted
 
     calls = {
         "e_w": eb.e_w,
@@ -110,7 +126,7 @@ def _worker(reversal):
                     stop = re.search(r"stop rule ([\w-]+)", str(exc))
                     rec = {"error": type(exc).__name__, "stop": stop.group(1) if stop else type(exc).__name__}
                 out[f"{name}|{measure}|{gap:g}"] = rec
-    print(json.dumps(out))
+    print(json.dumps({"calls": out, "rungs": rungs}))
 
 
 def _run(src, reversal):
@@ -120,6 +136,20 @@ def _run(src, reversal):
         [sys.executable, __file__, "--worker", reversal], env=env, stdout=subprocess.PIPE, text=True, check=True
     )
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _report_runs(runs, rungs):
+    """Per run, the calls identical to the parent's and the jitter rungs."""
+    parent = runs["parent"]
+    names = ["change", *REVERSALS]
+    same = {name: sum(runs[name][k] == parent[k] for k in parent) for name in names}
+    print(
+        "calls identical to the parent's in primal, dual, iterations and stop rule: "
+        + ", ".join(f"{name} {same[name]} of {len(parent)}" for name in names)
+    )
+    for name in ["parent", *names]:
+        counts = sorted(rungs[name].items(), key=lambda kv: float(kv[0]))
+        print(f"KKT jitter rungs, {name}: " + (", ".join(f"{r}: {n}" for r, n in counts) or "none"))
 
 
 def _solved(rec):
@@ -221,8 +251,10 @@ def main():
     plan.update({r: (args.parent, r) for r in REVERSALS})
     with ThreadPoolExecutor(JOBS) as pool:
         futures = {name: pool.submit(_run, src.resolve(), rev) for name, (src, rev) in plan.items()}
-        runs = {name: f.result() for name, f in futures.items()}
+        results = {name: f.result() for name, f in futures.items()}
+    runs = {name: res["calls"] for name, res in results.items()}
     _report(runs)
+    _report_runs(runs, {name: res["rungs"] for name, res in results.items()})
 
 
 if __name__ == "__main__":
