@@ -22,6 +22,7 @@ from .errors import (
     CapacityError,
     ConsistencyError,
     DomainError,
+    EntboundError,
     InvalidDimsError,
     InvalidStateError,
     NumericError,
@@ -243,6 +244,28 @@ def _eval_measure(state: BipartiteState, kind: str, k, config) -> MeasureResult:
     )
 
 
+# the sweep measures whose grid is solved in lockstep (measures.evaluate_many)
+_GRID_MEASURES = {"ew": "e_w", "e0": "det_distill_one_copy", "fgamma": "fidelity_ppt"}
+# A sweep solves this many rows at a time, so that what it holds (states,
+# problems, results) stays bounded however many steps it takes
+_SWEEP_ROWS = 32
+
+
+def _sweep_column(states_: list, kind: str, k, config) -> list:
+    """One measure over a sweep's states: per state its MeasureResult or
+    the package error it raised."""
+    if kind in _GRID_MEASURES:
+        kw = {"k": k} if kind == "fgamma" else {}
+        return measures.evaluate_many(getattr(measures, _GRID_MEASURES[kind]), states_, config, **kw)
+    out = []
+    for state in states_:
+        try:
+            out.append(_eval_measure(state, kind, k, config))
+        except EntboundError as exc:
+            out.append(exc)
+    return out
+
+
 def _fmt(x: float) -> str:
     val = float(x)
     if val == 0.0:
@@ -302,17 +325,21 @@ def _cmd_sweep(args, config) -> int:
     except (MemoryError, ValueError, IndexError) as exc:  # past memory, or past numpy's index range
         raise CliError(2, "usage", f"--steps {args.steps} makes a grid numpy cannot allocate: {exc}")
     lines = ["param," + ",".join(tok for tok, _, _ in tokens)]
-    for param in grid:
-        param = float(param)
-        state = family(param)
-        cells = [_fmt(param)]
-        for tok, kind, k in tokens:
-            try:
-                res = _eval_measure(state, kind, k, config)
-            except (SolverError, NumericError, ConsistencyError) as exc:
-                raise CliError(4, "solver-failure", f"sweep aborted at param {_fmt(param)} ({tok}): {exc}")
-            cells.append(_fmt(res.value_log2))
-        lines.append(",".join(cells))
+    for start in range(0, len(grid), _SWEEP_ROWS):
+        params = [float(param) for param in grid[start : start + _SWEEP_ROWS]]
+        states_ = [family(param) for param in params]
+        columns = [_sweep_column(states_, kind, k, config) for _, kind, k in tokens]
+        for row, param in enumerate(params):
+            cells = [_fmt(param)]
+            # the first failure in row order, as a sweep computed cell by cell meets it
+            for (tok, _, _), column in zip(tokens, columns):
+                res = column[row]
+                if isinstance(res, (SolverError, NumericError, ConsistencyError)):
+                    raise CliError(4, "solver-failure", f"sweep aborted at param {_fmt(param)} ({tok}): {res}")
+                if isinstance(res, EntboundError):
+                    raise res
+                cells.append(_fmt(res.value_log2))
+            lines.append(",".join(cells))
     out = pathlib.Path(args.out)
     try:
         with open(out, "w", newline="") as fh:

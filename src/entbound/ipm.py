@@ -86,6 +86,26 @@ m².  The iterates are the same up to rounding: each class block keeps its
 constraint's constant norm for the starting point and the primal
 residual, which takes each constraint's Frobenius norm over all its
 blocks, and the dual blocks are put back together as n×n matrices.
+
+One loop solves K compiled programs of one layout in lockstep (run_batch;
+run is the case K = 1).  A layout (layout()) is everything compiled that
+is not data: m, each stack's blocks, entry pairs and Schur groups, the
+trace terms' blocks, slices and coefficients, and A's shape.  The
+constants, c, A and b, the trace terms' p and gains, the sense and the
+constant are each program's own.  Each stack of the batch holds the K
+programs' blocks program-major and y is (K, m), so the image and adjoint
+(bincounts with program offsets), the NT scaling, the Schur kernel, the
+corrector and Gondzio products and the step lengths' eigvalsh run once
+over the batch.  Each program's KKT factor, its jitter rung and solves,
+its scalars, stop rules and trace rows stay its own, and every sum over a
+program's blocks or coordinates is taken as its solve alone takes it
+(stacked (1 x m) @ (m x 1) products for its dot products), so each
+program ends bit for bit as it does alone.  A program that stops leaves
+the batch with its snapshot.  A stacked cholesky, svd, eigh or eigvalsh
+raises for the whole batch when one block fails, so a NumericError in a
+batch of several sends every program still going on alone from that
+iteration's iterate; only the failing one then stops numeric-error, with
+the error's message as its stop detail.
 """
 
 from __future__ import annotations
@@ -94,6 +114,7 @@ import contextlib
 import ctypes
 import functools
 import importlib
+import math
 import threading
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -167,13 +188,18 @@ class BlockStack:
     pairs adds w_e y[coord_e] at stack position flat_e = (b, i, j) and its
     conjugate at flat_t_e = (b, j, i), with w = coeff * u.  A trace term
     keeps all its constraint's blocks here as (blocks, slice, coeff, p,
-    gains), its gain cut to each block's rows."""
+    gains), its gain cut to each block's rows.
+
+    The stack of K programs of one layout (_batch) holds their K nb blocks
+    program-major, with y their (K, m) coordinates flattened: flat, flat_t
+    and coord carry each program's offsets, and a trace term's p and gains
+    one row per program.  compile_problem's stacks are those of K = 1."""
 
     n: int
-    m: int
-    pos: np.ndarray  # the blocks' constraints, indices into SdpProblem.blocks()
+    m: int  # one program's coordinates
+    pos: np.ndarray  # one program's blocks' constraints, indices into SdpProblem.blocks()
     rows: np.ndarray  # (nb, n)
-    const: np.ndarray  # (nb, n, n), in the loop's dtype
+    const: np.ndarray  # (K nb, n, n), in the loop's dtype
     flat: np.ndarray
     flat_t: np.ndarray
     w: np.ndarray
@@ -309,7 +335,9 @@ def _stack(blocks, m, real_mode) -> BlockStack:
     for p in dict.fromkeys(pos.tolist()):
         bs = np.flatnonzero(pos == p)
         r = rows[bs]
-        tterms += [(bs, sl, coeff, pv, K[r[:, :, None], r[:, None, :]]) for sl, coeff, pv, K in blocks[bs[0]].tterms]
+        tterms += [
+            (bs, sl, coeff, pv[None], K[r[:, :, None], r[:, None, :]][None]) for sl, coeff, pv, K in blocks[bs[0]].tterms
+        ]
 
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, int)
@@ -435,15 +463,20 @@ def compile_problem(problem: SdpProblem) -> Compiled:
 
 def apply_block(st: BlockStack, y: np.ndarray) -> np.ndarray:
     """Structural + trace-term image F_j(y) of every block of a stack, without
-    the constants: one scatter of the flattened entry pairs."""
-    v = st.w * y[st.coord]
+    the constants: one scatter of the flattened entry pairs.  For the stack
+    of K programs, y holds their K m coordinates, in any shape."""
+    v = st.w * y.reshape(-1)[st.coord]
     half = np.bincount(st.flat, v.real, st.const.size)
-    if np.iscomplexobj(v):
+    if v.dtype.kind == "c":
         half = half + 1j * np.bincount(st.flat, v.imag, st.const.size)
     half = half.reshape(st.const.shape)
     mat = (half + dagger(half)).astype(st.const.dtype, copy=False)
-    for b, sl, coeff, pv, K in st.tterms:
-        mat[b] += (coeff * float(pv @ y[sl])) * K
+    ys, mats = y.reshape(-1, 1, st.m), mat.reshape(-1, st.pos.size, st.n, st.n)
+    for b, sl, coeff, P, K in st.tterms:
+        if len(P) == 1:  # one program: its scale in Python floats, the cheaper form
+            mat[b] += (coeff * float(P[0] @ ys[0, 0, sl])) * K[0]
+        else:  # (1 x l) @ (l x 1) per program: the dot product of one program's solve
+            mats[:, b] += (coeff * (ys[..., sl] @ P[..., None]))[..., None] * K
     return mat
 
 
@@ -451,16 +484,24 @@ def _gather_lterms(st: BlockStack, X: np.ndarray) -> np.ndarray:
     """The entry-pair part of gather_block: one gather of the flattened
     entry pairs."""
     Xf = X.reshape(-1)
-    out = np.bincount(st.coord, np.real(st.w * Xf[st.flat_t] + np.conj(st.w) * Xf[st.flat]), st.m)
+    size = st.const.shape[0] // st.pos.size * st.m
+    # w.conj(), not np.conj(w): a real w is then not copied
+    out = np.bincount(st.coord, (st.w * Xf[st.flat_t] + st.w.conj() * Xf[st.flat]).real, size)
     return out.astype(float, copy=False)  # bincount of no entries is integer
 
 
 def gather_block(st: BlockStack, X: np.ndarray) -> np.ndarray:
     """Adjoint of apply_block: the vector of sum_j <F_ja, X_j> over all
-    coordinates for a stack X of the blocks' matrices."""
+    coordinates for a stack X of the blocks' matrices; K m of them, program
+    after program, for the stack of K programs."""
     out = _gather_lterms(st, X)
-    for b, sl, coeff, pv, K in st.tterms:
-        out[sl] += (coeff * float(np.real(np.trace(K @ X[b], axis1=-2, axis2=-1)).sum())) * pv
+    outs, Xs = out.reshape(-1, st.m), X.reshape(-1, st.pos.size, st.n, st.n)
+    for b, sl, coeff, P, K in st.tterms:
+        if len(P) == 1:  # one program, as in apply_block
+            out[sl] += (coeff * float(np.real(np.trace(K[0] @ Xs[0, b], axis1=-2, axis2=-1)).sum())) * P[0]
+        else:
+            tr = (K @ Xs[:, b]).trace(axis1=-2, axis2=-1).real.sum(axis=1)
+            outs[:, sl] += (coeff * tr)[:, None] * P
     return out
 
 
@@ -514,7 +555,7 @@ def _nt_scaling(S, Z) -> _Scaling:
         U, d, _ = np.linalg.svd(dagger(LZ) @ LS)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"NT scaling failed: {exc}") from exc
-    if not np.all(d[..., -1] > 0.0):
+    if not (d[..., -1] > 0.0).all():
         raise NumericError("iterate lost positive definiteness")
     Gi = (1.0 / np.sqrt(d))[..., :, None] * (dagger(U) @ dagger(LZ))
     return _Scaling(hermitize(dagger(Gi) @ Gi), Gi, d)
@@ -537,7 +578,8 @@ def _gondzio_target(D, dSt, dZt, ap, ad, smu):
     """Scaled-space correction herding the tentative complementarity
     eigenvalues, those of (D + ap dSt)(D + ad dZt) with D the diagonal
     scaled point, into [0.1 smu, 10 smu]: the extra target, zero when no
-    eigenvalue lies outside."""
+    eigenvalue lies outside.  ap and ad are scalars or one per block, as
+    (nb, 1, 1), and smu a scalar or one per block, as (nb, 1)."""
     P = hermitize((D + ap * dSt) @ (D + ad * dZt))
     pe, Pu = _eigh(P)
     lo, hi = 0.1 * smu, 10.0 * smu
@@ -547,34 +589,52 @@ def _gondzio_target(D, dSt, dZt, ap, ad, smu):
 
 def _max_step(d, dXt):
     """Largest t with diag(d) + t dXt >= 0 in every block of a stack, the
-    step length of a scaled direction; inf when dXt >= 0."""
-    if not np.all(np.isfinite(dXt)):
+    step length of a scaled direction; inf when dXt >= 0.  On the (K, nb,
+    n, n) stack of K programs' blocks, with d (K, nb, n), the list of their
+    K steps: one eigvalsh over all the blocks, then the least over each
+    program's."""
+    if not np.isfinite(dXt).all():
         raise NumericError("step length computation failed: non-finite direction")
     r = 1.0 / np.sqrt(d)
     try:
-        lmin = float(np.min(np.linalg.eigvalsh(r[..., :, None] * dXt * r[..., None, :])[..., 0]))
+        lmin = np.linalg.eigvalsh(r[..., :, None] * dXt * r[..., None, :])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"step length computation failed: {exc}") from exc
+    if lmin.ndim == 2:
+        return [np.inf if x >= -1e-16 else 1.0 / -x for x in lmin.min(axis=-1).tolist()]
+    lmin = float(lmin.min())
     if lmin >= -1e-16:
         return np.inf
     return 1.0 / (-lmin)
 
 
-def _assemble_M(comp: Compiled, Vs):
+def _assemble_M(comp, Vs):
     """M[a, b] = sum_j Re tr(F_ja V_j F_jb V_j) from one stack of NT
-    matrices V per block size.  A trace term c tr(P X) K adds
-    c p ⊗ gather_block(V K V) to its rows: V K V is zero off its
-    constraint's blocks, so the gather's trace part is the term's products
-    with every trace term of its constraint, itself included.  Its columns
-    take c (the entry pairs' part of that gather) ⊗ p."""
-    M = np.zeros((comp.m, comp.m))
+    matrices V per block size, for comp's stacks (a Compiled, or the
+    _Batch of K programs, whose K Newton matrices come stacked as K m
+    rows).  A trace term c tr(P X) K adds c p ⊗ gather_block(V K V) to its
+    rows: V K V is zero off its constraint's blocks, so the gather's trace
+    part is the term's products with every trace term of its constraint,
+    itself included.  Its columns take c (the entry pairs' part of that
+    gather) ⊗ p."""
+    m = comp.m
+    K = Vs[0].shape[0] // comp.stacks[0].pos.size
+    M = np.zeros((K * m, m))
+    Ms = M.reshape(K, m, m)
     for st, V in zip(comp.stacks, Vs):
         kernels.schur_stack(M, V, st.groups)
-        for b, sl, coeff, pv, K in st.tterms:
-            VKV = np.zeros_like(V)
-            VKV[b] = V[b] @ K @ V[b]
-            M[sl] += coeff * np.outer(pv, gather_block(st, VKV))
-            M[:, sl] += coeff * np.outer(_gather_lterms(st, VKV), pv)
+        Vb = V.reshape(K, -1, st.n, st.n)
+        for b, sl, coeff, P, Kg in st.tterms:
+            if K == 1:  # one program, as in apply_block
+                VKV = np.zeros_like(V)
+                VKV[b] = V[b] @ Kg[0] @ V[b]
+                M[sl] += coeff * np.outer(P[0], gather_block(st, VKV))
+                M[:, sl] += coeff * np.outer(_gather_lterms(st, VKV), P[0])
+                continue
+            VKV = np.zeros_like(Vb)
+            VKV[:, b] = Vb[:, b] @ Kg @ Vb[:, b]
+            Ms[:, sl] += coeff * (P[:, :, None] * gather_block(st, VKV).reshape(K, 1, m))
+            Ms[:, :, sl] += coeff * (_gather_lterms(st, VKV).reshape(K, m, 1) * P[:, None, :])
     return M
 
 
@@ -801,223 +861,457 @@ def _one_blas_thread():
 # ---------------------------------------------------------------------------
 # the solver loop
 
+# Programs of one layout run in lockstep at most this many at a time, which
+# bounds the batch's memory: each program keeps a few dozen stacks alive.
+_LOCKSTEP = 32
+
+
+def layout(comp: Compiled) -> tuple:
+    """Everything compiled that is not data, as a key: programs with equal
+    keys run in lockstep (run_batch).  It holds m, the constraints' orders,
+    A's shape and, per stack, its block size, dtype, blocks, entry pairs,
+    Schur groups and trace terms' blocks, slices and coefficients.  The
+    constants, c, A, b, the trace terms' p and gains, the sense and the
+    constant are each program's own."""
+
+    def key(x):
+        if isinstance(x, np.ndarray):
+            return x.dtype.str, x.shape, x.tobytes()
+        if isinstance(x, (tuple, list)):
+            return tuple(key(v) for v in x)
+        if isinstance(x, slice):
+            return x.start, x.stop
+        return x
+
+    stacks = [
+        (st.n, st.const.dtype, st.pos, st.rows, st.flat, st.flat_t, st.coord, st.w, st.groups,
+         [(b, sl, coeff) for b, sl, coeff, _, _ in st.tterms])
+        for st in comp.stacks
+    ]
+    return key((comp.m, comp.dims, comp.A.shape, stacks))
+
+
+def _tiled(a, step, K):
+    """K copies of the index array a along its first axis, copy k offset
+    by k step."""
+    return (a + step * np.arange(K).reshape((K,) + (1,) * a.ndim)).reshape((K * a.shape[0],) + a.shape[1:])
+
+
+def _stacked(parts, K, m) -> BlockStack:
+    """The stack of K programs from their stacks of one block size."""
+    st = parts[0]
+    size = st.const.size
+    groups = tuple(
+        (
+            tuple(_tiled(t, m * m, K) for t in targets),
+            R,
+            [(cc, *(None if a is None else _tiled(a, size, K) for a in xypq)) for cc, *xypq in entries],
+        )
+        for targets, R, entries in st.groups
+    )
+    tterms = tuple(
+        (b, sl, coeff, *(np.concatenate([p.tterms[t][f] for p in parts]) for f in (3, 4)))
+        for t, (b, sl, coeff, _, _) in enumerate(st.tterms)
+    )
+    return BlockStack(
+        n=st.n,
+        m=m,
+        pos=st.pos,
+        rows=st.rows,
+        const=np.concatenate([p.const for p in parts]),
+        flat=_tiled(st.flat, size, K),
+        flat_t=_tiled(st.flat_t, size, K),
+        w=np.tile(st.w, K),
+        coord=_tiled(st.coord, m, K),
+        groups=groups,
+        tterms=tterms,
+    )
+
+
+class _Batch(NamedTuple):
+    """K programs of one layout as the loop reads them: their stacks,
+    program-major, and their objectives c (K, m), constraint norms dnorm
+    (K, constraints) and, per stack, each block's place in dnorm.ravel()."""
+
+    m: int
+    stacks: list
+    c: np.ndarray
+    dnorm: np.ndarray
+    pos: list
+
+
+def _batch(comps) -> _Batch:
+    lead, K = comps[0], len(comps)
+    stacks = lead.stacks if K == 1 else [_stacked(parts, K, lead.m) for parts in zip(*(c.stacks for c in comps))]
+    pos = [(st.pos + lead.dnorm.size * np.arange(K)[:, None]).reshape(-1) for st in lead.stacks]
+    return _Batch(lead.m, stacks, np.array([c.c for c in comps]), np.array([c.dnorm for c in comps]), pos)
+
+
+def _rows(X, keep, nb=1):
+    """The programs keep of a per-program array (nb = 1) or a program-major
+    stack of nb blocks per program."""
+    return X.reshape((-1, nb) + X.shape[1:])[keep].reshape((-1,) + X.shape[1:])
+
+
+def _per_block(values, nbs, ndim=3) -> list:
+    """One value per program, per stack of nb blocks per program: the value
+    itself for one program, else the (K nb, 1, ...) array of ndim axes."""
+    if len(values) == 1:
+        return [values[0]] * len(nbs)
+    a = np.array(values)
+    return [np.repeat(a, nb).reshape((-1,) + (1,) * (ndim - 1)) for nb in nbs]
+
+
+def _per_run(v, K):
+    """The sums of K programs' equal shares of v, each summed as one
+    program's solve sums it, as floats."""
+    return v.reshape(K, -1).sum(axis=1).tolist()
+
+
+def _steps(sc, dXt, K):
+    """Each program's step length over all its stacks (_max_step), on the
+    stacks as (K, nb, ...) for a batch of K > 1."""
+    if K == 1:
+        return [min(_max_step(s.d, X) for s, X in zip(sc, dXt))]
+    steps = [_max_step(s.d.reshape((K, -1) + s.d.shape[1:]), X.reshape((K, -1) + X.shape[1:])) for s, X in zip(sc, dXt)]
+    return [min(per_stack) for per_stack in zip(*steps)]
+
+
+def _pick(take, K, nbs, new, old):
+    """new for the programs take, old for the others of K: (K, m) arrays,
+    or lists of one program-major stack per block size."""
+    if len(take) == K:
+        return new
+    mask = np.zeros(K, bool)
+    mask[take] = True
+
+    def pick(a, b, nb=1):
+        return np.where(np.repeat(mask, nb).reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+
+    return tuple(
+        pick(x, o) if isinstance(x, np.ndarray) else [pick(a, b, nb) for a, b, nb in zip(x, o, nbs)]
+        for x, o in zip(new, old)
+    )
+
 
 def run(comp: Compiled, cfg) -> dict:
-    """Pick the BLAS thread policy once.  The equality row count stands in for
+    """Solve one program: run_batch of one, raising the NumericError its
+    start raised."""
+    (out,) = run_batch([comp], cfg)
+    if isinstance(out, NumericError):
+        raise out
+    return out
+
+
+def run_batch(comps, cfg) -> list:
+    """Solve programs of one layout (layout()) in lockstep, _LOCKSTEP at a
+    time: per program, in order, its result, or the NumericError its start
+    raised.  Each is bit for bit what the program's run returns or raises.
+
+    Pick the BLAS thread policy once.  The equality row count stands in for
     rank(A), whose SVD must run under the policy.  The measures' pinning
     rows are independent, since they pin R per symmetry class; dependent
     rows a model program poses only make the order look smaller."""
-    with contextlib.nullcontext() if comp.m - comp.A.shape[0] >= _THREADED_ORDER else _one_blas_thread():
+    lead, out = comps[0], []
+    with contextlib.nullcontext() if lead.m - lead.A.shape[0] >= _THREADED_ORDER else _one_blas_thread():
         # a badly scaled program overflows to inf or nan, which the checks
         # that name them (_max_step, the KKT solve, non-finite) then meet
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _iterate(comp, cfg)
+            for i in range(0, len(comps), _LOCKSTEP):
+                out += _solve(comps[i : i + _LOCKSTEP], cfg)
+    return out
 
 
 def _inners(X, Y):
     """Re <X_j, Y_j> for every block j of two stacks."""
-    return np.real(np.sum(X.conj() * Y, axis=(-2, -1)))
+    return (X.conj() * Y).sum(axis=(-2, -1)).real
 
 
-def _iterate(comp: Compiled, cfg) -> dict:
-    stacks = comp.stacks
-    Ntot = sum(st.const.shape[0] * st.n for st in stacks)
+class _Run:
+    """One program's solve: its compiled form and equality split, and the
+    record it returns (trace, the iterate returned, the step that led to
+    it), its result once it stops."""
 
-    A = comp.A
-    b = comp.b
+    def __init__(self, comp, eq, y, Z):
+        self.comp, self.eq = comp, eq
+        self.trace = []  # one row per evaluated iterate with finite measures
+        # the iterate returned, the last one that left a trace row or the start:
+        # (iteration, y, the batch's Z and the program's place in it, lam, pobj, dobj)
+        self.snap = (0, y, Z, 0, np.zeros(comp.b.size), float("nan"), float("nan"))
+        self.last_step = dict.fromkeys(("alpha_p", "alpha_d", "sigma", "kkt_jitter"), float("nan"))
+        self.result = None
+        self.cinf = 1.0 + float(np.max(np.abs(comp.c)))
+        self.ynorm0 = 1.0 + float(np.max(np.abs(y), initial=0.0))
+        self.znorm0 = sum(float(Zk.diagonal(0, -2, -1).real.sum()) for Zk in Z) + 1.0
 
-    def user_vals(pobj_lin, dobj_lin):
-        return comp.sense_mult * pobj_lin + comp.constant, comp.sense_mult * dobj_lin + comp.constant
-
-    def result(status, stop, snap):
-        pv, dv = user_vals(snap["pobj"], snap["dobj"])
-        return {
+    def finish(self, status, stop, detail=""):
+        it, y, Z, k, lam, pobj, dobj = self.snap
+        comp = self.comp
+        Zk = [X[k * st.pos.size : (k + 1) * st.pos.size] for st, X in zip(comp.stacks, Z)]
+        self.result = {
             "status": status,
             "stop": stop,
-            "primal_value": pv,
-            "dual_value": dv,
-            "assignments": assignments_from(comp, snap["y"]),
-            "iterations": snap["it"],
-            "dual_blocks": full_blocks(comp, snap["Z"]),
-            "eq_duals": snap["lam"],
-            "trace": trace,
+            "stop_detail": detail,
+            "primal_value": comp.sense_mult * pobj + comp.constant,
+            "dual_value": comp.sense_mult * dobj + comp.constant,
+            "assignments": assignments_from(comp, y),
+            "iterations": it,
+            "dual_blocks": full_blocks(comp, Zk),
+            "eq_duals": lam,
+            "trace": self.trace,
         }
 
-    trace = []  # one row per evaluated iterate with finite measures
-    eq = _split_equalities(A)  # A is fixed for the whole run
-    binf = 1.0 + float(np.max(np.abs(b), initial=0.0))
-    y = eq.pinv(b)
-    if not np.all(np.isfinite(y)):
-        raise NumericError("equality start A⁺b is not finite")
-    # every block starts from its constraint's constant norm
-    S = [np.maximum(1.0, comp.dnorm[st.pos])[:, None, None] * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
-    zscale = max(1.0, float(np.max(np.abs(comp.c))))
-    Z = [np.full(st.pos.shape + (1, 1), zscale) * np.eye(st.n, dtype=st.const.dtype) for st in stacks]
 
-    # the iterate returned: the last one that left a trace row, or the start
-    snap = {"y": y, "lam": np.zeros(b.size), "Z": Z, "pobj": float("nan"), "dobj": float("nan"), "it": 0}
-    if comp.static_infeasible or float(np.max(np.abs(A @ y - b), initial=0.0)) > cfg.feas_tol * binf:
-        return result("infeasible", "static-infeasible", snap)
-    if not stacks:
-        # No cone at all: the problem is a pure linear program over equalities;
-        # out of scope for the measures here, treat as numeric failure.
-        return result("numeric-failure", "no-cone", snap)
+def _solve(comps, cfg) -> list:
+    """Start every program (iteration 0), then iterate those still going
+    in lockstep."""
+    out, starts = [], []
+    for comp in comps:
+        try:
+            eq = _split_equalities(comp.A)  # A is fixed for the whole run
+            y = eq.pinv(comp.b)
+            if not np.all(np.isfinite(y)):
+                raise NumericError("equality start A⁺b is not finite")
+        except NumericError as exc:
+            out.append(exc)
+            continue
+        # every block starts from its constraint's constant norm
+        dtype = [st.const.dtype for st in comp.stacks]
+        S = [np.maximum(1.0, comp.dnorm[st.pos])[:, None, None] * np.eye(st.n, dtype=t) for st, t in zip(comp.stacks, dtype)]
+        zscale = max(1.0, float(np.max(np.abs(comp.c))))
+        Z = [np.full(st.pos.shape + (1, 1), zscale) * np.eye(st.n, dtype=t) for st, t in zip(comp.stacks, dtype)]
+        r = _Run(comp, eq, y, Z)
+        out.append(r)
+        binf = 1.0 + float(np.max(np.abs(comp.b), initial=0.0))
+        if comp.static_infeasible or float(np.max(np.abs(comp.A @ y - comp.b), initial=0.0)) > cfg.feas_tol * binf:
+            r.finish("infeasible", "static-infeasible")
+        elif not comp.stacks:
+            # No cone at all: the problem is a pure linear program over equalities;
+            # out of scope for the measures here, treat as numeric failure.
+            r.finish("numeric-failure", "no-cone")
+        else:
+            starts.append((r, y, S, Z))
+    if starts:
+        runs, ys, Ss, Zs = zip(*starts)
+        stack = [np.concatenate(parts) for parts in zip(*Ss)], [np.concatenate(parts) for parts in zip(*Zs)]
+        _iterate(list(runs), np.array(ys), *stack, 1, cfg)
+    return [r.result if isinstance(r, _Run) else r for r in out]
 
-    znorm0 = sum(float(Zk.diagonal(0, -2, -1).real.sum()) for Zk in Z) + 1.0
-    ynorm0 = 1.0 + float(np.max(np.abs(y), initial=0.0))
-    cinf = 1.0 + float(np.max(np.abs(comp.c)))
 
-    status = "numeric-failure"
-    stop = "max-iterations"  # the rule that ended the loop
-    last_step = dict.fromkeys(("alpha_p", "alpha_d", "sigma", "kkt_jitter"), float("nan"))
-
-    for it in range(1, cfg.max_iterations + 1):
+def _iterate(runs, y, S, Z, start, cfg) -> None:
+    """The loop, over runs of one layout in lockstep from iteration start
+    at the iterate (y, S, Z): y is (K, m), S and Z one program-major stack
+    per block size.  Sums over a program's blocks and coordinates are taken
+    as its solve alone takes them; the KKT factors and solves, the scalars
+    and the stop rules are each run's own.  A run that stops leaves the
+    batch.  A NumericError in a batch of several (one failing block fails a
+    stacked cholesky, svd, eigh or eigvalsh) sends every run still going on
+    alone from that iteration's iterate, where only the failing one stops
+    numeric-error."""
+    lead = runs[0].comp
+    m, nbs = lead.m, [st.pos.size for st in lead.stacks]
+    Ntot = sum(st.const.shape[0] * st.n for st in lead.stacks)
+    batch = _batch([r.comp for r in runs])
+    for it in range(start, cfg.max_iterations + 1):
+        K, stacks = len(runs), batch.stacks
         Rp = [st.const + apply_block(st, y) - Sk for st, Sk in zip(stacks, S)]
-        adjZ = sum(gather_block(st, Zk) for st, Zk in zip(stacks, Z))
-        lam = eq.pinv_t(comp.c + adjZ)
-        rd = -comp.c - adjZ + A.T @ lam
-
-        mu = sum(float(_inners(Zk, Sk).sum()) for Zk, Sk in zip(Z, S)) / Ntot
-        pobj_lin = float(comp.c @ y)
-        dobj_lin = sum(float(_inners(Zk, st.const).sum()) for st, Zk in zip(stacks, Z)) + float(lam @ b)
-
+        adjZ = sum(gather_block(st, Zk) for st, Zk in zip(stacks, Z)).reshape(K, m)
+        # per program, each sum over its blocks taken as its solve alone takes it
+        inner = [_per_run(_inners(Zk, Sk), K) for Zk, Sk in zip(Z, S)]
+        pobj = (batch.c[:, None, :] @ y[:, :, None]).reshape(K).tolist()  # one dot product per program
+        zc = [_per_run(_inners(Zk, st.const), K) for st, Zk in zip(stacks, Z)]
         # each constraint's Frobenius norm, over all its blocks (inf on a diverging iterate)
         sq = sum(
-            np.bincount(st.pos, (Rk.conj() * Rk).real.sum(axis=(-2, -1)), comp.dnorm.size)
-            for st, Rk in zip(stacks, Rp)
-        )
-        pinf = float(np.max(np.sqrt(sq) / (1.0 + comp.dnorm)))
-        dinf = float(np.max(np.abs(rd))) / cinf
-        pu, du = user_vals(pobj_lin, dobj_lin)
-        relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
+            np.bincount(pk, (Rk.conj() * Rk).real.sum(axis=(-2, -1)), batch.dnorm.size) for pk, Rk in zip(batch.pos, Rp)
+        ).reshape(K, -1)
+        pinf = (np.sqrt(sq) / (1.0 + batch.dnorm)).max(axis=1).tolist()
+        ynorm = np.abs(y).max(axis=1).tolist()
+        slack = [_per_run(np.abs(_inners(Zk, Rk)), K) for Zk, Rk in zip(Z, Rp)]
+        zdiag = [_per_run(Zk.diagonal(0, -2, -1).real, K) for Zk in Z]
+        rd = np.zeros((K, m))
+        for k, r in enumerate(runs):
+            if r.result is not None:  # stopped on its KKT factor
+                continue
+            comp = r.comp
+            lam = r.eq.pinv_t(comp.c + adjZ[k])
+            rd[k] = -comp.c - adjZ[k] + comp.A.T @ lam
+            mu_k, pobj_lin, pinf_k, ynorm_k = sum(part[k] for part in inner) / Ntot, pobj[k], pinf[k], ynorm[k]
+            dobj_lin = sum(part[k] for part in zc) + float(lam @ comp.b)
+            dinf = float(np.abs(rd[k]).max()) / r.cinf
+            pu, du = comp.sense_mult * pobj_lin + comp.constant, comp.sense_mult * dobj_lin + comp.constant
+            relgap = abs(pobj_lin - dobj_lin) / max(1.0, abs(pu), abs(du))
 
-        # 2 max|y|: the assignments' m + m† must stay finite too
-        ynorm = float(np.max(np.abs(y)))
-        if not np.all(np.isfinite([mu, pobj_lin, dobj_lin, pinf, dinf, 2.0 * ynorm])):
-            stop = "non-finite"
-            break
-        slack = sum((float(np.abs(_inners(Zk, Rk)).sum()) for Zk, Rk in zip(Z, Rp)), abs(float(rd @ y)))
-        trace.append(
-            {
-                "iteration": it,
-                "mu": mu,
-                "primal_value": pu,
-                "dual_value": du,
-                "pobj_lin": pobj_lin,
-                "dobj_lin": dobj_lin,
-                "relgap": relgap,
-                "pinf": pinf,
-                "dinf": dinf,
-                "residual_slack": slack,
-                **last_step,
-            }
-        )
+            # 2 max|y|: the assignments' m + m† must stay finite too
+            if not all(map(math.isfinite, (mu_k, pobj_lin, dobj_lin, pinf_k, dinf, 2.0 * ynorm_k))):
+                r.finish("numeric-failure", "non-finite")
+                continue
+            r.trace.append(
+                {
+                    "iteration": it,
+                    "mu": mu_k,
+                    "primal_value": pu,
+                    "dual_value": du,
+                    "pobj_lin": pobj_lin,
+                    "dobj_lin": dobj_lin,
+                    "relgap": relgap,
+                    "pinf": pinf_k,
+                    "dinf": dinf,
+                    "residual_slack": sum((part[k] for part in slack), abs(float(rd[k] @ y[k]))),
+                    **r.last_step,
+                }
+            )
 
-        # y and Z are rebound, never changed in place, so the snapshot
-        # needs no copies
-        snap = {"y": y, "lam": lam, "Z": Z, "pobj": pobj_lin, "dobj": dobj_lin, "it": it}
+            # y and Z are rebound, never changed in place, so the snapshot
+            # needs no copies
+            r.snap = (it, y[k], Z, k, lam, pobj_lin, dobj_lin)
 
-        if pinf <= cfg.feas_tol and dinf <= cfg.dual_stop and relgap <= cfg.gap_tol:
-            status = stop = "optimal"
-            break
+            if pinf_k <= cfg.feas_tol and dinf <= cfg.dual_stop and relgap <= cfg.gap_tol:
+                r.finish("optimal", "optimal")
+                continue
 
-        # ray tests: an iterate grown 1e7-fold is, at unit size, a near-certificate of
-        # infeasibility (Z, with a near-zero dual residual) or of unboundedness (y:
-        # F(y) = S - C + Rp with S PSD, so F(y/ynorm) is within (|C| + |Rp|)/ynorm of PSD)
-        znorm = sum(float(Zk.diagonal(0, -2, -1).real.sum()) for Zk in Z) + float(np.sum(np.abs(lam)))
-        if znorm > 1e7 * znorm0:
-            ray_res = float(np.max(np.abs(adjZ - A.T @ lam))) / znorm
-            if ray_res <= 1e-8 and dobj_lin / znorm < -1e-8:
-                status = stop = "infeasible"
-                break
-        if ynorm > 1e7 * ynorm0:
-            ray_res = float(np.max(comp.dnorm + np.sqrt(sq))) / ynorm
-            if ray_res <= 1e-8 and pobj_lin / ynorm > 1e-8:
-                status = stop = "unbounded"
-                break
+            # ray tests: an iterate grown 1e7-fold is, at unit size, a near-certificate of
+            # infeasibility (Z, with a near-zero dual residual) or of unboundedness (y:
+            # F(y) = S - C + Rp with S PSD, so F(y/ynorm) is within (|C| + |Rp|)/ynorm of PSD)
+            znorm = sum(part[k] for part in zdiag) + float(np.abs(lam).sum())
+            if znorm > 1e7 * r.znorm0:
+                ray_res = float(np.abs(adjZ[k] - comp.A.T @ lam).max()) / znorm
+                if ray_res <= 1e-8 and dobj_lin / znorm < -1e-8:
+                    r.finish("infeasible", "infeasible")
+                    continue
+            if ynorm_k > 1e7 * r.ynorm0:
+                ray_res = float((comp.dnorm + np.sqrt(sq[k])).max()) / ynorm_k
+                if ray_res <= 1e-8 and pobj_lin / ynorm_k > 1e-8:
+                    r.finish("unbounded", "unbounded")
+                    continue
+            r.mu, r.scale = mu_k, max(1.0, abs(pu), abs(du))
+
+        keep = [k for k, r in enumerate(runs) if r.result is None]
+        if not keep:
+            return
+        if len(keep) < K:
+            runs, y, rd = [runs[k] for k in keep], y[keep], rd[keep]
+            S, Z, Rp = ([_rows(X, keep, nb) for X, nb in zip(Xs, nbs)] for Xs in (S, Z, Rp))
+            batch = _batch([r.comp for r in runs])
+            K, stacks = len(runs), batch.stacks
 
         try:
             sc = [_nt_scaling(Sk, Zk) for Sk, Zk in zip(S, Z)]
-            M = _assemble_M(comp, [s.V for s in sc])
-            M = eq.reduce(M)  # frees the full M before the factor
-            # a failed factor retries once, jittered by 1e-14 of Mr's largest diagonal
-            # entry: 1,201 of 20,137 value-gate steps did; 1e-12 to 1e-8 never fired
-            for jitter in (0.0, 1e-14):
-                kkt = _factor_kkt(M, jitter)
-                if kkt is not None:
-                    break
-            else:
-                stop = "kkt-factor"
-                break
+            # each program's reduced Newton matrix; the full ones go before the factors
+            Mr = [r.eq.reduce(Mk) for r, Mk in zip(runs, _assemble_M(batch, [s.V for s in sc]).reshape(K, m, m))]
+            kkt, jitters = [], []
+            for r, Mk in zip(runs, Mr):
+                # a failed factor retries once, jittered by 1e-14 of Mr's largest diagonal
+                # entry: 1,201 of 20,137 value-gate steps did; 1e-12 to 1e-8 never fired
+                for jitter in (0.0, 1e-14):
+                    solver = _factor_kkt(Mk, jitter)
+                    if solver is not None:
+                        break
+                else:
+                    r.finish("numeric-failure", "kkt-factor")
+                kkt.append(solver)
+                jitters.append(jitter)
+            live = [k for k, r in enumerate(runs) if r.result is None]
             # the predictor's right-hand side, which every target adds to
             rhs_a = [-Zk - s.V @ Rk @ s.V for s, Zk, Rk in zip(sc, Z, Rp)]
             D = [s.d[..., :, None] * np.eye(st.n) for st, s in zip(stacks, sc)]
 
-            def direction(T, tau):
-                """Newton direction toward the scaled targets T (None: the
-                predictor's zero target) on the current factor: dy, dS, the
-                scaled pair (dS̃, dZ̃) and the damped step lengths."""
+            def direction(T, tau, solved):
+                """Newton directions toward the scaled targets T (None: the
+                predictor's zero target) on the current factors, dy = 0 for
+                the programs not solved: dy, dS, the scaled pair (dS̃, dZ̃)
+                and the damped step lengths."""
                 if T is None:
                     rhs, E = rhs_a, [-Dk for Dk in D]
                 else:
                     W = [_lyapunov(s.d, Tk) for s, Tk in zip(sc, T)]
                     rhs = [dagger(s.Gi) @ Wk @ s.Gi + Hk for s, Wk, Hk in zip(sc, W, rhs_a)]
                     E = [Wk - Dk for Wk, Dk in zip(W, D)]  # dZ̃ = E − dS̃
-                g = -rd + sum(gather_block(st, Hk) for st, Hk in zip(stacks, rhs))
-                dy = eq.extend(kkt(eq.restrict(g)))
+                g = -rd + sum(gather_block(st, Hk) for st, Hk in zip(stacks, rhs)).reshape(K, m)
+                dy = np.zeros((K, m))
+                for k in solved:
+                    eq = runs[k].eq
+                    dy[k] = eq.extend(kkt[k](eq.restrict(g[k])))
                 dS = [Rk + apply_block(st, dy) for st, Rk in zip(stacks, Rp)]
                 dSt = [s.Gi @ dSk @ dagger(s.Gi) for s, dSk in zip(sc, dS)]
                 dZt = [Ek - dStk for Ek, dStk in zip(E, dSt)]
-                ap = min(1.0, tau * min(_max_step(s.d, X) for s, X in zip(sc, dSt)))
-                ad = min(1.0, tau * min(_max_step(s.d, X) for s, X in zip(sc, dZt)))
+                ap = [min(1.0, tau * step) for step in _steps(sc, dSt, K)]
+                ad = [min(1.0, tau * step) for step in _steps(sc, dZt, K)]
                 return dy, dS, dSt, dZt, ap, ad
 
             # predictor: pure Newton step toward feasibility and zero product
-            _, _, dSt_a, dZt_a, ap_a, ad_a = direction(None, 1.0)
-            mu_aff = sum(
-                float(_inners(Dk + ad_a * dZk, Dk + ap_a * dSk).sum()) for Dk, dZk, dSk in zip(D, dZt_a, dSt_a)
-            ) / Ntot
-            mu_aff = max(mu_aff, 0.0)
-            sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3 if mu > 0 else 0.1
-            # never aim below the barrier level the gap tolerance needs:
-            # overshooting just wrecks the Newton system's conditioning
-            mu_needed = 0.3 * cfg.gap_tol * max(1.0, abs(pu), abs(du)) / Ntot
-            if mu > 0:
-                sigma = min(0.99, max(sigma, mu_needed / mu))
+            _, _, dSt_a, dZt_a, ap_a, ad_a = direction(None, 1.0, live)
+            mu_aff = [
+                _per_run(_inners(Dk + a * dZk, Dk + p * dSk), K)
+                for Dk, dZk, dSk, p, a in zip(D, dZt_a, dSt_a, _per_block(ap_a, nbs), _per_block(ad_a, nbs))
+            ]
+            sigma, smu = [0.0] * K, [0.0] * K
+            for k in live:
+                mu = runs[k].mu
+                aff = max(sum(part[k] for part in mu_aff) / Ntot, 0.0)
+                sigma[k] = min(1.0, max(0.0, aff / mu)) ** 3 if mu > 0 else 0.1
+                # never aim below the barrier level the gap tolerance needs:
+                # overshooting just wrecks the Newton system's conditioning
+                mu_needed = 0.3 * cfg.gap_tol * runs[k].scale / Ntot
+                if mu > 0:
+                    sigma[k] = min(0.99, max(sigma[k], mu_needed / mu))
+                smu[k] = sigma[k] * mu
 
             # corrector: recenter and absorb the second-order product term
             Tc = [
-                (sigma * mu) * np.eye(st.n) - _second_order_term(dSk, dZk)
-                for st, dSk, dZk in zip(stacks, dSt_a, dZt_a)
+                sm * np.eye(st.n) - _second_order_term(dSk, dZk)
+                for st, sm, dSk, dZk in zip(stacks, _per_block(smu, nbs), dSt_a, dZt_a)
             ]
             tau = 0.98  # share of the way to the cone boundary a corrector step takes
-            dy, dS, dSt, dZt, ap, ad = direction(Tc, tau)
+            dy, dS, dSt, dZt, ap, ad = direction(Tc, tau, live)
 
             # extra centrality correctors: when the step is short, herd the
             # outlier complementarity products back toward sigma*mu and
             # re-solve on the same factorization; degenerate endgames often
             # recover a full step this way when a single corrector stalls.
+            want = live
             for _ in range(3):
-                if min(ap, ad) >= 0.85:
+                want = [k for k in want if min(ap[k], ad[k]) < 0.85]
+                if not want:
                     break
-                smu = sigma * mu
                 targets = [
-                    _gondzio_target(Dk, dSk, dZk, min(1.0, ap + 0.3), min(1.0, ad + 0.3), smu)
-                    for Dk, dSk, dZk in zip(D, dSt, dZt)
+                    _gondzio_target(Dk, dSk, dZk, p, a, sm)
+                    for Dk, dSk, dZk, p, a, sm in zip(
+                        D,
+                        dSt,
+                        dZt,
+                        _per_block([min(1.0, a + 0.3) for a in ap], nbs),
+                        _per_block([min(1.0, d + 0.3) for d in ad], nbs),
+                        _per_block(smu, nbs, ndim=2),
+                    )
                 ]
                 Tg = [Tk + Hk for Tk, Hk in zip(Tc, targets)]
-                dy2, dS2, dSt2, dZt2, ap2, ad2 = direction(Tg, tau)
-                if min(ap2, ad2) < min(ap, ad) + 0.02:
-                    break
-                dy, dS, dSt, dZt, ap, ad, Tc = dy2, dS2, dSt2, dZt2, ap2, ad2, Tg
+                dy2, dS2, dSt2, dZt2, ap2, ad2 = direction(Tg, tau, want)
+                want = [k for k in want if not min(ap2[k], ad2[k]) < min(ap[k], ad[k]) + 0.02]
+                if want:
+                    dy, dS, dSt, dZt, Tc = _pick(want, K, nbs, (dy2, dS2, dSt2, dZt2, Tg), (dy, dS, dSt, dZt, Tc))
+                    for k in want:
+                        ap[k], ad[k] = ap2[k], ad2[k]
             dZ = [hermitize(dagger(s.Gi) @ dZk @ s.Gi) for s, dZk in zip(sc, dZt)]
-        except NumericError:
-            stop = "numeric-error"
-            break
+        except NumericError as exc:
+            if K == 1:
+                runs[0].finish("numeric-failure", "numeric-error", str(exc))
+                return
+            for k, r in enumerate(runs):
+                if r.result is None:  # a run stopped on its KKT factor stays stopped
+                    r.trace.pop()
+                    Sk, Zk = ([X[k * nb : (k + 1) * nb] for X, nb in zip(Xs, nbs)] for Xs in (S, Z))
+                    _iterate([r], y[k : k + 1], Sk, Zk, it, cfg)
+            return
 
-        y = y + ap * dy
-        S = [Sk + ap * dSk for Sk, dSk in zip(S, dS)]
-        Z = [Zk + ad * dZk for Zk, dZk in zip(Z, dZ)]
-        last_step = {"alpha_p": ap, "alpha_d": ad, "sigma": sigma, "kkt_jitter": jitter}
+        if len(live) < K:  # a run stopped on its KKT factor keeps its iterate
+            ap, ad = ([x if r.result is None else 0.0 for x, r in zip(xs, runs)] for xs in (ap, ad))
+        (py,) = _per_block(ap, [1], ndim=2)
+        y = y + py * dy
+        S = [Sk + p * dSk for Sk, p, dSk in zip(S, _per_block(ap, nbs), dS)]
+        Z = [Zk + d * dZk for Zk, d, dZk in zip(Z, _per_block(ad, nbs), dZ)]
+        for k in live:
+            runs[k].last_step = {"alpha_p": ap[k], "alpha_d": ad[k], "sigma": sigma[k], "kkt_jitter": jitters[k]}
 
-    return result(status, stop, snap)
+    for r in runs:
+        if r.result is None:
+            r.finish("numeric-failure", "max-iterations")

@@ -45,7 +45,7 @@ def schur_stack(M, V, groups) -> None:
     imaginary-imaginary parts; the last three are written only for a
     complex V, and are empty for a term without imaginary coordinates."""
     n, imaginary = V.shape[-1], np.iscomplexobj(V)
-    Vf, cVf, Mf = V.reshape(-1), np.conj(V).reshape(-1), M.reshape(-1)
+    Vf, cVf, Mf = V.reshape(-1), V.conj().reshape(-1), M.reshape(-1)  # a real V is not copied
     for (re_re, re_im, im_re, im_im), R, entries in groups:
         alpha = beta = 0.0
         for cc, x, y, p, q in entries:

@@ -10,12 +10,13 @@ since R = I is feasible for the distillation program).
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DomainError, SolverError
+from .errors import ConsistencyError, DomainError, EntboundError, SolverError
 from .linalg import (
     RANK_TOL,
     ZERO_ENTRY_ATOL,
@@ -32,7 +33,17 @@ from .linalg import (
     symmetry_pattern,
     trace_norm_arr,
 )
-from .sdp import EqConstraint, LinTerm, PsdConstraint, SdpProblem, SolverConfig, TraceTerm, check_capacity, solve
+from .sdp import (
+    EqConstraint,
+    LinTerm,
+    PsdConstraint,
+    SdpProblem,
+    SolverConfig,
+    TraceTerm,
+    check_capacity,
+    solve,
+    solve_many,
+)
 from .states import kron_power_state
 
 PRIMAL_DUAL_AGREE_TOL = 1e-6
@@ -49,15 +60,31 @@ class MeasureResult:
     iterations: int = 0
 
 
-def _solved(problem: SdpProblem, config: SolverConfig | None, what: str):
-    sol = solve(problem, config)
+def _checked(sol, what: str):
+    """sol, or the SolverError of a solve that did not end optimal."""
     if sol.status != "optimal":
-        msg = f"{what}: solver finished with status {sol.status} (stop rule {sol.stop})"
+        detail = f": {sol.stop_detail}" if sol.stop_detail else ""
+        msg = f"{what}: solver finished with status {sol.status} (stop rule {sol.stop}{detail})"
         if sol.trace:
             row = sol.trace[-1]
             msg += "; last iterate {iteration}: relgap {relgap:.3e}, pinf {pinf:.3e}, dinf {dinf:.3e}".format(**row)
         raise SolverError(msg)
     return sol
+
+
+def _solved(problem: SdpProblem, config: SolverConfig | None, what: str):
+    return _checked(solve(problem, config), what)
+
+
+def _evaluate(program, rho, config, *args) -> MeasureResult:
+    """An SDP measure's three steps: build its problem (program), solve it,
+    finish its result.  program returns the result itself when no solve
+    is needed, else (what, problem, finish)."""
+    step = program(rho, config, *args)
+    if isinstance(step, MeasureResult):
+        return step
+    what, problem, finish = step
+    return finish(_solved(problem, config, what))
 
 
 def _eye(n):
@@ -162,28 +189,40 @@ def e_w(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResul
     because |R| <= I and tr R^PT = tr R <= n.  The two sides must agree to
     PRIMAL_DUAL_AGREE_TOL, or to ten times the solver's relative gap
     tolerance when that is looser, since the solve stops at that gap."""
+    return _evaluate(_e_w_program, rho, config)
+
+
+def _e_w_program(rho: BipartiteState, config: SolverConfig | None):
     config = config or SolverConfig()
-    sol = _solved(_w_max_form(rho), config, "e_w")
-    n = rho.dims.total
-    u, v = sol.dual_blocks[0], sol.dual_blocks[1]
-    excess = ptranspose_arr(u - v, rho.dims.d_a, rho.dims.d_b) - rho.mat
-    upper = (
-        float(np.trace(u + v).real)
-        + 2 * n * (_neg_part(u) + _neg_part(v))
-        + n * _neg_part(excess)
-    )
-    tol = max(PRIMAL_DUAL_AGREE_TOL, 10.0 * config.gap_tol * max(1.0, abs(sol.primal_value)))
-    if abs(upper - sol.primal_value) > tol:
-        raise ConsistencyError(
-            f"W certificate sides disagree: max-form {sol.primal_value!r} vs "
-            f"min-form {upper!r} (|diff| {abs(upper - sol.primal_value):.3e} > {tol:.3e})"
+    problem = _w_max_form(rho)
+
+    def finish(sol):
+        n = rho.dims.total
+        u, v = sol.dual_blocks[0], sol.dual_blocks[1]
+        excess = ptranspose_arr(u - v, rho.dims.d_a, rho.dims.d_b) - rho.mat
+        upper = (
+            float(np.trace(u + v).real)
+            + 2 * n * (_neg_part(u) + _neg_part(v))
+            + n * _neg_part(excess)
         )
-    return _result(sol, sol.assignments["R"], dual_value=upper)
+        tol = max(PRIMAL_DUAL_AGREE_TOL, 10.0 * config.gap_tol * max(1.0, abs(sol.primal_value)))
+        if abs(upper - sol.primal_value) > tol:
+            raise ConsistencyError(
+                f"W certificate sides disagree: max-form {sol.primal_value!r} vs "
+                f"min-form {upper!r} (|diff| {abs(upper - sol.primal_value):.3e} > {tol:.3e})"
+            )
+        return _result(sol, sol.assignments["R"], dual_value=upper)
+
+    return "e_w", problem, finish
 
 
 def fidelity_ppt(rho: BipartiteState, k: float, config: SolverConfig | None = None) -> MeasureResult:
     """Best overlap with a k-level maximally entangled target over PPT
     operations: max Re tr(rho Q), 0 <= Q <= I, -(1/k)I <= Q^PT <= (1/k)I."""
+    return _evaluate(_fidelity_ppt_program, rho, config, k)
+
+
+def _fidelity_ppt_program(rho: BipartiteState, config: SolverConfig | None, k: float):
     if not (is_finite_real(k) and k >= 1.0):
         raise DomainError(f"fidelity_ppt requires a finite k >= 1, got {k!r}")
     n = rho.dims.total
@@ -207,8 +246,11 @@ def fidelity_ppt(rho: BipartiteState, k: float, config: SolverConfig | None = No
         ],
         patterns={"Q": symmetry_pattern(rho.mat, *pt_dims)},
     )
-    sol = _solved(problem, config, "fidelity_ppt")
-    return _result(sol, sol.assignments["Q"], lambda f: math.log2(min(1.0, max(1e-300, f))))
+
+    def finish(sol):
+        return _result(sol, sol.assignments["Q"], lambda f: math.log2(min(1.0, max(1e-300, f))))
+
+    return "fidelity_ppt", problem, finish
 
 
 def npt_witness_bound(rho: BipartiteState) -> tuple[float, HermitianMatrix]:
@@ -282,6 +324,10 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
     equalities, with the two sandwich constraints replaced by R >= 0 and
     I + P - R >= 0; on the pinned set these are equivalent and the reduced
     problem is strictly feasible."""
+    return _evaluate(_det_distill_one_copy_program, rho, config)
+
+
+def _det_distill_one_copy_program(rho: BipartiteState, config: SolverConfig | None):
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     variables = [("R", n, "hermitian-psd"), ("mu", 1, "hermitian")]
@@ -318,12 +364,15 @@ def det_distill_one_copy(rho: BipartiteState, config: SolverConfig | None = None
         equalities=equalities,
         patterns={"R": labels[:, None] == labels[None, :]},
     )
-    sol = _solved(problem, config, "det_distill_one_copy")
-    # mu* is at most 1 (R = I attains it) and at least 1/n (trace bound on
-    # the operator norm of R^PT given R >= P).  The floor sits at half that
-    # proven bound, so it only guards the log and never moves a value the
-    # solver certifies.
-    return _result(sol, sol.assignments["R"], lambda mu: -math.log2(min(1.0, max(0.5 / n, mu))))
+
+    def finish(sol):
+        # mu* is at most 1 (R = I attains it) and at least 1/n (trace bound on
+        # the operator norm of R^PT given R >= P).  The floor sits at half that
+        # proven bound, so it only guards the log and never moves a value the
+        # solver certifies.
+        return _result(sol, sol.assignments["R"], lambda mu: -math.log2(min(1.0, max(0.5 / n, mu))))
+
+    return "det_distill_one_copy", problem, finish
 
 
 def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
@@ -334,6 +383,10 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
     on the support of rho and the set has no interior.  The scale t becomes
     an explicit variable, the pinch becomes equalities, and the cap turns
     into t(I + P) - R >= 0, which is strictly feasible on the pinned set."""
+    return _evaluate(_w0_program, rho, config)
+
+
+def _w0_program(rho: BipartiteState, config: SolverConfig | None):
     n = rho.dims.total
     pt_dims = (rho.dims.d_a, rho.dims.d_b)
     variables = [("R", n, "hermitian-psd"), ("t", 1, "hermitian")]
@@ -361,8 +414,47 @@ def w0(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult
         equalities=equalities,
         patterns={"R": labels[:, None] == labels[None, :]},
     )
-    sol = _solved(problem, config, "w0")
-    return _result(sol, sol.assignments["R"])
+
+    def finish(sol):
+        return _result(sol, sol.assignments["R"])
+
+    return "w0", problem, finish
+
+
+# the SDP measures by function, with the program step of each
+_PROGRAMS = {
+    e_w: _e_w_program,
+    det_distill_one_copy: _det_distill_one_copy_program,
+    w0: _w0_program,
+    fidelity_ppt: _fidelity_ppt_program,
+}
+
+
+def _caught(fn, *args, **kwargs):
+    """fn's value, or the package error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except EntboundError as exc:
+        return exc
+
+
+def evaluate_many(measure, states, config: SolverConfig | None = None, **kw) -> list:
+    """measure(rho, config=config, **kw) for every state: per state, in
+    order, its MeasureResult or the package error it raised.  The SDP
+    measures e_w, det_distill_one_copy, w0 and fidelity_ppt build every
+    problem first and solve them together (sdp.solve_many), each result bit
+    for bit what the one-state call returns; any other measure is called
+    state by state."""
+    program = _PROGRAMS.get(inspect.unwrap(measure))
+    if program is None:
+        return [_caught(measure, rho, config=config, **kw) for rho in states]
+    steps = [_caught(program, rho, config, **kw) for rho in states]
+    pending = [i for i, step in enumerate(steps) if isinstance(step, tuple)]
+    sols = solve_many([steps[i][1] for i in pending], config)
+    for i, sol in zip(pending, sols):
+        what, _, finish = steps[i]
+        steps[i] = sol if isinstance(sol, EntboundError) else _caught(lambda: finish(_checked(sol, what)))
+    return steps
 
 
 def multi_copy(

@@ -4,9 +4,11 @@ A problem holds named Hermitian variables, a real-linear objective
 sum_i Re tr(C_i X_i) + constant, affine matrix inequalities
 D + L(X_1..X_k) >= 0 built from identity / partial-transpose / trace-scaled
 terms, and affine scalar equalities.  solve() hands it to ipm.py, which
-alone knows the compiled form.  check_certificate() evaluates both sides
-from the model terms and the solution's matrices over every entry, so it
-certifies the unrestricted program even when the solve ran on a pattern.
+alone knows the compiled form; solve_many() hands it many, and ipm.py
+solves those of one compiled layout in lockstep.  check_certificate()
+evaluates both sides from the model terms and the solution's matrices
+over every entry, so it certifies the unrestricted program even when the
+solve ran on a pattern.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CapacityError, InvalidDimsError, InvalidStateError
+from .errors import CapacityError, EntboundError, InvalidDimsError, InvalidStateError
 from .linalg import HermitianMatrix, checked_hermitian, hermitize, is_finite_real, is_integer, ptranspose_arr
 
 VALID_KINDS = ("hermitian", "hermitian-psd")
@@ -267,6 +269,8 @@ class SdpSolution:
     # entry: 0, or 1e-14 when the plain factor failed) of the step that led
     # to it, NaN on the first row
     trace: tuple = ()
+    # what failed, for a solve that stopped numeric-error; empty otherwise
+    stop_detail: str = ""
 
 
 @dataclass
@@ -283,26 +287,51 @@ class CertificateReport:
     failures: list
 
 
-def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
-    """Solve with the in-tree interior-point engine; see ipm.py."""
-    from . import ipm
-
-    cfg = config or SolverConfig()
-    comp = ipm.compile_problem(problem)
-    raw = ipm.run(comp, cfg)
-    assignments = {name: HermitianMatrix(X) for name, X in raw["assignments"].items()}
+def _solution(raw: dict) -> SdpSolution:
     return SdpSolution(
         status=raw["status"],
         primal_value=raw["primal_value"],
         dual_value=raw["dual_value"],
         gap=abs(raw["primal_value"] - raw["dual_value"]),
-        assignments=assignments,
+        assignments={name: HermitianMatrix(X) for name, X in raw["assignments"].items()},
         iterations=raw["iterations"],
         stop=raw["stop"],
         dual_blocks=tuple(raw["dual_blocks"]),
         eq_duals=raw["eq_duals"],
         trace=tuple(raw["trace"]),
+        stop_detail=raw["stop_detail"],
     )
+
+
+def solve(problem: SdpProblem, config: SolverConfig | None = None) -> SdpSolution:
+    """Solve with the in-tree interior-point engine; see ipm.py."""
+    from . import ipm
+
+    return _solution(ipm.run(ipm.compile_problem(problem), config or SolverConfig()))
+
+
+def solve_many(problems, config: SolverConfig | None = None) -> list:
+    """Solve every problem as solve() does, those that compile to one
+    layout in lockstep (ipm.run_batch).  Returns, in input order, each
+    problem's SdpSolution, bit for bit what solve() returns, or the package
+    error solve() raises on it."""
+    from . import ipm
+
+    cfg = config or SolverConfig()
+    out = [None] * len(problems)
+    groups = {}
+    for i, problem in enumerate(problems):
+        try:
+            comp = ipm.compile_problem(problem)
+        except EntboundError as exc:
+            out[i] = exc
+            continue
+        groups.setdefault(ipm.layout(comp), []).append((i, comp))
+    for members in groups.values():
+        raws = ipm.run_batch([comp for _, comp in members], cfg)
+        for (i, _), raw in zip(members, raws):
+            out[i] = raw if isinstance(raw, EntboundError) else _solution(raw)
+    return out
 
 
 def _tr(a, b) -> float:

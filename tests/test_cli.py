@@ -1,8 +1,10 @@
 """Command line behavior: verbs, formats, exit codes, error reporting."""
 
 import contextlib
+import inspect
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +17,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import entbound
+from entbound import cli, measures, states
 from entbound.cli import main
+from entbound.errors import ConsistencyError, DomainError, NumericError, SolverError
 
 
 def write_json(tmp_path, name, doc):
@@ -338,6 +342,70 @@ def test_sweep_csv_shape_and_stability(tmp_path, capsys):
     for row in lines[1:]:
         _, en, ew = (float(c) for c in row.split(","))
         assert ew <= en + 1e-7
+
+
+_SWEEP_ALL = "ew,en,e0,fgamma:k=1.5,witness"
+
+
+@pytest.mark.parametrize("family, hi", [("sigma_r", 0.9), ("rho_alpha", 0.5)])
+def test_sweep_cells_equal_the_library_values(family, hi, tmp_path, monkeypatch):
+    # the grid's SDP measures are solved in lockstep, and every cell is still
+    # the value the library gives on its state alone; so is every cell of a
+    # sweep solved a few rows at a time
+    argv = ["sweep", "--family", family, "--from", "0.1", "--to", str(hi), "--steps", "5", "--measures", _SWEEP_ALL]
+    assert main(argv + ["--out", str(tmp_path / "a.csv")]) == 0
+    make = getattr(states, family)
+    want = ["param," + _SWEEP_ALL]
+    for param in np.linspace(0.1, hi, 5):
+        rho = make(float(param))
+        values = [
+            measures.e_w(rho).value_log2,
+            measures.log_negativity(rho).value_log2,
+            measures.det_distill_one_copy(rho).value_log2,
+            measures.fidelity_ppt(rho, 1.5).value_log2,
+            math.log2(measures.npt_witness_bound(rho)[0]),
+        ]
+        want.append(",".join(cli._fmt(v) for v in [param, *values]))
+    assert (tmp_path / "a.csv").read_text().splitlines() == want
+    monkeypatch.setattr(cli, "_SWEEP_ROWS", 2)
+    assert main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
+    assert (tmp_path / "b.csv").read_text().splitlines() == want
+
+
+def test_sweep_reports_the_first_failure_in_row_order(tmp_path, capsys, monkeypatch):
+    # the grid's measures are solved column by column, yet the failure
+    # reported is the first in row order, then in the --measures order
+    real = measures.evaluate_many
+
+    def failing(rows):
+        def evaluate_many(measure, states_, config=None, **kw):
+            out = real(measure, states_, config, **kw)
+            name = inspect.unwrap(measure).__name__
+            for row, exc in rows.get(name, ()):
+                out[row] = exc
+            return out
+
+        return evaluate_many
+
+    argv = ["sweep", "--family", "rho_alpha", "--from", "0.1", "--to", "0.5", "--steps", "5",
+            "--measures", _SWEEP_ALL, "--out", str(tmp_path / "s.csv")]
+    for rows, want in (
+        (
+            {"det_distill_one_copy": [(1, SolverError("e0 failed"))], "fidelity_ppt": [(3, ConsistencyError("f failed"))]},
+            "sweep aborted at param 0.2 (e0): e0 failed",
+        ),
+        (
+            {"fidelity_ppt": [(2, NumericError("f failed"))], "e_w": [(2, SolverError("ew failed"))]},
+            "sweep aborted at param 0.3 (ew): ew failed",
+        ),
+    ):
+        monkeypatch.setattr(measures, "evaluate_many", failing(rows))
+        assert main(argv) == 4
+        assert capsys.readouterr().err.splitlines() == ["ERROR 4: solver-failure", want]
+    # a package error other than a solver failure keeps its own exit code
+    monkeypatch.setattr(measures, "evaluate_many", failing({"e_w": [(4, DomainError("k out of range"))]}))
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == ["ERROR 2: usage", "k out of range"]
 
 
 def test_sweep_rho_alpha_closed_form(tmp_path):

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entbound import ipm, measures
-from entbound.errors import CapacityError, ConsistencyError, DomainError
+from entbound.errors import CapacityError, ConsistencyError, DomainError, SolverError
 from entbound.linalg import make_state, op_norm_arr, ptranspose_arr, trace_norm_arr
 from entbound.measures import (
     det_distill_one_copy,
     e_w,
+    evaluate_many,
     fidelity_ppt,
     log_negativity,
     multi_copy,
@@ -464,3 +465,46 @@ def test_sandwich_on_random_low_rank_states(seed):
     nw = np.log2(max(1.0, npt_witness_bound(rho)[0]))
     assert -1e-9 <= nw <= ew + 1e-7
     assert ew <= en + 1e-7
+
+
+def _same_result(a, b) -> bool:
+    """Two MeasureResults equal bit for bit, witnesses included."""
+    if a.witness is None or b.witness is None:
+        return a == b
+    return replace(a, witness=None) == replace(b, witness=None) and np.array_equal(a.witness.mat, b.witness.mat)
+
+
+# a full-rank state takes e0's and w0's shortcut, without a solve
+_EVALUATE_STATES = [rho_alpha(a) for a in (0.1, 0.3, 0.5)] + [
+    sigma_r(0.6),
+    random_state(2, 3, 2, 31),
+    random_state(2, 3, 2, 32),
+    random_state(2, 2, 4, 33),
+]
+
+
+@pytest.mark.parametrize(
+    "measure, kw",
+    [(e_w, {}), (det_distill_one_copy, {}), (w0, {}), (fidelity_ppt, {"k": 1.5}), (log_negativity, {})],
+    ids=["e_w", "e0", "w0", "fgamma", "en"],
+)
+def test_evaluate_many_returns_each_calls_result(measure, kw):
+    got = evaluate_many(measure, _EVALUATE_STATES, **kw)
+    want = [measure(rho, **kw) for rho in _EVALUATE_STATES]
+    assert all(_same_result(a, b) for a, b in zip(got, want))
+    cfg = SolverConfig(gap_tol=1e-10)
+    got = evaluate_many(measure, _EVALUATE_STATES, cfg, **kw)
+    assert all(_same_result(a, measure(rho, config=cfg, **kw)) for a, rho in zip(got, _EVALUATE_STATES))
+
+
+def test_evaluate_many_returns_each_states_error(monkeypatch):
+    big = random_state(10, 11, rank=1, seed=950)
+    got = evaluate_many(e_w, [rho_alpha(0.3), big, sigma_r(0.5)])
+    assert isinstance(got[1], CapacityError)
+    assert _same_result(got[0], e_w(rho_alpha(0.3))) and _same_result(got[2], e_w(sigma_r(0.5)))
+    assert all(isinstance(r, DomainError) for r in evaluate_many(fidelity_ppt, [rho_alpha(0.3)] * 2, k=0.5))
+    # a solve that does not end optimal, or a result that fails its check,
+    # is its state's error
+    assert all(isinstance(r, SolverError) for r in evaluate_many(e_w, [rho_alpha(0.3)], SolverConfig(max_iterations=2)))
+    monkeypatch.setattr(measures, "_neg_part", lambda mat: 1.0)
+    assert all(isinstance(r, ConsistencyError) for r in evaluate_many(e_w, [rho_alpha(0.3), sigma_r(0.5)]))

@@ -1762,3 +1762,193 @@ def test_badly_scaled_programs_end_on_a_named_rule(problem):
         return
     assert sol.stop in _STOP_RULES
     assert sol.iterations == len(sol.trace)
+
+
+# ---------------------------------------------------------------------------
+# lockstep batches: sdp.solve_many and ipm.run_batch
+
+
+def _identical(a, b) -> bool:
+    """a and b equal bit for bit: arrays of one dtype, NaN matching NaN."""
+    if isinstance(a, HermitianMatrix):
+        return isinstance(b, HermitianMatrix) and _identical(a.mat, b.mat)
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b, equal_nan=True)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(_identical(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_identical(a[k], b[k]) for k in a)
+    if hasattr(a, "__dataclass_fields__"):
+        return type(a) is type(b) and all(_identical(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
+    if isinstance(a, float) and a != a:
+        return isinstance(b, float) and b != b
+    return type(a) is type(b) and a == b
+
+
+def _solo(problems, config=None):
+    """Each problem's solve, or the NumericError it raises."""
+    out = []
+    for problem in problems:
+        try:
+            out.append(solve(problem, config))
+        except NumericError as exc:
+            out.append(exc)
+    return out
+
+
+def _layouts(problems) -> int:
+    return len({ipm.layout(ipm.compile_problem(p)) for p in problems})
+
+
+def _grid_programs(build, states_):
+    return [build(rho) for rho in states_]
+
+
+_GRID_BUILDS = {
+    "e_w": measures._w_max_form,
+    "e0": lambda rho: _measure_program(measures.det_distill_one_copy, rho),
+    "w0": lambda rho: _measure_program(measures.w0, rho),
+    "fgamma": lambda rho: _measure_program(lambda r: measures.fidelity_ppt(r, 1.5), rho),
+}
+_GRIDS = {
+    "rho_alpha": [rho_alpha(a) for a in (0.05, 0.2, 0.35, 0.5)],
+    "sigma_r": [sigma_r(r) for r in (0.1, 0.4, 0.7, 0.9)],
+    "complex-2x3": [random_state(2, 3, 2, seed) for seed in (11, 12, 13)],
+}
+
+
+@pytest.mark.parametrize("grid", _GRIDS, ids=str)
+@pytest.mark.parametrize("measure", _GRID_BUILDS, ids=str)
+def test_a_lockstep_batch_solves_each_program_as_it_solves_alone(measure, grid):
+    # every field of every solution, the trace rows and dual blocks
+    # included, is bit for bit the solo solve's
+    problems = _grid_programs(_GRID_BUILDS[measure], _GRIDS[grid])
+    assert _layouts(problems) == 1
+    for config in (None, SolverConfig(gap_tol=1e-10), SolverConfig(max_iterations=4)):
+        want = _solo(problems, config)
+        got = sdp.solve_many(problems, config)
+        assert all(_identical(a, b) for a, b in zip(got, want))
+        if config is not None and config.max_iterations == 4:
+            assert {sol.stop for sol in got} == {"max-iterations"}
+
+
+def test_solve_many_groups_by_layout_and_keeps_the_input_order():
+    problems = [
+        measures._w_max_form(rho_alpha(0.3)),
+        diag_lp([2.0, 1.0], 1.0),
+        _trace_term_program(True),  # ends on the unbounded ray
+        measures._w_max_form(sigma_r(0.4)),
+        diag_lp([1.0, 3.0], 0.5),
+        measures._w_max_form(rho_alpha(0.45)),
+        _mixed_size_program(False),
+        SdpProblem(sense="max", variables=[("X", 200, "hermitian")], objective=[("X", np.eye(200))]),
+    ]
+    got = sdp.solve_many(problems)
+    assert isinstance(got[-1], CapacityError)
+    assert [sol.stop for sol in got[:-1]] == ["optimal", "optimal", "unbounded", "optimal", "optimal", "optimal", "optimal"]
+    assert all(_identical(a, b) for a, b in zip(got[:-1], _solo(problems[:-1])))
+
+
+def test_a_numeric_error_names_what_failed(monkeypatch):
+    # alone and in a batch, whose stacked call fails as a whole: the batch
+    # goes on program by program, and each stops numeric-error with the message
+    def fail(d, dXt):
+        raise NumericError("step length computation failed: injected")
+
+    problems = [measures._w_max_form(rho_alpha(a)) for a in (0.2, 0.3, 0.4)]
+    monkeypatch.setattr(ipm, "_max_step", fail)
+    want = _solo(problems)
+    got = sdp.solve_many(problems)
+    for sol in (*want, *got):
+        assert (sol.status, sol.stop) == ("numeric-failure", "numeric-error")
+        assert sol.stop_detail == "step length computation failed: injected"
+        assert sol.iterations == len(sol.trace) == 1
+    assert all(_identical(a, b) for a, b in zip(got, want))
+    with pytest.raises(SolverError, match=r"stop rule numeric-error: step length computation failed: injected\)"):
+        measures.e_w(rho_alpha(0.3))
+    errors = measures.evaluate_many(measures.e_w, [rho_alpha(0.2), rho_alpha(0.3)])
+    assert all(isinstance(e, SolverError) and "injected" in str(e) for e in errors)
+    # a solve that does not stop numeric-error has no detail
+    monkeypatch.undo()
+    assert solve(problems[0]).stop_detail == ""
+
+
+def test_a_batch_that_meets_a_numeric_error_goes_on_program_by_program(monkeypatch):
+    # one program's KKT factor fails at its third iteration: the batch
+    # splits there, the failing program stops numeric-error and every other
+    # ends as it does alone
+    problems = [_measure_program(measures.det_distill_one_copy, rho_alpha(a)) for a in (0.1, 0.2, 0.3, 0.4)]
+    assert _layouts(problems) == 1
+    factor = ipm._factor_kkt
+    seen = []
+    monkeypatch.setattr(ipm, "_factor_kkt", lambda Mr, jitter: seen.append(Mr.copy()) or factor(Mr, jitter))
+    solve(problems[2])
+    marked = seen[2]
+
+    def failing(Mr, jitter):
+        if np.array_equal(Mr, marked):
+            raise NumericError("KKT matrix has a non-finite diagonal")
+        return factor(Mr, jitter)
+
+    monkeypatch.setattr(ipm, "_factor_kkt", failing)
+    want = _solo(problems)
+    assert [sol.stop for sol in want] == ["optimal", "optimal", "numeric-error", "optimal"]
+    assert want[2].iterations == 3
+    got = sdp.solve_many(problems)
+    assert all(_identical(a, b) for a, b in zip(got, want))
+
+
+def test_a_program_that_stops_on_its_factor_leaves_the_batch(monkeypatch):
+    problems = [measures._w_max_form(sigma_r(r)) for r in (0.2, 0.5, 0.8)]
+    factor = ipm._factor_kkt
+    seen = []
+    monkeypatch.setattr(ipm, "_factor_kkt", lambda Mr, jitter: seen.append(Mr.copy()) or factor(Mr, jitter))
+    solve(problems[1])
+    marked = seen[3]
+    monkeypatch.setattr(ipm, "_factor_kkt", lambda Mr, jitter: None if np.array_equal(Mr, marked) else factor(Mr, jitter))
+    want = _solo(problems)
+    assert [sol.stop for sol in want] == ["optimal", "kkt-factor", "optimal"]
+    assert all(_identical(a, b) for a, b in zip(sdp.solve_many(problems), want))
+
+
+@st.composite
+def _scaled_batches(draw):
+    """Three programs of _scaled_programs' shapes on one layout: the
+    structure and the terms' coefficients drawn once, the constants,
+    objectives, senses and equality data drawn per program."""
+    n = draw(st.integers(1, 3))
+    kind = draw(st.sampled_from(["hermitian", "hermitian-psd"]))
+    terms = [
+        [LinTerm("X", draw(_SCALES))] + ([TraceTerm("t", eye(1), eye(n), draw(_SCALES))] if draw(st.booleans()) else [])
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    equality = draw(st.booleans())
+
+    def diag():
+        return np.diag(draw(st.lists(_SCALES, min_size=n, max_size=n))).astype(complex)
+
+    return [
+        SdpProblem(
+            sense=draw(st.sampled_from(["max", "min"])),
+            variables=[("X", n, kind), ("t", 1, "hermitian")],
+            objective=[("X", diag()), ("t", draw(_SCALES) * eye(1))],
+            constraints=[PsdConstraint(dim=n, const=diag(), terms=tuple(ts)) for ts in terms],
+            equalities=[EqConstraint(terms=(("X", diag()),), rhs=draw(_SCALES))] if equality else [],
+        )
+        for _ in range(3)
+    ]
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_scaled_batches())
+def test_badly_scaled_batches_solve_as_each_program_alone(problems):
+    # starts that raise, non-finite iterates, failed factors and numeric
+    # errors in one batch: each program still gets its solo outcome
+    assert _layouts(problems) == 1
+    want = _solo(problems)
+    got = sdp.solve_many(problems)
+    for a, b in zip(got, want):
+        if isinstance(b, NumericError):
+            assert type(a) is NumericError and str(a) == str(b)
+        else:
+            assert _identical(a, b)

@@ -25,6 +25,11 @@ run, the calls identical to the parent's in primal, dual, iterations and
 stop rule, and the KKT jitter rungs its factors used (the `kkt_jitter` of
 every solve's trace rows); and every call whose status or stop rule differs
 from the parent's.
+
+A run whose package has measures.evaluate_many also solves the sigma_r and
+rho_alpha grids of e_w, e0, w0 and fgamma through it, one batch per grid,
+measure and gap, and reports how many of those calls are identical to the
+same run's solo calls.
 """
 
 from __future__ import annotations
@@ -112,6 +117,12 @@ def _worker(reversal):
         "fgamma": lambda rho, cfg: eb.fidelity_ppt(rho, 2.0, cfg),
         "w_dual": eb.w_dual,
     }
+    def record(r):
+        if isinstance(r, eb.EntboundError):
+            stop = re.search(r"stop rule ([\w-]+)", str(r))
+            return {"error": type(r).__name__, "stop": stop.group(1) if stop else type(r).__name__}
+        return {"p": r.primal_value, "d": r.dual_value, "it": r.iterations, "stop": "optimal"}
+
     out = {}
     for name, rho in _states(eb, np):
         if reversal != "none":
@@ -120,13 +131,30 @@ def _worker(reversal):
             cfg = eb.SolverConfig(gap_tol=gap)
             for measure in MEASURES:
                 try:
-                    r = calls[measure](rho, cfg)
-                    rec = {"p": r.primal_value, "d": r.dual_value, "it": r.iterations, "stop": "optimal"}
+                    rec = record(calls[measure](rho, cfg))
                 except eb.EntboundError as exc:
-                    stop = re.search(r"stop rule ([\w-]+)", str(exc))
-                    rec = {"error": type(exc).__name__, "stop": stop.group(1) if stop else type(exc).__name__}
+                    rec = record(exc)
                 out[f"{name}|{measure}|{gap:g}"] = rec
-    print(json.dumps({"calls": out, "rungs": rungs}))
+
+    # the sigma_r and rho_alpha grids again, each grid in one batch call
+    batch = None
+    if hasattr(measures, "evaluate_many"):
+        grids = {}
+        for name, rho in _states(eb, np):
+            family = re.fullmatch(r"(sigma|rho)[\d.]+", name)
+            if family:
+                grids.setdefault(family.group(1), []).append((name, rho))
+        fns = {"e_w": (eb.e_w, {}), "e0": (eb.det_distill_one_copy, {}), "w0": (eb.w0, {}), "fgamma": (eb.fidelity_ppt, {"k": 2.0})}
+        batch = [0, 0]
+        for grid in grids.values():
+            names, rhos = zip(*grid)
+            for gap in GAPS:
+                cfg = eb.SolverConfig(gap_tol=gap)
+                for measure, (fn, kw) in fns.items():
+                    for name, r in zip(names, measures.evaluate_many(fn, rhos, cfg, **kw)):
+                        batch[0] += record(r) == out[f"{name}|{measure}|{gap:g}"]
+                        batch[1] += 1
+    print(json.dumps({"calls": out, "rungs": rungs, "batch": batch}))
 
 
 def _run(src, reversal):
@@ -138,14 +166,22 @@ def _run(src, reversal):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _report_runs(runs, rungs):
-    """Per run, the calls identical to the parent's and the jitter rungs."""
+def _report_runs(runs, rungs, batch):
+    """Per run, the calls identical to the parent's, the batch calls
+    identical to its own solo calls, and the jitter rungs."""
     parent = runs["parent"]
     names = ["change", *REVERSALS]
     same = {name: sum(runs[name][k] == parent[k] for k in parent) for name in names}
     print(
         "calls identical to the parent's in primal, dual, iterations and stop rule: "
         + ", ".join(f"{name} {same[name]} of {len(parent)}" for name in names)
+    )
+    print(
+        "batch calls identical to the same run's solo calls: "
+        + ", ".join(
+            f"{name} " + ("no batch entry" if batch[name] is None else f"{batch[name][0]} of {batch[name][1]}")
+            for name in ["parent", *names]
+        )
     )
     for name in ["parent", *names]:
         counts = sorted(rungs[name].items(), key=lambda kv: float(kv[0]))
@@ -254,7 +290,7 @@ def main():
         results = {name: f.result() for name, f in futures.items()}
     runs = {name: res["calls"] for name, res in results.items()}
     _report(runs)
-    _report_runs(runs, {name: res["rungs"] for name, res in results.items()})
+    _report_runs(runs, {name: res["rungs"] for name, res in results.items()}, {name: res.get("batch") for name, res in results.items()})
 
 
 if __name__ == "__main__":
