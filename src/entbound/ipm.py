@@ -471,6 +471,8 @@ def apply_block(st: BlockStack, y: np.ndarray) -> np.ndarray:
         half = half + 1j * np.bincount(st.flat, v.imag, st.const.size)
     half = half.reshape(st.const.shape)
     mat = (half + dagger(half)).astype(st.const.dtype, copy=False)
+    if not st.tterms:
+        return mat
     ys, mats = y.reshape(-1, 1, st.m), mat.reshape(-1, st.pos.size, st.n, st.n)
     for b, sl, coeff, P, K in st.tterms:
         if len(P) == 1:  # one program: its scale in Python floats, the cheaper form
@@ -495,6 +497,8 @@ def gather_block(st: BlockStack, X: np.ndarray) -> np.ndarray:
     coordinates for a stack X of the blocks' matrices; K m of them, program
     after program, for the stack of K programs."""
     out = _gather_lterms(st, X)
+    if not st.tterms:
+        return out
     outs, Xs = out.reshape(-1, st.m), X.reshape(-1, st.pos.size, st.n, st.n)
     for b, sl, coeff, P, K in st.tterms:
         if len(P) == 1:  # one program, as in apply_block
