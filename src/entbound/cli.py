@@ -222,17 +222,24 @@ def _build_state(doc: dict, path: str, d_a: int, d_b: int) -> BipartiteState:
     return make_state(np.outer(psi, psi.conj()), d_a, d_b)
 
 
-def _eval_measure(state: BipartiteState, kind: str, k, config) -> MeasureResult:
-    if kind == "en":
-        return measures.log_negativity(state, config=config)
-    if kind == "ew":
-        return measures.e_w(state, config=config)
-    if kind == "e0":
-        return measures.det_distill_one_copy(state, config=config)
-    if kind == "fgamma":
-        return measures.fidelity_ppt(state, k, config=config)
-    if kind == "w0":
-        return measures.w0(state, config=config)
+# token kind -> the name of its function on measures, looked up at call
+# time, so that a wrapper installed there (a tracer's) is what runs; the
+# witness is this module's _witness
+_MEASURES = {
+    "en": "log_negativity",
+    "ew": "e_w",
+    "e0": "det_distill_one_copy",
+    "fgamma": "fidelity_ppt",
+    "witness": None,
+    "w0": "w0",
+}
+# A sweep solves this many rows at a time, so that what it holds (states,
+# problems, results) stays bounded however many steps it takes
+_SWEEP_ROWS = 32
+
+
+def _witness(state: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
+    """The closed-form NPT witness bound (measures.npt_witness_bound)."""
     bound, witness = measures.npt_witness_bound(state)
     return MeasureResult(
         value_log2=math.log2(bound),
@@ -244,26 +251,10 @@ def _eval_measure(state: BipartiteState, kind: str, k, config) -> MeasureResult:
     )
 
 
-# the sweep measures whose grid is solved in lockstep (measures.evaluate_many)
-_GRID_MEASURES = {"ew": "e_w", "e0": "det_distill_one_copy", "fgamma": "fidelity_ppt"}
-# A sweep solves this many rows at a time, so that what it holds (states,
-# problems, results) stays bounded however many steps it takes
-_SWEEP_ROWS = 32
-
-
-def _sweep_column(states_: list, kind: str, k, config) -> list:
-    """One measure over a sweep's states: per state its MeasureResult or
-    the package error it raised."""
-    if kind in _GRID_MEASURES:
-        kw = {"k": k} if kind == "fgamma" else {}
-        return measures.evaluate_many(getattr(measures, _GRID_MEASURES[kind]), states_, config, **kw)
-    out = []
-    for state in states_:
-        try:
-            out.append(_eval_measure(state, kind, k, config))
-        except EntboundError as exc:
-            out.append(exc)
-    return out
+def _measure(kind: str, k):
+    """The measure a token names and its keyword arguments."""
+    name = _MEASURES[kind]
+    return (_witness if name is None else getattr(measures, name)), ({} if k is None else {"k": k})
 
 
 def _fmt(x: float) -> str:
@@ -276,7 +267,10 @@ def _fmt(x: float) -> str:
 def _cmd_compute(args, config) -> int:
     tokens = _parse_measures(args.measures, COMPUTE_MEASURES, "compute")
     state, name = _load_state(args.state)
-    records = [(tok, _eval_measure(state, kind, k, config)) for tok, kind, k in tokens]
+    records = []
+    for tok, kind, k in tokens:
+        measure, kw = _measure(kind, k)
+        records.append((tok, measure(state, config=config, **kw)))
     if args.format == "json":
         doc = {
             "name": name,
@@ -328,7 +322,10 @@ def _cmd_sweep(args, config) -> int:
     for start in range(0, len(grid), _SWEEP_ROWS):
         params = [float(param) for param in grid[start : start + _SWEEP_ROWS]]
         states_ = [family(param) for param in params]
-        columns = [_sweep_column(states_, kind, k, config) for _, kind, k in tokens]
+        columns = []
+        for _, kind, k in tokens:
+            measure, kw = _measure(kind, k)
+            columns.append(measures.evaluate_many(measure, states_, config, **kw))
         for row, param in enumerate(params):
             cells = [_fmt(param)]
             # the first failure in row order, as a sweep computed cell by cell meets it

@@ -48,9 +48,10 @@ on that slice, so its rank-one updates touch only the slice's rows and
 columns.
 
 S, Z, the NT scaling, the scaled directions, the step lengths and the
-corrector targets take one stacked numpy call per (nb, n, n) stack.  Each
-stack's entry pairs are flattened once to (block, i, j, weight,
-coordinate) arrays: its image (apply_block) is one scatter and its adjoint
+corrector targets take one stacked numpy call per (K, nb, n, n) stack, K
+programs of nb blocks each (below; K = 1 for one solve).  Each stack's
+entry pairs are flattened once to (block, i, j, weight, coordinate)
+arrays: its image (apply_block) is one scatter and its adjoint
 (gather_block) one gather.  The image is exactly Hermitian (half +
 half†), and S and Z are sums of images, constants and dual directions dZ.
 Hermitian parts are taken only where a reader needs one: the NT matrix V,
@@ -92,14 +93,16 @@ run is the case K = 1).  A layout (layout()) is everything compiled that
 is not data: m, each stack's blocks, entry pairs and Schur groups, the
 trace terms' blocks, slices and coefficients, and A's shape.  The
 constants, c, A and b, the trace terms' p and gains, the sense and the
-constant are each program's own.  Each stack of the batch holds the K
-programs' blocks program-major and y is (K, m), so the image and adjoint
-(bincounts with program offsets), the NT scaling, the Schur kernel, the
-corrector and Gondzio products and the step lengths' eigvalsh run once
-over the batch.  Each program's KKT factor, its jitter rung and solves,
-its scalars, stop rules and trace rows stay its own, and every sum over a
-program's blocks or coordinates is taken as its solve alone takes it
-(stacked (1 x m) @ (m x 1) products for its dot products), so each
+constant are each program's own.  Every array the loop holds has a
+leading program axis: each stack is (K, nb, n, n), y is (K, m), the Newton
+matrices are (K, m, m) and a per-program scalar broadcasts as (K, 1, 1, 1).
+Memory stays program-major, so the image and adjoint (bincounts with
+program offsets) and the Schur kernel index the batch flat, and the NT
+scaling, the corrector and Gondzio products and the step lengths' eigvalsh
+run once over the batch.  Each program's KKT factor, its jitter rung and
+solves, its scalars, stop rules and trace rows stay its own, and every sum
+over a program's blocks or coordinates is taken as its solve alone takes
+it (stacked (1 x m) @ (m x 1) products for its dot products), so each
 program ends bit for bit as it does alone.  A program that stops leaves
 the batch with its snapshot.  A stacked cholesky, svd, eigh or eigvalsh
 raises for the whole batch when one block fails, so a NumericError in a
@@ -182,24 +185,22 @@ def _pt_map(i, j, d_a, d_b):
 
 @dataclass
 class BlockStack:
-    """The blocks of one size n as one (nb, n, n) stack, in constraint order.
-    A block is a whole constraint or one class block of a split one: block b
-    holds rows[b] of constraint pos[b].  Entry e of their flattened entry
-    pairs adds w_e y[coord_e] at stack position flat_e = (b, i, j) and its
-    conjugate at flat_t_e = (b, j, i), with w = coeff * u.  A trace term
-    keeps all its constraint's blocks here as (blocks, slice, coeff, p,
-    gains), its gain cut to each block's rows.
-
-    The stack of K programs of one layout (_batch) holds their K nb blocks
-    program-major, with y their (K, m) coordinates flattened: flat, flat_t
-    and coord carry each program's offsets, and a trace term's p and gains
-    one row per program.  compile_problem's stacks are those of K = 1."""
+    """The blocks of one size n of K programs of one layout as one (K, nb,
+    n, n) stack, each program's in constraint order.  A block is a whole
+    constraint or one class block of a split one: block b holds rows[b] of
+    constraint pos[b].  Entry e of the flattened entry pairs adds
+    w_e y[coord_e] at flat stack position flat_e = (k, b, i, j) and its
+    conjugate at flat_t_e = (k, b, j, i), with w = coeff * u and y the
+    programs' (K, m) coordinates flattened.  A trace term keeps all its
+    constraint's blocks here as (blocks, slice, coeff, p, gains), p (K, l)
+    and its gains (K, blocks, n, n), cut to each block's rows.  A compiled
+    program is the stack of K = 1 (_batch stacks K of them)."""
 
     n: int
     m: int  # one program's coordinates
-    pos: np.ndarray  # one program's blocks' constraints, indices into SdpProblem.blocks()
+    pos: np.ndarray  # (nb,): the blocks' constraints, indices into SdpProblem.blocks()
     rows: np.ndarray  # (nb, n)
-    const: np.ndarray  # (K nb, n, n), in the loop's dtype
+    const: np.ndarray  # (K, nb, n, n), in the loop's dtype
     flat: np.ndarray
     flat_t: np.ndarray
     w: np.ndarray
@@ -342,7 +343,7 @@ def _stack(blocks, m, real_mode) -> BlockStack:
     def cat(parts):
         return np.concatenate(parts) if parts else np.zeros(0, int)
 
-    const = np.array([blk.const for blk in blocks])
+    const = np.array([[blk.const for blk in blocks]])
     return BlockStack(
         n=n,
         m=m,
@@ -463,22 +464,19 @@ def compile_problem(problem: SdpProblem) -> Compiled:
 
 def apply_block(st: BlockStack, y: np.ndarray) -> np.ndarray:
     """Structural + trace-term image F_j(y) of every block of a stack, without
-    the constants: one scatter of the flattened entry pairs.  For the stack
-    of K programs, y holds their K m coordinates, in any shape."""
+    the constants, for the (K, m) coordinates y of its K programs: one
+    scatter of the flattened entry pairs."""
     v = st.w * y.reshape(-1)[st.coord]
     half = np.bincount(st.flat, v.real, st.const.size)
     if v.dtype.kind == "c":
         half = half + 1j * np.bincount(st.flat, v.imag, st.const.size)
     half = half.reshape(st.const.shape)
     mat = (half + dagger(half)).astype(st.const.dtype, copy=False)
-    if not st.tterms:
-        return mat
-    ys, mats = y.reshape(-1, 1, st.m), mat.reshape(-1, st.pos.size, st.n, st.n)
     for b, sl, coeff, P, K in st.tterms:
         if len(P) == 1:  # one program: its scale in Python floats, the cheaper form
-            mat[b] += (coeff * float(P[0] @ ys[0, 0, sl])) * K[0]
+            mat[0, b] += (coeff * float(P[0] @ y[0, sl])) * K[0]
         else:  # (1 x l) @ (l x 1) per program: the dot product of one program's solve
-            mats[:, b] += (coeff * (ys[..., sl] @ P[..., None]))[..., None] * K
+            mat[:, b] += (coeff * (y[:, None, sl] @ P[..., None]))[..., None] * K
     return mat
 
 
@@ -486,33 +484,28 @@ def _gather_lterms(st: BlockStack, X: np.ndarray) -> np.ndarray:
     """The entry-pair part of gather_block: one gather of the flattened
     entry pairs."""
     Xf = X.reshape(-1)
-    size = st.const.shape[0] // st.pos.size * st.m
     # w.conj(), not np.conj(w): a real w is then not copied
-    out = np.bincount(st.coord, (st.w * Xf[st.flat_t] + st.w.conj() * Xf[st.flat]).real, size)
-    return out.astype(float, copy=False)  # bincount of no entries is integer
+    out = np.bincount(st.coord, (st.w * Xf[st.flat_t] + st.w.conj() * Xf[st.flat]).real, len(st.const) * st.m)
+    return out.astype(float, copy=False).reshape(-1, st.m)  # bincount of no entries is integer
 
 
 def gather_block(st: BlockStack, X: np.ndarray) -> np.ndarray:
-    """Adjoint of apply_block: the vector of sum_j <F_ja, X_j> over all
-    coordinates for a stack X of the blocks' matrices; K m of them, program
-    after program, for the stack of K programs."""
+    """Adjoint of apply_block: the (K, m) sums over the blocks j of
+    <F_ja, X_j> for the (K, nb, n, n) stack X of the blocks' matrices."""
     out = _gather_lterms(st, X)
-    if not st.tterms:
-        return out
-    outs, Xs = out.reshape(-1, st.m), X.reshape(-1, st.pos.size, st.n, st.n)
     for b, sl, coeff, P, K in st.tterms:
         if len(P) == 1:  # one program, as in apply_block
-            out[sl] += (coeff * float(np.real(np.trace(K[0] @ Xs[0, b], axis1=-2, axis2=-1)).sum())) * P[0]
+            out[0, sl] += (coeff * float(np.real(np.trace(K[0] @ X[0, b], axis1=-2, axis2=-1)).sum())) * P[0]
         else:
-            tr = (K @ Xs[:, b]).trace(axis1=-2, axis2=-1).real.sum(axis=1)
-            outs[:, sl] += (coeff * tr)[:, None] * P
+            tr = (K @ X[:, b]).trace(axis1=-2, axis2=-1).real.sum(axis=1)
+            out[:, sl] += (coeff * tr)[:, None] * P
     return out
 
 
 def full_blocks(comp: Compiled, Xs) -> list:
     """One matrix per constraint, in SdpProblem.blocks() order, from one
-    stack per block size: each block at its rows, zero between class
-    blocks."""
+    program's (nb, n, n) stack per block size: each block at its rows, zero
+    between class blocks."""
     out = [np.zeros((n, n), dtype=Xs[0].dtype) for n in comp.dims]
     for st, X in zip(comp.stacks, Xs):
         for p, rows, Xb in zip(st.pos, st.rows, X):
@@ -582,8 +575,8 @@ def _gondzio_target(D, dSt, dZt, ap, ad, smu):
     """Scaled-space correction herding the tentative complementarity
     eigenvalues, those of (D + ap dSt)(D + ad dZt) with D the diagonal
     scaled point, into [0.1 smu, 10 smu]: the extra target, zero when no
-    eigenvalue lies outside.  ap and ad are scalars or one per block, as
-    (nb, 1, 1), and smu a scalar or one per block, as (nb, 1)."""
+    eigenvalue lies outside.  ap and ad are scalars or one per program, as
+    (K, 1, 1, 1), and smu a scalar or one per program, as (K, 1, 1)."""
     P = hermitize((D + ap * dSt) @ (D + ad * dZt))
     pe, Pu = _eigh(P)
     lo, hi = 0.1 * smu, 10.0 * smu
@@ -592,7 +585,7 @@ def _gondzio_target(D, dSt, dZt, ap, ad, smu):
 
 
 def _max_step(d, dXt):
-    """Largest t with diag(d) + t dXt >= 0 in every block of a stack, the
+    """Largest t with diag(d) + t dXt >= 0 in every block of a program, the
     step length of a scaled direction; inf when dXt >= 0.  On the (K, nb,
     n, n) stack of K programs' blocks, with d (K, nb, n), the list of their
     K steps: one eigvalsh over all the blocks, then the least over each
@@ -604,41 +597,32 @@ def _max_step(d, dXt):
         lmin = np.linalg.eigvalsh(r[..., :, None] * dXt * r[..., None, :])[..., 0]
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"step length computation failed: {exc}") from exc
-    if lmin.ndim == 2:
-        return [np.inf if x >= -1e-16 else 1.0 / -x for x in lmin.min(axis=-1).tolist()]
-    lmin = float(lmin.min())
-    if lmin >= -1e-16:
-        return np.inf
-    return 1.0 / (-lmin)
+    return [np.inf if x >= -1e-16 else 1.0 / -x for x in lmin.min(axis=-1).tolist()]
 
 
 def _assemble_M(comp, Vs):
-    """M[a, b] = sum_j Re tr(F_ja V_j F_jb V_j) from one stack of NT
-    matrices V per block size, for comp's stacks (a Compiled, or the
-    _Batch of K programs, whose K Newton matrices come stacked as K m
-    rows).  A trace term c tr(P X) K adds c p ⊗ gather_block(V K V) to its
-    rows: V K V is zero off its constraint's blocks, so the gather's trace
-    part is the term's products with every trace term of its constraint,
-    itself included.  Its columns take c (the entry pairs' part of that
-    gather) ⊗ p."""
-    m = comp.m
-    K = Vs[0].shape[0] // comp.stacks[0].pos.size
-    M = np.zeros((K * m, m))
-    Ms = M.reshape(K, m, m)
+    """The (K, m, m) Newton matrices M[k, a, b] = sum_j Re tr(F_ja V_kj F_jb
+    V_kj) from one (K, nb, n, n) stack of NT matrices V per block size, for
+    comp's stacks (a Compiled, K = 1, or the _Batch of K programs).  A
+    trace term c tr(P X) K adds c p ⊗ gather_block(V K V) to its rows: V K
+    V is zero off its constraint's blocks, so the gather's trace part is the
+    term's products with every trace term of its constraint, itself
+    included.  Its columns take c (the entry pairs' part of that gather) ⊗
+    p."""
+    K, m = len(Vs[0]), comp.m
+    M = np.zeros((K, m, m))
     for st, V in zip(comp.stacks, Vs):
         kernels.schur_stack(M, V, st.groups)
-        Vb = V.reshape(K, -1, st.n, st.n)
         for b, sl, coeff, P, Kg in st.tterms:
+            VKV = np.zeros_like(V)
             if K == 1:  # one program, as in apply_block
-                VKV = np.zeros_like(V)
-                VKV[b] = V[b] @ Kg[0] @ V[b]
-                M[sl] += coeff * np.outer(P[0], gather_block(st, VKV))
-                M[:, sl] += coeff * np.outer(_gather_lterms(st, VKV), P[0])
+                VKV[0, b] = V[0, b] @ Kg[0] @ V[0, b]
+                M[0, sl] += coeff * np.outer(P[0], gather_block(st, VKV)[0])
+                M[0, :, sl] += coeff * np.outer(_gather_lterms(st, VKV)[0], P[0])
                 continue
-            VKV = np.zeros_like(Vb)
-            VKV[:, b] = Vb[:, b] @ Kg @ Vb[:, b]
-            Ms[:, sl] += coeff * (P[:, :, None] * gather_block(st, VKV).reshape(K, 1, m))
-            Ms[:, :, sl] += coeff * (_gather_lterms(st, VKV).reshape(K, m, 1) * P[:, None, :])
+            VKV[:, b] = V[:, b] @ Kg @ V[:, b]
+            M[:, sl] += coeff * (P[:, :, None] * gather_block(st, VKV)[:, None, :])
+            M[:, :, sl] += coeff * (_gather_lterms(st, VKV)[:, :, None] * P[:, None, :])
     return M
 
 
@@ -766,7 +750,10 @@ def _factor_kkt(Mr, jitter):
     sqrt(M_ii M_jj), so equilibrating Mr first changes only rounding.  Up
     to four refinement steps against Mr itself, not the jittered matrix,
     matter once mu pushes Mr's conditioning toward the float64 cliff near
-    convergence."""
+    convergence.  On the value gate's 2,020 calls, no refinement moved e_w
+    at gap 1e-10 by 1.4e-8 (43 times the basis reversals' spread) and took
+    12,315 gap-1e-10 iterations against 11,904-11,992; one unconditional
+    step took 12,047 and left a w_dual solve at max-iterations."""
     dscale = max(float(np.diag(Mr).max(initial=0.0)), 1e-300)
     if not np.isfinite(dscale):
         # an infinite pivot zeroes its coordinate of every solve, hiding itself
@@ -901,13 +888,13 @@ def _tiled(a, step, K):
     return (a + step * np.arange(K).reshape((K,) + (1,) * a.ndim)).reshape((K * a.shape[0],) + a.shape[1:])
 
 
-def _stacked(parts, K, m) -> BlockStack:
+def _stacked(parts) -> BlockStack:
     """The stack of K programs from their stacks of one block size."""
-    st = parts[0]
+    st, K = parts[0], len(parts)
     size = st.const.size
     groups = tuple(
         (
-            tuple(_tiled(t, m * m, K) for t in targets),
+            tuple(_tiled(t, st.m * st.m, K) for t in targets),
             R,
             [(cc, *(None if a is None else _tiled(a, size, K) for a in xypq)) for cc, *xypq in entries],
         )
@@ -919,23 +906,23 @@ def _stacked(parts, K, m) -> BlockStack:
     )
     return BlockStack(
         n=st.n,
-        m=m,
+        m=st.m,
         pos=st.pos,
         rows=st.rows,
         const=np.concatenate([p.const for p in parts]),
         flat=_tiled(st.flat, size, K),
         flat_t=_tiled(st.flat_t, size, K),
         w=np.tile(st.w, K),
-        coord=_tiled(st.coord, m, K),
+        coord=_tiled(st.coord, st.m, K),
         groups=groups,
         tterms=tterms,
     )
 
 
 class _Batch(NamedTuple):
-    """K programs of one layout as the loop reads them: their stacks,
-    program-major, and their objectives c (K, m), constraint norms dnorm
-    (K, constraints) and, per stack, each block's place in dnorm.ravel()."""
+    """K programs of one layout as the loop reads them: their stacks, their
+    objectives c (K, m), constraint norms dnorm (K, constraints) and, per
+    stack, each block's place in dnorm.ravel()."""
 
     m: int
     stacks: list
@@ -946,55 +933,45 @@ class _Batch(NamedTuple):
 
 def _batch(comps) -> _Batch:
     lead, K = comps[0], len(comps)
-    stacks = lead.stacks if K == 1 else [_stacked(parts, K, lead.m) for parts in zip(*(c.stacks for c in comps))]
+    stacks = lead.stacks if K == 1 else [_stacked(parts) for parts in zip(*(c.stacks for c in comps))]
     pos = [(st.pos + lead.dnorm.size * np.arange(K)[:, None]).reshape(-1) for st in lead.stacks]
     return _Batch(lead.m, stacks, np.array([c.c for c in comps]), np.array([c.dnorm for c in comps]), pos)
 
 
-def _rows(X, keep, nb=1):
-    """The programs keep of a per-program array (nb = 1) or a program-major
-    stack of nb blocks per program."""
-    return X.reshape((-1, nb) + X.shape[1:])[keep].reshape((-1,) + X.shape[1:])
-
-
-def _per_block(values, nbs, ndim=3) -> list:
-    """One value per program, per stack of nb blocks per program: the value
-    itself for one program, else the (K nb, 1, ...) array of ndim axes."""
+def _per_program(values, ndim=4):
+    """values[k] for program k, against arrays of ndim axes with a leading
+    program axis: the value itself for one program, else the (K, 1, ...)
+    array."""
     if len(values) == 1:
-        return [values[0]] * len(nbs)
-    a = np.array(values)
-    return [np.repeat(a, nb).reshape((-1,) + (1,) * (ndim - 1)) for nb in nbs]
+        return values[0]
+    return np.array(values).reshape((-1,) + (1,) * (ndim - 1))
 
 
-def _per_run(v, K):
-    """The sums of K programs' equal shares of v, each summed as one
-    program's solve sums it, as floats."""
-    return v.reshape(K, -1).sum(axis=1).tolist()
+def _per_run(v):
+    """Each program's sum of its row of v, summed as its solve alone sums
+    it, as floats."""
+    return v.reshape(len(v), -1).sum(axis=1).tolist()
 
 
-def _steps(sc, dXt, K):
-    """Each program's step length over all its stacks (_max_step), on the
-    stacks as (K, nb, ...) for a batch of K > 1."""
-    if K == 1:
-        return [min(_max_step(s.d, X) for s, X in zip(sc, dXt))]
-    steps = [_max_step(s.d.reshape((K, -1) + s.d.shape[1:]), X.reshape((K, -1) + X.shape[1:])) for s, X in zip(sc, dXt)]
-    return [min(per_stack) for per_stack in zip(*steps)]
+def _steps(sc, dXt):
+    """Each program's step length over all its stacks (_max_step)."""
+    return [min(per_stack) for per_stack in zip(*(_max_step(s.d, X) for s, X in zip(sc, dXt)))]
 
 
-def _pick(take, K, nbs, new, old):
-    """new for the programs take, old for the others of K: (K, m) arrays,
-    or lists of one program-major stack per block size."""
+def _pick(take, new, old):
+    """new for the programs take, old for the others: arrays with a leading
+    program axis, or lists of them."""
+    K = len(new[0])
     if len(take) == K:
         return new
     mask = np.zeros(K, bool)
     mask[take] = True
 
-    def pick(a, b, nb=1):
-        return np.where(np.repeat(mask, nb).reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
+    def pick(a, b):
+        return np.where(mask.reshape((-1,) + (1,) * (a.ndim - 1)), a, b)
 
     return tuple(
-        pick(x, o) if isinstance(x, np.ndarray) else [pick(a, b, nb) for a, b, nb in zip(x, o, nbs)]
-        for x, o in zip(new, old)
+        pick(x, o) if isinstance(x, np.ndarray) else [pick(a, b) for a, b in zip(x, o)] for x, o in zip(new, old)
     )
 
 
@@ -1040,7 +1017,7 @@ class _Run:
         self.comp, self.eq = comp, eq
         self.trace = []  # one row per evaluated iterate with finite measures
         # the iterate returned, the last one that left a trace row or the start:
-        # (iteration, y, the batch's Z and the program's place in it, lam, pobj, dobj)
+        # (iteration, y, the batch's Z and the program's place on its axis, lam, pobj, dobj)
         self.snap = (0, y, Z, 0, np.zeros(comp.b.size), float("nan"), float("nan"))
         self.last_step = dict.fromkeys(("alpha_p", "alpha_d", "sigma", "kkt_jitter"), float("nan"))
         self.result = None
@@ -1051,7 +1028,6 @@ class _Run:
     def finish(self, status, stop, detail=""):
         it, y, Z, k, lam, pobj, dobj = self.snap
         comp = self.comp
-        Zk = [X[k * st.pos.size : (k + 1) * st.pos.size] for st, X in zip(comp.stacks, Z)]
         self.result = {
             "status": status,
             "stop": stop,
@@ -1060,7 +1036,7 @@ class _Run:
             "dual_value": comp.sense_mult * dobj + comp.constant,
             "assignments": assignments_from(comp, y),
             "iterations": it,
-            "dual_blocks": full_blocks(comp, Zk),
+            "dual_blocks": full_blocks(comp, [X[k] for X in Z]),
             "eq_duals": lam,
             "trace": self.trace,
         }
@@ -1079,11 +1055,14 @@ def _solve(comps, cfg) -> list:
         except NumericError as exc:
             out.append(exc)
             continue
-        # every block starts from its constraint's constant norm
+        # every block starts from its constraint's constant norm; (1, nb, n, n) stacks
         dtype = [st.const.dtype for st in comp.stacks]
-        S = [np.maximum(1.0, comp.dnorm[st.pos])[:, None, None] * np.eye(st.n, dtype=t) for st, t in zip(comp.stacks, dtype)]
+        S = [
+            np.maximum(1.0, comp.dnorm[st.pos])[None, :, None, None] * np.eye(st.n, dtype=t)
+            for st, t in zip(comp.stacks, dtype)
+        ]
         zscale = max(1.0, float(np.max(np.abs(comp.c))))
-        Z = [np.full(st.pos.shape + (1, 1), zscale) * np.eye(st.n, dtype=t) for st, t in zip(comp.stacks, dtype)]
+        Z = [np.full((1,) + st.pos.shape + (1, 1), zscale) * np.eye(st.n, dtype=t) for st, t in zip(comp.stacks, dtype)]
         r = _Run(comp, eq, y, Z)
         out.append(r)
         binf = 1.0 + float(np.max(np.abs(comp.b), initial=0.0))
@@ -1104,7 +1083,7 @@ def _solve(comps, cfg) -> list:
 
 def _iterate(runs, y, S, Z, start, cfg) -> None:
     """The loop, over runs of one layout in lockstep from iteration start
-    at the iterate (y, S, Z): y is (K, m), S and Z one program-major stack
+    at the iterate (y, S, Z): y is (K, m), S and Z one (K, nb, n, n) stack
     per block size.  Sums over a program's blocks and coordinates are taken
     as its solve alone takes them; the KKT factors and solves, the scalars
     and the stop rules are each run's own.  A run that stops leaves the
@@ -1113,25 +1092,25 @@ def _iterate(runs, y, S, Z, start, cfg) -> None:
     alone from that iteration's iterate, where only the failing one stops
     numeric-error."""
     lead = runs[0].comp
-    m, nbs = lead.m, [st.pos.size for st in lead.stacks]
-    Ntot = sum(st.const.shape[0] * st.n for st in lead.stacks)
+    m, Ntot = lead.m, sum(st.pos.size * st.n for st in lead.stacks)
     batch = _batch([r.comp for r in runs])
     for it in range(start, cfg.max_iterations + 1):
         K, stacks = len(runs), batch.stacks
         Rp = [st.const + apply_block(st, y) - Sk for st, Sk in zip(stacks, S)]
-        adjZ = sum(gather_block(st, Zk) for st, Zk in zip(stacks, Z)).reshape(K, m)
+        adjZ = sum(gather_block(st, Zk) for st, Zk in zip(stacks, Z))
         # per program, each sum over its blocks taken as its solve alone takes it
-        inner = [_per_run(_inners(Zk, Sk), K) for Zk, Sk in zip(Z, S)]
+        inner = [_per_run(_inners(Zk, Sk)) for Zk, Sk in zip(Z, S)]
         pobj = (batch.c[:, None, :] @ y[:, :, None]).reshape(K).tolist()  # one dot product per program
-        zc = [_per_run(_inners(Zk, st.const), K) for st, Zk in zip(stacks, Z)]
+        zc = [_per_run(_inners(Zk, st.const)) for st, Zk in zip(stacks, Z)]
         # each constraint's Frobenius norm, over all its blocks (inf on a diverging iterate)
         sq = sum(
-            np.bincount(pk, (Rk.conj() * Rk).real.sum(axis=(-2, -1)), batch.dnorm.size) for pk, Rk in zip(batch.pos, Rp)
+            np.bincount(pk, (Rk.conj() * Rk).real.sum(axis=(-2, -1)).reshape(-1), batch.dnorm.size)
+            for pk, Rk in zip(batch.pos, Rp)
         ).reshape(K, -1)
         pinf = (np.sqrt(sq) / (1.0 + batch.dnorm)).max(axis=1).tolist()
         ynorm = np.abs(y).max(axis=1).tolist()
-        slack = [_per_run(np.abs(_inners(Zk, Rk)), K) for Zk, Rk in zip(Z, Rp)]
-        zdiag = [_per_run(Zk.diagonal(0, -2, -1).real, K) for Zk in Z]
+        slack = [_per_run(np.abs(_inners(Zk, Rk))) for Zk, Rk in zip(Z, Rp)]
+        zdiag = [_per_run(Zk.diagonal(0, -2, -1).real) for Zk in Z]
         rd = np.zeros((K, m))
         for k, r in enumerate(runs):
             if r.result is not None:  # stopped on its KKT factor
@@ -1194,14 +1173,14 @@ def _iterate(runs, y, S, Z, start, cfg) -> None:
             return
         if len(keep) < K:
             runs, y, rd = [runs[k] for k in keep], y[keep], rd[keep]
-            S, Z, Rp = ([_rows(X, keep, nb) for X, nb in zip(Xs, nbs)] for Xs in (S, Z, Rp))
+            S, Z, Rp = ([X[keep] for X in Xs] for Xs in (S, Z, Rp))
             batch = _batch([r.comp for r in runs])
             K, stacks = len(runs), batch.stacks
 
         try:
             sc = [_nt_scaling(Sk, Zk) for Sk, Zk in zip(S, Z)]
             # each program's reduced Newton matrix; the full ones go before the factors
-            Mr = [r.eq.reduce(Mk) for r, Mk in zip(runs, _assemble_M(batch, [s.V for s in sc]).reshape(K, m, m))]
+            Mr = [r.eq.reduce(Mk) for r, Mk in zip(runs, _assemble_M(batch, [s.V for s in sc]))]
             kkt, jitters = [], []
             for r, Mk in zip(runs, Mr):
                 # a failed factor retries once, jittered by 1e-14 of Mr's largest diagonal
@@ -1230,7 +1209,7 @@ def _iterate(runs, y, S, Z, start, cfg) -> None:
                     W = [_lyapunov(s.d, Tk) for s, Tk in zip(sc, T)]
                     rhs = [dagger(s.Gi) @ Wk @ s.Gi + Hk for s, Wk, Hk in zip(sc, W, rhs_a)]
                     E = [Wk - Dk for Wk, Dk in zip(W, D)]  # dZ̃ = E − dS̃
-                g = -rd + sum(gather_block(st, Hk) for st, Hk in zip(stacks, rhs)).reshape(K, m)
+                g = -rd + sum(gather_block(st, Hk) for st, Hk in zip(stacks, rhs))
                 dy = np.zeros((K, m))
                 for k in solved:
                     eq = runs[k].eq
@@ -1238,16 +1217,14 @@ def _iterate(runs, y, S, Z, start, cfg) -> None:
                 dS = [Rk + apply_block(st, dy) for st, Rk in zip(stacks, Rp)]
                 dSt = [s.Gi @ dSk @ dagger(s.Gi) for s, dSk in zip(sc, dS)]
                 dZt = [Ek - dStk for Ek, dStk in zip(E, dSt)]
-                ap = [min(1.0, tau * step) for step in _steps(sc, dSt, K)]
-                ad = [min(1.0, tau * step) for step in _steps(sc, dZt, K)]
+                ap = [min(1.0, tau * step) for step in _steps(sc, dSt)]
+                ad = [min(1.0, tau * step) for step in _steps(sc, dZt)]
                 return dy, dS, dSt, dZt, ap, ad
 
             # predictor: pure Newton step toward feasibility and zero product
             _, _, dSt_a, dZt_a, ap_a, ad_a = direction(None, 1.0, live)
-            mu_aff = [
-                _per_run(_inners(Dk + a * dZk, Dk + p * dSk), K)
-                for Dk, dZk, dSk, p, a in zip(D, dZt_a, dSt_a, _per_block(ap_a, nbs), _per_block(ad_a, nbs))
-            ]
+            p, a = _per_program(ap_a), _per_program(ad_a)
+            mu_aff = [_per_run(_inners(Dk + a * dZk, Dk + p * dSk)) for Dk, dZk, dSk in zip(D, dZt_a, dSt_a)]
             sigma, smu = [0.0] * K, [0.0] * K
             for k in live:
                 mu = runs[k].mu
@@ -1261,10 +1238,8 @@ def _iterate(runs, y, S, Z, start, cfg) -> None:
                 smu[k] = sigma[k] * mu
 
             # corrector: recenter and absorb the second-order product term
-            Tc = [
-                sm * np.eye(st.n) - _second_order_term(dSk, dZk)
-                for st, sm, dSk, dZk in zip(stacks, _per_block(smu, nbs), dSt_a, dZt_a)
-            ]
+            sm, sm_eig = _per_program(smu), _per_program(smu, 3)  # against stacks, and their eigenvalues
+            Tc = [sm * np.eye(st.n) - _second_order_term(dSk, dZk) for st, dSk, dZk in zip(stacks, dSt_a, dZt_a)]
             tau = 0.98  # share of the way to the cone boundary a corrector step takes
             dy, dS, dSt, dZt, ap, ad = direction(Tc, tau, live)
 
@@ -1277,22 +1252,13 @@ def _iterate(runs, y, S, Z, start, cfg) -> None:
                 want = [k for k in want if min(ap[k], ad[k]) < 0.85]
                 if not want:
                     break
-                targets = [
-                    _gondzio_target(Dk, dSk, dZk, p, a, sm)
-                    for Dk, dSk, dZk, p, a, sm in zip(
-                        D,
-                        dSt,
-                        dZt,
-                        _per_block([min(1.0, a + 0.3) for a in ap], nbs),
-                        _per_block([min(1.0, d + 0.3) for d in ad], nbs),
-                        _per_block(smu, nbs, ndim=2),
-                    )
-                ]
+                p, a = (_per_program([min(1.0, x + 0.3) for x in xs]) for xs in (ap, ad))
+                targets = [_gondzio_target(Dk, dSk, dZk, p, a, sm_eig) for Dk, dSk, dZk in zip(D, dSt, dZt)]
                 Tg = [Tk + Hk for Tk, Hk in zip(Tc, targets)]
                 dy2, dS2, dSt2, dZt2, ap2, ad2 = direction(Tg, tau, want)
                 want = [k for k in want if not min(ap2[k], ad2[k]) < min(ap[k], ad[k]) + 0.02]
                 if want:
-                    dy, dS, dSt, dZt, Tc = _pick(want, K, nbs, (dy2, dS2, dSt2, dZt2, Tg), (dy, dS, dSt, dZt, Tc))
+                    dy, dS, dSt, dZt, Tc = _pick(want, (dy2, dS2, dSt2, dZt2, Tg), (dy, dS, dSt, dZt, Tc))
                     for k in want:
                         ap[k], ad[k] = ap2[k], ad2[k]
             dZ = [hermitize(dagger(s.Gi) @ dZk @ s.Gi) for s, dZk in zip(sc, dZt)]
@@ -1303,16 +1269,15 @@ def _iterate(runs, y, S, Z, start, cfg) -> None:
             for k, r in enumerate(runs):
                 if r.result is None:  # a run stopped on its KKT factor stays stopped
                     r.trace.pop()
-                    Sk, Zk = ([X[k * nb : (k + 1) * nb] for X, nb in zip(Xs, nbs)] for Xs in (S, Z))
-                    _iterate([r], y[k : k + 1], Sk, Zk, it, cfg)
+                    _iterate([r], y[k : k + 1], [X[k : k + 1] for X in S], [X[k : k + 1] for X in Z], it, cfg)
             return
 
         if len(live) < K:  # a run stopped on its KKT factor keeps its iterate
             ap, ad = ([x if r.result is None else 0.0 for x, r in zip(xs, runs)] for xs in (ap, ad))
-        (py,) = _per_block(ap, [1], ndim=2)
-        y = y + py * dy
-        S = [Sk + p * dSk for Sk, p, dSk in zip(S, _per_block(ap, nbs), dS)]
-        Z = [Zk + d * dZk for Zk, d, dZk in zip(Z, _per_block(ad, nbs), dZ)]
+        p, a = _per_program(ap), _per_program(ad)
+        y = y + _per_program(ap, 2) * dy
+        S = [Sk + p * dSk for Sk, dSk in zip(S, dS)]
+        Z = [Zk + a * dZk for Zk, dZk in zip(Z, dZ)]
         for k in live:
             runs[k].last_step = {"alpha_p": ap[k], "alpha_d": ad[k], "sigma": sigma[k], "kkt_jitter": jitters[k]}
 

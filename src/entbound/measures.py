@@ -72,10 +72,6 @@ def _checked(sol, what: str):
     return sol
 
 
-def _solved(problem: SdpProblem, config: SolverConfig | None, what: str):
-    return _checked(solve(problem, config), what)
-
-
 def _evaluate(program, rho, config, *args) -> MeasureResult:
     """An SDP measure's three steps: build its problem (program), solve it,
     finish its result.  program returns the result itself when no solve
@@ -84,7 +80,7 @@ def _evaluate(program, rho, config, *args) -> MeasureResult:
     if isinstance(step, MeasureResult):
         return step
     what, problem, finish = step
-    return finish(_solved(problem, config, what))
+    return finish(_checked(solve(problem, config), what))
 
 
 def _eye(n):
@@ -147,6 +143,10 @@ def _w_max_form(rho: BipartiteState) -> SdpProblem:
 def w_dual(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureResult:
     """min tr(U + V) over U, V >= 0 with (U - V)^PT >= rho; the witness is
     the minimizing X = (U - V)^PT, which dominates rho."""
+    return _evaluate(_w_dual_program, rho, config)
+
+
+def _w_dual_program(rho: BipartiteState, config: SolverConfig | None):
     n = rho.dims.total
     variables = [("U", n, "hermitian-psd"), ("V", n, "hermitian-psd")]
     check_capacity(variables)
@@ -167,11 +167,12 @@ def w_dual(rho: BipartiteState, config: SolverConfig | None = None) -> MeasureRe
         ],
         patterns={"U": pattern, "V": pattern},
     )
-    sol = _solved(problem, config, "w_dual")
-    x = ptranspose_arr(
-        sol.assignments["U"].mat - sol.assignments["V"].mat, *pt_dims
-    )
-    return _result(sol, HermitianMatrix(x))
+
+    def finish(sol):
+        x = ptranspose_arr(sol.assignments["U"].mat - sol.assignments["V"].mat, *pt_dims)
+        return _result(sol, HermitianMatrix(x))
+
+    return "w_dual", problem, finish
 
 
 def _neg_part(mat: np.ndarray) -> float:
@@ -423,6 +424,7 @@ def _w0_program(rho: BipartiteState, config: SolverConfig | None):
 
 # the SDP measures by function, with the program step of each
 _PROGRAMS = {
+    w_dual: _w_dual_program,
     e_w: _e_w_program,
     det_distill_one_copy: _det_distill_one_copy_program,
     w0: _w0_program,
@@ -441,7 +443,7 @@ def _caught(fn, *args, **kwargs):
 def evaluate_many(measure, states, config: SolverConfig | None = None, **kw) -> list:
     """measure(rho, config=config, **kw) for every state: per state, in
     order, its MeasureResult or the package error it raised.  The SDP
-    measures e_w, det_distill_one_copy, w0 and fidelity_ppt build every
+    measures w_dual, e_w, det_distill_one_copy, w0 and fidelity_ppt build every
     problem first and solve them together (sdp.solve_many), each result bit
     for bit what the one-state call returns; any other measure is called
     state by state."""

@@ -485,8 +485,8 @@ _EVALUATE_STATES = [rho_alpha(a) for a in (0.1, 0.3, 0.5)] + [
 
 @pytest.mark.parametrize(
     "measure, kw",
-    [(e_w, {}), (det_distill_one_copy, {}), (w0, {}), (fidelity_ppt, {"k": 1.5}), (log_negativity, {})],
-    ids=["e_w", "e0", "w0", "fgamma", "en"],
+    [(e_w, {}), (det_distill_one_copy, {}), (w0, {}), (fidelity_ppt, {"k": 1.5}), (log_negativity, {}), (w_dual, {})],
+    ids=["e_w", "e0", "w0", "fgamma", "en", "w_dual"],
 )
 def test_evaluate_many_returns_each_calls_result(measure, kw):
     got = evaluate_many(measure, _EVALUATE_STATES, **kw)

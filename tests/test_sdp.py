@@ -1155,8 +1155,9 @@ def _compiled(build, real, split, monkeypatch):
 
 
 def _class_stacks(comp, mats):
-    """The stacks of comp's class blocks cut from one matrix per constraint."""
-    return [np.array([mats[p][np.ix_(r, r)] for p, r in zip(st.pos, st.rows)]) for st in comp.stacks]
+    """The (1, nb, n, n) stacks of comp's class blocks cut from one matrix
+    per constraint."""
+    return [np.array([[mats[p][np.ix_(r, r)] for p, r in zip(st.pos, st.rows)]]) for st in comp.stacks]
 
 
 def _hermitian_stack(rng, nb, n, real, psd=False):
@@ -1184,7 +1185,7 @@ def test_assemble_M_matches_dense_oracle(build, real, split, monkeypatch):
         FV = np.array([(sdp.block_matrix(blk, xs) - blk.const) @ Vj for xs in units])
         want += np.einsum("iab,kba->ik", FV, FV).real
 
-    got = ipm._assemble_M(comp, Vs)
+    (got,) = ipm._assemble_M(comp, [V[None] for V in Vs])
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -1197,21 +1198,21 @@ def test_gather_block_is_the_adjoint_of_apply_block(build, real, split, monkeypa
     rng = np.random.default_rng(7)
     y = rng.standard_normal(comp.m)
     xs = ipm.assignments_from(comp, y)
-    images = [ipm.apply_block(st, y) for st in comp.stacks]
+    images = [ipm.apply_block(st, y[None])[0] for st in comp.stacks]
     for blk, F in zip(blocks, ipm.full_blocks(comp, images)):
         want = sdp.block_matrix(blk, xs) - blk.const
         assert np.max(np.abs(F - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
-    for blk, C in zip(blocks, ipm.full_blocks(comp, [st.const for st in comp.stacks])):
+    for blk, C in zip(blocks, ipm.full_blocks(comp, [st.const[0] for st in comp.stacks])):
         assert np.array_equal(C, blk.const.real if real else blk.const)
     for st, img in zip(comp.stacks, images):
         X = _hermitian_stack(rng, len(st.pos), st.n, False)
-        lhs = float(y @ ipm.gather_block(st, X))
+        lhs = float(y @ ipm.gather_block(st, X[None])[0])
         rhs = float(np.real(np.sum(img * np.swapaxes(X, -1, -2))))
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
         # the gather sees only the Hermitian part of its argument, so the
         # loop's right-hand-side stacks need no symmetrizing
         X = rng.standard_normal(X.shape) if real else rng.standard_normal(X.shape) + 1j * rng.standard_normal(X.shape)
-        got, want = ipm.gather_block(st, X), ipm.gather_block(st, hermitize(X))
+        got, want = ipm.gather_block(st, X[None]), ipm.gather_block(st, hermitize(X)[None])
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
@@ -1226,7 +1227,7 @@ def test_model_dual_residual_matches_the_stacked_gathers(build, real, split, mon
     lam = rng.standard_normal(len(problem.equalities))
     res = sdp._dual_residual(problem, zs, lam)
     got = np.concatenate([ipm._hvec(res[name], *comp.bases[name]) for name in comp.var_dims])
-    want = comp.c + sum(ipm.gather_block(st, Z) for st, Z in zip(comp.stacks, _class_stacks(comp, zs)))
+    want = comp.c + sum(ipm.gather_block(st, Z)[0] for st, Z in zip(comp.stacks, _class_stacks(comp, zs)))
     want -= comp.A.T @ lam
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -1441,14 +1442,21 @@ def test_max_step_of_the_scaled_direction_is_the_largest_feasible_step(n, real):
         for X, dX, dXt in ((S, dS, dSt), (Z, dZ, dZt)):
             lmin = sla.eigvalsh(-dX, X)[-1]
             want = 1.0 / lmin if lmin > 0 else np.inf
-            got = ipm._max_step(sc.d, dXt)
+            got = _step(sc.d, dXt)
             if np.isinf(want):
                 assert np.isinf(got)
             else:
                 assert abs(got - want) <= 1e-10 * want
         # a direction inside the cone never leaves it
         for dPt in (sc.Gi @ (dS @ dS) @ sc.Gi.conj().T, dZt @ dZt):
-            assert np.isinf(ipm._max_step(sc.d, dPt))
+            assert np.isinf(_step(sc.d, dPt))
+
+
+def _step(d, dXt):
+    """The step length _max_step gives one program whose blocks are an
+    (n, n) dXt or the slices of an (nb, n, n) one."""
+    (t,) = ipm._max_step(d.reshape((1, -1) + d.shape[-1:]), dXt.reshape((1, -1) + dXt.shape[-2:]))
+    return t
 
 
 def _diagonal_stack(d):
@@ -1484,8 +1492,8 @@ def test_stacked_numerics_agree_with_each_slice(real):
         assert close(target[k], target_k)
     # the step length of a stack is the shortest of its slices'
     for dXt in (dSt, dZt):
-        want = min(ipm._max_step(sk.d, dXt[k]) for k, sk in enumerate(slices))
-        assert abs(ipm._max_step(sc.d, dXt) - want) <= 1e-12 * want
+        want = min(_step(sk.d, dXt[k]) for k, sk in enumerate(slices))
+        assert abs(_step(sc.d, dXt) - want) <= 1e-12 * want
 
 
 @pytest.mark.parametrize("real", [True, False])
@@ -1543,6 +1551,30 @@ def test_stacked_numerics_reject_one_bad_slice():
         dXt[1, 2, 2] = bad
         with pytest.raises(NumericError):
             ipm._max_step(np.ones((3, 3)), dXt)
+
+
+def test_every_loop_array_has_a_leading_program_axis():
+    # a compiled program is the batch of one; a batch of three gives three
+    # Newton matrices and three step lengths, each its program's own bit for bit
+    problems = [_measure_program(measures.det_distill_one_copy, rho_alpha(a)) for a in (0.2, 0.3, 0.4)]
+    comps = [ipm.compile_problem(problem) for problem in problems]
+    assert len({ipm.layout(comp) for comp in comps}) == 1
+    assert any(st.tterms for st in comps[0].stacks)  # both trace-term forms are compared
+    for st in comps[0].stacks:
+        assert st.const.shape == (1, st.pos.size, st.n, st.n)
+    rng = np.random.default_rng(29)
+    Vs = [[_hermitian_stack(rng, st.pos.size, st.n, True, psd=True)[None] for st in comp.stacks] for comp in comps]
+    M = ipm._assemble_M(ipm._batch(comps), [np.concatenate(parts) for parts in zip(*Vs)])
+    assert M.shape == (3, comps[0].m, comps[0].m)
+    for k, comp in enumerate(comps):
+        assert np.array_equal(M[k], ipm._assemble_M(comp, Vs[k])[0])
+
+    K, nb, n = 3, 4, 5
+    d = rng.uniform(0.5, 2.0, (K, nb, n))
+    dXt = np.array([_hermitian_stack(rng, nb, n, False) for _ in range(K)])
+    steps = ipm._max_step(d, dXt)
+    assert len(steps) == K
+    assert steps == [ipm._max_step(d[k : k + 1], dXt[k : k + 1])[0] for k in range(K)]
 
 
 def _check_basis_order(n, i, j, u):
@@ -1641,7 +1673,7 @@ def _no_scaling(S, Z):
 @pytest.mark.parametrize(
     "rule, name, patched",
     [
-        ("max-iterations", "_max_step", lambda d, dXt: 0.0),  # no step is ever taken
+        ("max-iterations", "_max_step", lambda d, dXt: [0.0] * len(dXt)),  # no step is ever taken
         ("numeric-error", "_nt_scaling", _no_scaling),
         # the first iterate's image, and so its residual norm, is not finite
         ("non-finite", "apply_block", lambda st, y: np.full_like(st.const, np.inf)),

@@ -27,9 +27,9 @@ every solve's trace rows); and every call whose status or stop rule differs
 from the parent's.
 
 A run whose package has measures.evaluate_many also solves the sigma_r and
-rho_alpha grids of e_w, e0, w0 and fgamma through it, one batch per grid,
-measure and gap, and reports how many of those calls are identical to the
-same run's solo calls.
+rho_alpha grids of e_w, e0, w0, fgamma and w_dual through it, one batch per
+grid, measure and gap, and reports how many of those calls are identical to
+the same run's solo calls.
 """
 
 from __future__ import annotations
@@ -136,7 +136,10 @@ def _worker(reversal):
                     rec = record(exc)
                 out[f"{name}|{measure}|{gap:g}"] = rec
 
-    # the sigma_r and rho_alpha grids again, each grid in one batch call
+    # the sigma_r and rho_alpha grids again, each grid in one batch call; the
+    # rungs count the solo calls alone, since an evaluate_many that calls a
+    # measure state by state would add the grids' calls to them
+    measures.solve = solve
     batch = None
     if hasattr(measures, "evaluate_many"):
         grids = {}
@@ -144,7 +147,13 @@ def _worker(reversal):
             family = re.fullmatch(r"(sigma|rho)[\d.]+", name)
             if family:
                 grids.setdefault(family.group(1), []).append((name, rho))
-        fns = {"e_w": (eb.e_w, {}), "e0": (eb.det_distill_one_copy, {}), "w0": (eb.w0, {}), "fgamma": (eb.fidelity_ppt, {"k": 2.0})}
+        fns = {
+            "e_w": (eb.e_w, {}),
+            "e0": (eb.det_distill_one_copy, {}),
+            "w0": (eb.w0, {}),
+            "fgamma": (eb.fidelity_ppt, {"k": 2.0}),
+            "w_dual": (eb.w_dual, {}),
+        }
         batch = [0, 0]
         for grid in grids.values():
             names, rhos = zip(*grid)
